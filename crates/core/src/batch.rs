@@ -941,6 +941,56 @@ mod tests {
         }
     }
 
+    /// Checks the oracle's sensitization CSR against its definition at
+    /// threads 1, 4 and 8: row `p` lists the registered paths before `p`
+    /// that exclude it (ascending), then `p`'s own `excluded_after` list,
+    /// as path indices. Returns the number of stored adjacency entries.
+    fn check_csr_is_predecessors_then_exclusions(
+        bench: &GeneratedBenchmark,
+        paths: &[usize],
+    ) -> usize {
+        let mut entries = 0;
+        for threads in [1, 4, 8] {
+            let oracle = ConflictOracle::new_threaded(bench, paths, threads);
+            entries = 0;
+            for (k, &p) in paths.iter().enumerate() {
+                let mut expected: Vec<u32> = (0..k)
+                    .filter(|&i| oracle.exclusions.excludes(i, k))
+                    .map(|i| paths[i] as u32)
+                    .collect();
+                expected
+                    .extend(oracle.exclusions.excluded_after(k).iter().map(|&j| paths[j] as u32));
+                assert_eq!(oracle.sens_neighbors(p), expected, "path {p} at {threads} threads");
+                entries += expected.len();
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn oracle_csr_is_predecessors_then_exclusions_on_every_topology() {
+        let mut entries = 0;
+        for &topology in Topology::all().iter() {
+            let spec = BenchmarkSpec::iscas89_s9234().scaled_down(10).with_topology(topology);
+            let bench = GeneratedBenchmark::generate(&spec, 1);
+            let all: Vec<usize> = (0..bench.paths.len()).collect();
+            entries += check_csr_is_predecessors_then_exclusions(&bench, &all);
+        }
+        assert!(entries > 0, "no topology has sensitization exclusions to check");
+    }
+
+    #[test]
+    fn oracle_csr_is_predecessors_then_exclusions_on_large_tier() {
+        let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(256), 7);
+        let all: Vec<usize> = (0..bench.paths.len()).collect();
+        // One exclusion per fan-in pair, stored once in each direction.
+        assert_eq!(check_csr_is_predecessors_then_exclusions(&bench, &all), all.len());
+        // Registration order is not path order: a reversed list maps every
+        // oracle position to a different path index.
+        let reversed: Vec<usize> = all.iter().rev().copied().collect();
+        assert_eq!(check_csr_is_predecessors_then_exclusions(&bench, &reversed), all.len());
+    }
+
     #[test]
     fn endpoint_conflicts_respected() {
         let (bench, _) = fixture();

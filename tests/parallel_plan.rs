@@ -1,18 +1,21 @@
-//! Thread-count determinism of the parallel plan pipeline (PR 8).
+//! Golden plan fingerprints: the plan pipeline's output, pinned bit for
+//! bit at every thread count.
 //!
-//! Every serial plan stage now has a threaded form driven by the
-//! deterministic parallel-execution utility (`effitest::flow::parallel`):
-//! circuit generation on the large tier, the SSTA model build, per-path
-//! criticality scoring, the conflict oracle, predicted sigmas, hold-bound
-//! sampling, and the prediction engine's per-group factorization. The
-//! contract is **bitwise**: results are independent of the worker-thread
-//! count and identical to the retained serial references.
-//!
-//! This test pins that contract end to end — the full plan fingerprint
-//! (groups, batches, slot fills, hold bounds, predicted sigmas, epsilon)
-//! at threads 1, 4, and 8 against the serial `plan_reference`, across all
-//! six paper topologies and a reduced large-tier circuit, plus the
-//! upstream generate/model stages on their own references.
+//! Every offline stage runs on the deterministic parallel-execution
+//! utility (`effitest::flow::parallel`): circuit generation on the large
+//! tier, the SSTA model build, per-path criticality scoring, the conflict
+//! oracle, predicted sigmas, hold-bound sampling, and the prediction
+//! engine's per-group factorization. At one thread that utility runs each
+//! closure inline, so a serial copy of the same closure would only check
+//! itself. Instead this suite pins
+//! [`plan_fingerprint`](effitest::flow::cache::plan_fingerprint) — groups,
+//! batches, slot fills, hold bounds, the conflict-oracle CSR, predicted
+//! sigmas, the predictor's factored conditioners, and epsilon — to
+//! constants captured from the original serial pipeline, at threads 1, 4
+//! and 8, across all six paper topologies and a reduced large-tier
+//! circuit. The large tier also pins its generated netlist's content
+//! fingerprint and checks that the timing model does not depend on the
+//! thread count.
 
 use effitest::circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
 use effitest::flow::select::SelectConfig;
@@ -21,52 +24,39 @@ use effitest::ssta::TimingModel;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
-/// Everything that defines a plan's observable content, in comparable
-/// form (hold bounds sorted, floats as bit patterns).
-#[allow(clippy::type_complexity)]
-fn fingerprint(
-    plan: &FlowPlan<'_>,
-) -> (
-    Vec<(Vec<usize>, Vec<usize>, u64, usize)>,
-    Vec<Vec<usize>>,
-    Vec<usize>,
-    Vec<(usize, u64)>,
-    Vec<(usize, u64)>,
-    u64,
-) {
-    let groups = plan
-        .groups
-        .iter()
-        .map(|g| (g.members.clone(), g.selected.clone(), g.threshold.to_bits(), g.n_pcs))
-        .collect();
-    let mut lambda: Vec<(usize, u64)> = plan.lambda.iter().map(|(p, l)| (p, l.to_bits())).collect();
-    lambda.sort_unstable();
-    let sigmas = plan.predicted_sigmas.iter().map(|&(p, s)| (p, s.to_bits())).collect();
-    (
-        groups,
-        plan.batches.batches.clone(),
-        plan.batches.slot_filled.clone(),
-        lambda,
-        sigmas,
-        plan.epsilon.to_bits(),
-    )
-}
+/// `plan_fingerprint` per paper topology of
+/// `iscas89_s9234().scaled_down(10)` (seed 1, default flow config).
+const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
+    ("paper", 0x16c7_7eb5_7f28_c977),
+    ("htree", 0xc36d_b4c0_8114_f41b),
+    ("unbalanced", 0x2363_0f89_6fb0_3d27),
+    ("pipeline", 0x2600_086f_89fd_50af),
+    ("mesh", 0xcdc6_2530_7de5_35d0),
+    ("sparse", 0xaab5_d014_8d62_7e74),
+];
+
+/// `content_fingerprint` of `GeneratedBenchmark::generate(&large(256), 1)`.
+const GOLDEN_LARGE_CONTENT: u64 = 0x8f57_e6b5_f400_eab4;
+
+/// `plan_fingerprint` of the large-tier plan: criticality cut 0.93, 4x4
+/// variation grid, buffer range 0.07 of the period over 8 steps.
+const GOLDEN_LARGE_PLAN: u64 = 0xe425_4ce6_759b_1d62;
 
 #[test]
 fn plan_is_bitwise_thread_count_independent_on_every_paper_topology() {
     let flow = EffiTestFlow::new(FlowConfig::default());
-    for &topology in Topology::all().iter() {
+    assert_eq!(Topology::all().len(), GOLDEN_PAPER_PLANS.len());
+    for (&topology, &(name, golden)) in Topology::all().iter().zip(&GOLDEN_PAPER_PLANS) {
+        assert_eq!(topology.name(), name);
         let spec = BenchmarkSpec::iscas89_s9234().scaled_down(10).with_topology(topology);
         let bench = GeneratedBenchmark::generate(&spec, 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
-        let reference = fingerprint(&flow.plan_reference(&bench, &model).expect("plan"));
         for threads in THREAD_COUNTS {
-            let threaded = fingerprint(&flow.plan_threaded(&bench, &model, threads).expect("plan"));
+            let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
             assert_eq!(
-                threaded,
-                reference,
-                "plan diverged from the serial reference on {} at {threads} threads",
-                topology.name()
+                plan_fingerprint(&plan),
+                golden,
+                "plan diverged from its golden fingerprint on {name} at {threads} threads"
             );
         }
     }
@@ -79,28 +69,31 @@ fn plan_is_bitwise_thread_count_independent_on_the_large_tier() {
         select: SelectConfig { criticality_fraction: Some(0.93), ..SelectConfig::default() },
         ..FlowConfig::default()
     });
-    // The upstream stages have their own serial references: pin them at
-    // every thread count before planning on their output.
-    let bench = GeneratedBenchmark::generate_large_reference(&spec, 1);
+    // The upstream stages first: the generated netlist against its golden
+    // content fingerprint, the timing model across thread counts.
+    let bench = GeneratedBenchmark::generate(&spec, 1);
+    assert_eq!(bench.content_fingerprint(), GOLDEN_LARGE_CONTENT);
     for threads in THREAD_COUNTS {
         let threaded = GeneratedBenchmark::generate_threaded(&spec, 1, threads);
-        assert_eq!(threaded.netlist, bench.netlist, "generation diverged at {threads} threads");
-        assert_eq!(threaded.paths, bench.paths, "generated paths diverged at {threads} threads");
-        assert_eq!(threaded.short_paths, bench.short_paths);
+        assert_eq!(
+            threaded.content_fingerprint(),
+            GOLDEN_LARGE_CONTENT,
+            "generation diverged at {threads} threads"
+        );
     }
     let variation = VariationConfig { grid_dim: 4, ..VariationConfig::paper() };
-    let model = TimingModel::build_with_buffer_range_reference(&bench, &variation, 0.07, 8);
+    let model = TimingModel::build_with_buffer_range_threaded(&bench, &variation, 0.07, 8, 1);
     for threads in THREAD_COUNTS {
         let threaded =
             TimingModel::build_with_buffer_range_threaded(&bench, &variation, 0.07, 8, threads);
         assert_eq!(threaded, model, "timing model diverged at {threads} threads");
     }
-    let reference = fingerprint(&flow.plan_reference(&bench, &model).expect("plan"));
     for threads in THREAD_COUNTS {
-        let threaded = fingerprint(&flow.plan_threaded(&bench, &model, threads).expect("plan"));
+        let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
         assert_eq!(
-            threaded, reference,
-            "large-tier plan diverged from the serial reference at {threads} threads"
+            plan_fingerprint(&plan),
+            GOLDEN_LARGE_PLAN,
+            "large-tier plan diverged from its golden fingerprint at {threads} threads"
         );
     }
 }
@@ -112,7 +105,7 @@ fn threaded_plan_drives_identical_chip_outcomes() {
     let bench = GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
     let flow = EffiTestFlow::new(FlowConfig::default());
-    let reference = flow.plan_reference(&bench, &model).expect("plan");
+    let reference = flow.plan_threaded(&bench, &model, 1).expect("plan");
     let td = model.nominal_period();
     let key = |o: &ChipOutcome| {
         (
