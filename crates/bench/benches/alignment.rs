@@ -20,7 +20,6 @@
 //! sample budget and uploads the JSON to seed the perf trajectory.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_solver::align::{
@@ -41,11 +40,6 @@ const SCENARIOS: [Scenario; 3] = [
     Scenario { np: 8, nb: 3, iters: 48 },
     Scenario { np: 12, nb: 4, iters: 48 },
 ];
-
-/// Samples per measurement; `BENCH_SAMPLES` overrides (CI smoke uses 3).
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(20).max(1)
-}
 
 /// Builds the iteration trace: per iteration, the active paths with their
 /// sorted-center weights, centers converging toward their cluster the way
@@ -108,20 +102,8 @@ fn run_warm(engine: &mut AlignmentEngine, buffers: &[BufferVar], trace: &[Vec<Al
     acc
 }
 
-/// Times `f` over `samples` runs and returns the minimum nanoseconds.
-fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> u128 {
-    black_box(f()); // warm-up
-    let mut best = u128::MAX;
-    for _ in 0..samples {
-        let started = Instant::now();
-        black_box(f());
-        best = best.min(started.elapsed().as_nanos());
-    }
-    best
-}
-
 fn measure_and_record() {
-    let samples = sample_count();
+    let samples = effitest_bench::sample_count(20);
     println!("\nPer-iteration alignment solve: cold rebuild vs warm engine");
     println!("({samples} samples per measurement; min-of-samples reported)");
     let header = format!(
@@ -144,9 +126,10 @@ fn measure_and_record() {
             warm_obj <= cold_obj * 1.01 + 1e-9,
             "warm engine lost too much alignment quality: {warm_obj} vs cold {cold_obj}"
         );
-        let cold_ns = best_of(samples, || run_cold(&buffers, &trace)) / s.iters as u128;
-        let warm_ns =
-            best_of(samples, || run_warm(&mut engine, &buffers, &trace)) / s.iters as u128;
+        let cold_ns =
+            effitest_bench::best_of(samples, || run_cold(&buffers, &trace)) / s.iters as u64;
+        let warm_ns = effitest_bench::best_of(samples, || run_warm(&mut engine, &buffers, &trace))
+            / s.iters as u64;
         let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
         println!("{:>7}p{:>2}b {cold_ns:>14} {warm_ns:>14} {speedup:>8.2}x", s.np, s.nb);
         entries.push(format!(

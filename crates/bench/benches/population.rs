@@ -27,7 +27,6 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
@@ -94,11 +93,6 @@ const SCENARIOS: [Scenario; 6] = [
     Scenario { circuit: Circuit::S13207, scale: 4, chips: 1024, threads: 4 },
 ];
 
-/// Samples per measurement; `BENCH_SAMPLES` overrides (CI smoke uses 3).
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(10).max(1)
-}
-
 /// One prepared scenario: the prediction engine, the sampled population,
 /// and its pinned per-chip measured bounds (tight windows around true
 /// delays, the regime the aligned test converges to).
@@ -115,9 +109,9 @@ fn make_fixture(s: Scenario) -> Fixture {
     let spec = s.circuit.spec().scaled_down(s.scale);
     let bench = GeneratedBenchmark::generate(&spec, 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
-    let groups = select_paths(&model, &SelectConfig::default());
+    let groups = select_paths(&model, &SelectConfig::default(), 1);
     let selected = all_selected(&groups);
-    let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+    let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
     let chips: Vec<ChipInstance> =
         (0..s.chips).map(|k| model.sample_chip(800 + k as u64)).collect();
     let tested: Vec<HashMap<usize, DelayBounds>> = chips
@@ -196,18 +190,6 @@ fn run_bank(bank: &mut ChipBank, period: f64, probes: &[(usize, f64)]) -> usize 
     results.iter().filter(|&&b| b).count()
 }
 
-/// Times `f` over `samples` runs and returns the minimum nanoseconds.
-fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> u128 {
-    black_box(f()); // warm-up
-    let mut best = u128::MAX;
-    for _ in 0..samples {
-        let started = Instant::now();
-        black_box(f());
-        best = best.min(started.elapsed().as_nanos());
-    }
-    best
-}
-
 /// Quality guard: the batched engine must agree bit for bit with the
 /// per-chip engine on every chip and at every scenario thread count — the
 /// speedup is not allowed to change a single range.
@@ -227,7 +209,7 @@ fn assert_bitwise_identical(f: &Fixture, threads: usize) {
 }
 
 fn measure_and_record() {
-    let samples = sample_count();
+    let samples = effitest_bench::sample_count(10);
     println!("\nWhole-population prediction: per-chip Predictor loop vs batched chip matrix");
     println!("({samples} samples per measurement; min-of-samples reported)");
     let header = format!(
@@ -243,10 +225,11 @@ fn measure_and_record() {
         assert_bitwise_identical(&f, s.threads);
         let mut ws = PredictWorkspace::new();
         let mut kept = Vec::new();
-        let per_chip_ns = best_of(samples, || run_per_chip(&f, &mut ws, &mut kept));
+        let per_chip_ns = effitest_bench::best_of(samples, || run_per_chip(&f, &mut ws, &mut kept));
         let mut out = BatchPredictedRanges::new();
         let mut chip_m = ChipMatrix::new(&f.predictor, 0);
-        let batched_ns = best_of(samples, || run_batched(&f, s.threads, &mut chip_m, &mut out));
+        let batched_ns =
+            effitest_bench::best_of(samples, || run_batched(&f, s.threads, &mut chip_m, &mut out));
         let speedup = per_chip_ns as f64 / batched_ns.max(1) as f64;
         let label = format!("{}/{}({})", s.circuit.name(), f.model.path_count(), f.selected);
         println!(
@@ -291,8 +274,9 @@ fn measure_and_record() {
             }
         }
     }
-    let testers_ns = best_of(samples, || run_testers(&f.chips, period, &probes) as f64);
-    let bank_ns = best_of(samples, || run_bank(&mut bank, period, &probes) as f64);
+    let testers_ns =
+        effitest_bench::best_of(samples, || run_testers(&f.chips, period, &probes) as f64);
+    let bank_ns = effitest_bench::best_of(samples, || run_bank(&mut bank, period, &probes) as f64);
     let tester_speedup = testers_ns as f64 / bank_ns.max(1) as f64;
     println!(
         "{:>22} {:>6} {:>8} {testers_ns:>14} {bank_ns:>14} {tester_speedup:>8.2}x",

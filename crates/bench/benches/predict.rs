@@ -20,7 +20,6 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
@@ -43,11 +42,6 @@ const SCENARIOS: [Scenario; 3] = [
     Scenario { scale: 5, chips: 8 },
 ];
 
-/// Samples per measurement; `BENCH_SAMPLES` overrides (CI smoke uses 3).
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(20).max(1)
-}
-
 /// One prepared scenario: the model, its groups, the engine, and the
 /// pinned per-chip measured bounds (tight windows around true delays, the
 /// regime the aligned test converges to).
@@ -63,9 +57,9 @@ fn make_fixture(s: Scenario) -> Fixture {
     let spec = BenchmarkSpec::iscas89_s13207().scaled_down(s.scale);
     let bench = GeneratedBenchmark::generate(&spec, 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
-    let groups = select_paths(&model, &SelectConfig::default());
+    let groups = select_paths(&model, &SelectConfig::default(), 1);
     let selected = all_selected(&groups);
-    let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+    let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
     let tested: Vec<HashMap<usize, DelayBounds>> = (0..s.chips)
         .map(|k| {
             let chip = model.sample_chip(800 + k);
@@ -106,20 +100,8 @@ fn run_engine(f: &Fixture, ws: &mut PredictWorkspace) -> f64 {
     acc
 }
 
-/// Times `f` over `samples` runs and returns the minimum nanoseconds.
-fn best_of<F: FnMut() -> f64>(samples: usize, mut f: F) -> u128 {
-    black_box(f()); // warm-up
-    let mut best = u128::MAX;
-    for _ in 0..samples {
-        let started = Instant::now();
-        black_box(f());
-        best = best.min(started.elapsed().as_nanos());
-    }
-    best
-}
-
 fn measure_and_record() {
-    let samples = sample_count();
+    let samples = effitest_bench::sample_count(20);
     println!("\nPer-chip statistical prediction: from-scratch conditioning vs Predictor");
     println!("({samples} samples per measurement; min-of-samples reported)");
     let header = format!(
@@ -144,8 +126,8 @@ fn measure_and_record() {
             assert!(same, "engine diverged from legacy conditioning");
             assert_eq!(legacy.measured, engine.measured);
         }
-        let legacy_ns = best_of(samples, || run_legacy(&f)) / u128::from(s.chips);
-        let engine_ns = best_of(samples, || run_engine(&f, &mut ws)) / u128::from(s.chips);
+        let legacy_ns = effitest_bench::best_of(samples, || run_legacy(&f)) / s.chips;
+        let engine_ns = effitest_bench::best_of(samples, || run_engine(&f, &mut ws)) / s.chips;
         let speedup = legacy_ns as f64 / engine_ns.max(1) as f64;
         let label = format!("{}({})", f.model.path_count(), f.selected);
         println!("{label:>16} {legacy_ns:>16} {engine_ns:>16} {speedup:>8.2}x");

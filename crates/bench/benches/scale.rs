@@ -30,7 +30,6 @@
 //! an artifact.
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
@@ -46,11 +45,6 @@ use effitest_ssta::{TimingModel, VariationConfig};
 /// (see the `large` generator), so 0.93 keeps exactly the critical
 /// population plus nothing.
 const CRITICALITY_FRACTION: f64 = 0.93;
-
-/// Samples per measurement; `BENCH_SAMPLES` overrides (CI smoke uses 3).
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(10).max(1)
-}
 
 /// The sizes to sweep. 1M paths is opt-in (`BENCH_SCALE_1M=1`): the
 /// model alone holds ~51 coefficients per path and the full sweep takes
@@ -80,19 +74,6 @@ fn scale_flow_config() -> FlowConfig {
     }
 }
 
-/// Minimum-of-`samples` wall time of `f`, in nanoseconds, after one
-/// warm-up call.
-fn best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> u64 {
-    black_box(f());
-    let mut best = u64::MAX;
-    for _ in 0..samples {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
 /// Quality guard: on a reduced `large` circuit, sparse batch placement
 /// (the code the sweep exercises) must agree **exactly** with the
 /// retained dense pairwise reference, in both width-stratified and
@@ -101,11 +82,11 @@ fn assert_sparse_matches_dense(np: usize) {
     let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(np), 7);
     let model = TimingModel::build(&bench, &scale_variation());
     let config = scale_flow_config();
-    let groups = select_paths(&model, &config.select);
+    let groups = select_paths(&model, &config.select, 1);
     let selected = all_selected(&groups);
     assert!(!selected.is_empty(), "criticality cut selected nothing at {np} paths");
     let all_paths: Vec<usize> = (0..model.path_count()).collect();
-    let oracle = ConflictOracle::new(&bench, &all_paths);
+    let oracle = ConflictOracle::new(&bench, &all_paths, 1);
     let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
     for widths in [None, Some(&widths[..])] {
         let sparse = build_batches(&oracle, &selected, widths);
@@ -162,18 +143,19 @@ impl SizePoint {
 fn measure_size(np: usize, samples: usize) -> SizePoint {
     let spec = BenchmarkSpec::large(np);
     let variation = scale_variation();
-    let generate_ns = best_of(samples, || GeneratedBenchmark::generate(&spec, 1));
+    let generate_ns = effitest_bench::best_of(samples, || GeneratedBenchmark::generate(&spec, 1));
     let bench = GeneratedBenchmark::generate(&spec, 1);
-    let model_ns = best_of(samples, || TimingModel::build(&bench, &variation));
+    let model_ns = effitest_bench::best_of(samples, || TimingModel::build(&bench, &variation));
     let model = TimingModel::build(&bench, &variation);
     let flow = EffiTestFlow::new(scale_flow_config());
-    let plan_ns = best_of(samples, || flow.plan(&bench, &model).expect("plan"));
+    let plan_ns = effitest_bench::best_of(samples, || flow.plan(&bench, &model).expect("plan"));
     let plan = flow.plan(&bench, &model).expect("plan");
     let chip = model.sample_chip(1);
     let period = model.nominal_period();
     let mut ws = FlowWorkspace::new();
-    let chip_ns =
-        best_of(samples, || flow.run_chip_with(&mut ws, &plan, &chip, period).expect("chip"));
+    let chip_ns = effitest_bench::best_of(samples, || {
+        flow.run_chip_with(&mut ws, &plan, &chip, period).expect("chip")
+    });
     let survivors: usize = plan.groups.iter().map(|g| g.members.len()).sum();
     let st = plan.stage_times;
     SizePoint {
@@ -201,7 +183,7 @@ fn exponent(a: &SizePoint, b: &SizePoint) -> f64 {
 }
 
 fn measure_and_record() {
-    let samples = sample_count();
+    let samples = effitest_bench::sample_count(10);
     println!("\nLarge-tier scaling: total pipeline ns per path vs path count");
     println!("({samples} samples per stage; min-of-samples reported)");
     assert_sparse_matches_dense(2_000);

@@ -40,15 +40,6 @@ const CACHE_PATHS: usize = 100_000;
 /// Chips in the streaming population.
 const CHIPS: usize = 48;
 
-/// Samples per measurement; `BENCH_SAMPLES` overrides (CI smoke uses 3).
-fn sample_count() -> usize {
-    std::env::var("BENCH_SAMPLES").ok().and_then(|s| s.parse().ok()).unwrap_or(5).max(1)
-}
-
-fn bench_threads() -> usize {
-    effitest_core::parallel::threads::threads_from_env().expect("EFFITEST_THREADS")
-}
-
 fn plan_variation() -> VariationConfig {
     VariationConfig { grid_dim: 4, ..VariationConfig::paper() }
 }
@@ -61,19 +52,6 @@ fn plan_flow_config() -> FlowConfig {
         },
         ..FlowConfig::default()
     }
-}
-
-/// Minimum-of-`samples` wall time of `f`, in nanoseconds, after one
-/// warm-up call.
-fn best_of<T>(samples: usize, mut f: impl FnMut() -> T) -> u64 {
-    black_box(f());
-    let mut best = u64::MAX;
-    for _ in 0..samples {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_nanos() as u64);
-    }
-    best
 }
 
 /// Deterministic Fisher-Yates over a splitmix64 stream.
@@ -177,7 +155,7 @@ fn measure_streaming(samples: usize, threads: usize) -> StreamingNumbers {
     println!("quality guard passed: shuffled arrival bitwise equals in-order processing");
 
     // Sustained throughput: one shuffled burst, one drain.
-    let burst_ns = best_of(samples, || run(&burst));
+    let burst_ns = effitest_bench::best_of(samples, || run(&burst));
     let chips_per_sec = CHIPS as f64 / (burst_ns as f64 / 1e9);
 
     // Decision latency: one chip at a time, drain after each. Min per
@@ -243,7 +221,7 @@ fn measure_plan_cache(samples: usize) -> CacheNumbers {
     let cold_ns = t.elapsed().as_nanos() as u64;
     assert_eq!(outcome, CacheOutcome::Miss);
 
-    let cached_ns = best_of(samples, || {
+    let cached_ns = effitest_bench::best_of(samples, || {
         let mut cache = PlanCache::new(&dir);
         let (plan, outcome) = cache.load_or_build(&flow, &bench, &model).expect("load");
         assert_eq!(outcome, CacheOutcome::Hit);
@@ -266,8 +244,8 @@ fn measure_plan_cache(samples: usize) -> CacheNumbers {
 }
 
 fn measure_and_record() {
-    let samples = sample_count();
-    let threads = bench_threads();
+    let samples = effitest_bench::sample_count(5);
+    let threads = effitest_bench::bench_threads();
     println!(
         "\nTest-floor service: streaming ingestion + persistent plan cache ({threads} threads)"
     );
@@ -348,7 +326,7 @@ fn bench_service(c: &mut Criterion) {
     let mut events: Vec<MeasurementEvent> =
         population_events(1, &outcomes).into_iter().flatten().collect();
     shuffle(&mut events, 0xD15C);
-    let threads = bench_threads();
+    let threads = effitest_bench::bench_threads();
     let mut group = c.benchmark_group("service");
     group.bench_function("ingest_drain_8_chips", |b| {
         b.iter(|| {

@@ -330,7 +330,7 @@ impl GeneratedBenchmark {
             // The random-walk placer below re-rolls each path against the
             // already-placed set; at 10k-1M paths that is infeasible. The
             // large tier has its own constant-work-per-path generator.
-            return generate_large_threaded(spec, seed, depth, critical_per_1024, threads);
+            return generate_large(spec, seed, depth, critical_per_1024, threads);
         }
         assert!(spec.nb >= 1, "need at least one buffered flip-flop");
         assert!(spec.ns >= spec.nb + 4, "ns too small for nb");
@@ -540,23 +540,6 @@ impl GeneratedBenchmark {
         bench
     }
 
-    /// The serial large-tier generator, retained as the differential
-    /// reference for the threaded production build (the same role
-    /// [`MutualExclusions::build_dense`](crate::sensitize::MutualExclusions::build_dense)
-    /// plays for the sparse conflict build).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` is not a large-tier spec.
-    pub fn generate_large_reference(spec: &BenchmarkSpec, seed: u64) -> Self {
-        match spec.topology {
-            Topology::Large { depth, critical_per_1024 } => {
-                generate_large_serial(spec, seed, depth, critical_per_1024)
-            }
-            _ => panic!("generate_large_reference requires a large-tier spec"),
-        }
-    }
-
     /// Convenience accessor: `(ns, ng, nb, np)` — the Table 1 statistics.
     pub fn stats(&self) -> (usize, usize, usize, usize) {
         (
@@ -617,195 +600,10 @@ fn unit_hash(mix: u64, a: u64, b: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Generates an industrial-scale benchmark: sink hubs on H-tree leaves,
-/// paths in fan-in pairs (two per-path prefix chains converging at a
-/// shared AND merge gate, then a shared stem into the hub). Endpoint
-/// sharing is dense (hundreds of paths per hub) while the *stored*
-/// sensitization-conflict structure stays sparse — exactly one edge per
-/// pair — which is what keeps the sparse conflict graph `O(np)`.
-///
-/// This is the serial form, retained as the differential reference for
-/// [`generate_large_threaded`] (every pair's geometry is a pure function of
-/// the pair index, so the threaded build precomputes the per-pair plans in
-/// parallel and replays the exact same netlist-append sequence serially).
-fn generate_large_serial(
-    spec: &BenchmarkSpec,
-    seed: u64,
-    depth: u8,
-    critical_per_1024: u16,
-) -> GeneratedBenchmark {
-    let nb = 4_usize.pow(depth as u32);
-    assert_eq!(spec.nb, nb, "large spec out of sync: nb must be 4^depth");
-    assert_eq!(spec.ns, spec.np + nb, "large spec out of sync: ns must be np + nb");
-    assert_eq!(
-        spec.ng,
-        large_gate_count(spec.np, spec.min_path_len, spec.max_path_len, critical_per_1024),
-        "large spec gate budget out of sync; build large specs with `BenchmarkSpec::large`"
-    );
-    assert!(spec.min_path_len > LARGE_STEM_LEN, "prefix chains need at least one gate");
-    assert!(spec.max_path_len >= spec.min_path_len + 2, "need a gap below the critical tail");
-
-    let die = Rect::new(0.0, 0.0, spec.die_size, spec.die_size);
-    let mut netlist = Netlist::new(spec.name.clone(), die);
-    let mix = seed ^ hash_name(&spec.name);
-
-    // Sink hubs: one tunable buffer per H-tree leaf.
-    let mut leaves: Vec<(f64, f64)> = Vec::with_capacity(nb);
-    crate::topology::htree_leaves(0.5, 0.5, 0.25, depth as usize, &mut leaves);
-    let placeholder = crate::TuningBufferSpec::centered(0.0, 2);
-    let hubs: Vec<FlipFlopId> = leaves
-        .iter()
-        .enumerate()
-        .map(|(b, &(fx, fy))| {
-            let loc = Point::new(fx * spec.die_size, fy * spec.die_size);
-            netlist.add_flip_flop(FlipFlop::new(format!("hub{b}"), loc).with_buffer(placeholder))
-        })
-        .collect();
-    let cell = spec.die_size / (1u64 << depth) as f64;
-
-    let len_of =
-        |i: usize| large_path_len(i, spec.min_path_len, spec.max_path_len, critical_per_1024);
-    let total_chain_gates: usize = (0..spec.np).map(len_of).sum();
-    let mut paths = PathSet::with_capacity(spec.np, total_chain_gates);
-
-    // Per-path source flip-flop, placed in the sink hub's leaf cell so
-    // the hub's paths share spatial-correlation cells (the clustering the
-    // statistical prediction relies on).
-    let place_near = |netlist: &Netlist, hub: FlipFlopId, tag: u64, k: u64| -> Point {
-        let c = netlist.flip_flop(hub).expect("valid hub").location;
-        let dx = (unit_hash(mix, tag, 2 * k) - 0.5) * 0.8 * cell;
-        let dy = (unit_hash(mix, tag, 2 * k + 1) - 0.5) * 0.8 * cell;
-        Point::new((c.x + dx).clamp(die.x0, die.x1), (c.y + dy).clamp(die.y0, die.y1))
-    };
-
-    // One single-input chain gate: all-Buf on critical paths (the slowest
-    // single-input cell, so length strictly orders the critical tail above
-    // everything else), an Inv/Buf jitter mix elsewhere (a smooth nominal
-    // delay spread below the tail).
-    let chain_kind = |i: usize, k: usize| {
-        if large_is_critical(i, critical_per_1024) {
-            GateKind::Buf
-        } else if unit_hash(mix, 0x6b1 ^ i as u64, k as u64) < 0.5 {
-            GateKind::Inv
-        } else {
-            GateKind::Buf
-        }
-    };
-
-    let mut chain: Vec<GateId> = Vec::with_capacity(spec.max_path_len);
-    let build_prefix = |netlist: &mut Netlist,
-                        chain: &mut Vec<GateId>,
-                        i: usize,
-                        source: FlipFlopId,
-                        hub: FlipFlopId,
-                        len: usize| {
-        chain.clear();
-        let start = netlist.flip_flop(source).expect("valid id").location;
-        let end = netlist.flip_flop(hub).expect("valid id").location;
-        for k in 0..len {
-            let t = (k as f64 + 0.5) / (len as f64 + 1.0);
-            let jx = (unit_hash(mix, 0x9a0 ^ i as u64, 2 * k as u64) - 0.5) * 0.1 * cell;
-            let jy = (unit_hash(mix, 0x9a0 ^ i as u64, 2 * k as u64 + 1) - 0.5) * 0.1 * cell;
-            let loc = Point::new(
-                (start.x + t * (end.x - start.x) + jx).clamp(die.x0, die.x1),
-                (start.y + t * (end.y - start.y) + jy).clamp(die.y0, die.y1),
-            );
-            let input = if k == 0 { Signal::Ff(source) } else { Signal::Gate(chain[k - 1]) };
-            chain.push(netlist.add_gate(Gate::new(chain_kind(i, k), loc, vec![input])));
-        }
-    };
-
-    let mut scratch_b: Vec<GateId> = Vec::with_capacity(spec.max_path_len);
-    let n_pairs = spec.np / 2;
-    for q in 0..n_pairs {
-        let (ia, ib) = (2 * q, 2 * q + 1);
-        let hub = hubs[q % nb];
-        let hub_loc = netlist.flip_flop(hub).expect("valid hub").location;
-        let src_a = netlist.add_flip_flop(FlipFlop::new(
-            format!("ff{ia}"),
-            place_near(&netlist, hub, 0x5a, ia as u64),
-        ));
-        let src_b = netlist.add_flip_flop(FlipFlop::new(
-            format!("ff{ib}"),
-            place_near(&netlist, hub, 0x5a, ib as u64),
-        ));
-
-        build_prefix(&mut netlist, &mut chain, ia, src_a, hub, len_of(ia) - LARGE_STEM_LEN);
-        build_prefix(&mut netlist, &mut scratch_b, ib, src_b, hub, len_of(ib) - LARGE_STEM_LEN);
-
-        // Merge: AND2 of the two prefix tails. Each pair member requires
-        // the partner's tail stable at 1 (the AND's non-controlling
-        // value), so the pair is mutually exclusive — and nothing else is.
-        let merge = netlist.add_gate(Gate::new(
-            GateKind::And2,
-            place_near(&netlist, hub, 0x31, q as u64),
-            vec![
-                Signal::Gate(*chain.last().expect("prefix non-empty")),
-                Signal::Gate(*scratch_b.last().expect("prefix non-empty")),
-            ],
-        ));
-        // Shared stem into the hub.
-        let mut prev = merge;
-        let mut stem = [merge; LARGE_STEM_LEN];
-        for (k, slot) in stem.iter_mut().enumerate().skip(1) {
-            let jx = (unit_hash(mix, 0x77 ^ q as u64, 2 * k as u64) - 0.5) * 0.1 * cell;
-            let jy = (unit_hash(mix, 0x77 ^ q as u64, 2 * k as u64 + 1) - 0.5) * 0.1 * cell;
-            let loc = Point::new(
-                (hub_loc.x + jx).clamp(die.x0, die.x1),
-                (hub_loc.y + jy).clamp(die.y0, die.y1),
-            );
-            let kind = if large_is_critical(ia, critical_per_1024)
-                || large_is_critical(ib, critical_per_1024)
-            {
-                GateKind::Buf
-            } else if unit_hash(mix, 0x4c3 ^ q as u64, k as u64) < 0.5 {
-                GateKind::Inv
-            } else {
-                GateKind::Buf
-            };
-            prev = netlist.add_gate(Gate::new(kind, loc, vec![Signal::Gate(prev)]));
-            *slot = prev;
-        }
-        // The hub's D input captures through the shared stem. Many pairs
-        // sink at one hub; the capture-side multiplexing is abstracted
-        // (only the last-wired pair's stem is recorded as the D driver —
-        // the timing model works from the path chains, not the D pin).
-        netlist.flip_flop_mut(hub).expect("valid id").data_input = Some(Signal::Gate(prev));
-
-        chain.extend_from_slice(&stem);
-        paths.add_slice(src_a, hub, &chain, PathKind::Max);
-        scratch_b.extend_from_slice(&stem);
-        paths.add_slice(src_b, hub, &scratch_b, PathKind::Max);
-    }
-    if spec.np % 2 == 1 {
-        // Odd path count: one standalone single-input chain into its hub.
-        let i = spec.np - 1;
-        let hub = hubs[n_pairs % nb];
-        let src = netlist.add_flip_flop(FlipFlop::new(
-            format!("ff{i}"),
-            place_near(&netlist, hub, 0x5a, i as u64),
-        ));
-        build_prefix(&mut netlist, &mut chain, i, src, hub, len_of(i));
-        netlist.flip_flop_mut(hub).expect("valid id").data_input =
-            Some(Signal::Gate(*chain.last().expect("chain non-empty")));
-        paths.add_slice(src, hub, &chain, PathKind::Max);
-    }
-
-    // No carved hold paths at this tier: `compute_hold_bounds` treats an
-    // all-`None` set as "no hold constraints", which is the right model
-    // for a capture-mux-abstracted clock-network benchmark.
-    let short_paths: Vec<Option<crate::TimedPath>> = vec![None; spec.np];
-    let bench = GeneratedBenchmark { netlist, paths, short_paths, spec: spec.clone() };
-    debug_assert!(bench.netlist.validate().is_ok());
-    debug_assert!(bench.paths.validate(&bench.netlist).is_ok());
-    bench
-}
-
 /// Everything about one large-tier fan-in pair that can be computed
 /// without touching the netlist: source locations, prefix chain kinds and
 /// locations, and the merge/stem geometry. Pure per pair, so the plans are
-/// computed in parallel; the serial assembly pass replays the exact
-/// append order of [`generate_large_serial`].
+/// computed in parallel and appended to the netlist in pair order.
 struct LargePairPlan {
     src_a: Point,
     src_b: Point,
@@ -815,12 +613,18 @@ struct LargePairPlan {
     stem: Vec<(GateKind, Point)>,
 }
 
-/// The threaded production counterpart of [`generate_large_serial`]:
-/// per-pair plans fan out over `threads` workers (committed in pair order),
-/// then one serial pass appends flip-flops, gates, and paths in exactly
-/// the order the serial reference does — output is bitwise identical at
-/// every thread count.
-fn generate_large_threaded(
+/// Generates an industrial-scale benchmark: sink hubs on H-tree leaves,
+/// paths in fan-in pairs (two per-path prefix chains converging at a
+/// shared AND merge gate, then a shared stem into the hub). Endpoint
+/// sharing is dense (hundreds of paths per hub) while the *stored*
+/// sensitization-conflict structure stays sparse — exactly one edge per
+/// pair — which is what keeps the sparse conflict graph `O(np)`.
+///
+/// Every pair's geometry is a pure function of the pair index, so the
+/// per-pair plans fan out over `threads` workers (committed in pair
+/// order), then one serial pass appends flip-flops, gates, and paths in
+/// pair order — output is bitwise identical at every thread count.
+fn generate_large(
     spec: &BenchmarkSpec,
     seed: u64,
     depth: u8,
@@ -865,14 +669,18 @@ fn generate_large_threaded(
     let total_chain_gates: usize = (0..spec.np).map(len_of).sum();
     let mut paths = PathSet::with_capacity(spec.np, total_chain_gates);
 
-    // The same jitter expressions as the serial reference, expressed over
-    // the precomputed hub locations (bitwise-equal inputs, bitwise-equal
-    // points).
+    // Per-path source flip-flops (and merge gates) sit in their sink hub's
+    // leaf cell, so the hub's paths share spatial-correlation cells (the
+    // clustering the statistical prediction relies on).
     let near = |hub_loc: Point, tag: u64, k: u64| -> Point {
         let dx = (unit_hash(mix, tag, 2 * k) - 0.5) * 0.8 * cell;
         let dy = (unit_hash(mix, tag, 2 * k + 1) - 0.5) * 0.8 * cell;
         Point::new((hub_loc.x + dx).clamp(die.x0, die.x1), (hub_loc.y + dy).clamp(die.y0, die.y1))
     };
+    // One single-input chain gate: all-Buf on critical paths (the slowest
+    // single-input cell, so length strictly orders the critical tail above
+    // everything else), an Inv/Buf jitter mix elsewhere (a smooth nominal
+    // delay spread below the tail).
     let chain_kind = |i: usize, k: usize| {
         if large_is_critical(i, critical_per_1024) {
             GateKind::Buf
@@ -929,8 +737,8 @@ fn generate_large_threaded(
         LargePairPlan { src_a, src_b, prefix_a, prefix_b, merge_loc, stem }
     });
 
-    // Serial assembly: replay the append order of the serial reference so
-    // every id comes out identical.
+    // Serial assembly in pair order, so every id is independent of the
+    // thread count.
     let append_prefix = |netlist: &mut Netlist,
                          chain: &mut Vec<GateId>,
                          source: FlipFlopId,
@@ -950,6 +758,9 @@ fn generate_large_threaded(
         let src_b = netlist.add_flip_flop(FlipFlop::new(format!("ff{ib}"), plan.src_b));
         append_prefix(&mut netlist, &mut chain, src_a, &plan.prefix_a);
         append_prefix(&mut netlist, &mut scratch_b, src_b, &plan.prefix_b);
+        // Merge: AND2 of the two prefix tails. Each pair member requires
+        // the partner's tail stable at 1 (the AND's non-controlling
+        // value), so the pair is mutually exclusive — and nothing else is.
         let merge = netlist.add_gate(Gate::new(
             GateKind::And2,
             plan.merge_loc,
@@ -964,6 +775,10 @@ fn generate_large_threaded(
             prev = netlist.add_gate(Gate::new(kind, loc, vec![Signal::Gate(prev)]));
             stem[k + 1] = prev;
         }
+        // The hub's D input captures through the shared stem. Many pairs
+        // sink at one hub; the capture-side multiplexing is abstracted
+        // (only the last-wired pair's stem is recorded as the D driver —
+        // the timing model works from the path chains, not the D pin).
         netlist.flip_flop_mut(hub).expect("valid id").data_input = Some(Signal::Gate(prev));
         chain.extend_from_slice(&stem);
         paths.add_slice(src_a, hub, &chain, PathKind::Max);
@@ -984,7 +799,9 @@ fn generate_large_threaded(
         paths.add_slice(src, hub, &chain, PathKind::Max);
     }
 
-    // No carved hold paths at this tier (see the serial reference).
+    // No carved hold paths at this tier: `compute_hold_bounds` treats an
+    // all-`None` set as "no hold constraints", which is the right model
+    // for a capture-mux-abstracted clock-network benchmark.
     let short_paths: Vec<Option<crate::TimedPath>> = vec![None; spec.np];
     let bench = GeneratedBenchmark { netlist, paths, short_paths, spec: spec.clone() };
     debug_assert!(bench.netlist.validate().is_ok());
@@ -1591,12 +1408,12 @@ mod tests {
 
     #[test]
     fn large_threaded_generation_matches_serial_reference() {
-        // Even and odd path counts; threads 1/4/8 all pinned bitwise to
-        // the retained serial generator.
+        // Even and odd path counts; threads 4 and 8 pinned bitwise to the
+        // one-thread run, where every pair plan is computed inline.
         for np in [500, 501] {
             let spec = BenchmarkSpec::large(np);
-            let reference = GeneratedBenchmark::generate_large_reference(&spec, 5);
-            for threads in [1, 4, 8] {
+            let reference = GeneratedBenchmark::generate_threaded(&spec, 5, 1);
+            for threads in [4, 8] {
                 let threaded = GeneratedBenchmark::generate_threaded(&spec, 5, threads);
                 assert_eq!(threaded.netlist, reference.netlist, "np {np} threads {threads}");
                 assert_eq!(threaded.paths, reference.paths, "np {np} threads {threads}");
@@ -1606,9 +1423,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a large-tier spec")]
-    fn large_reference_rejects_paper_specs() {
-        let _ = GeneratedBenchmark::generate_large_reference(&BenchmarkSpec::iscas89_s9234(), 1);
+    #[should_panic(expected = "large spec gate budget out of sync")]
+    fn large_generator_rejects_out_of_sync_specs() {
+        let spec =
+            BenchmarkSpec { ng: BenchmarkSpec::large(500).ng + 1, ..BenchmarkSpec::large(500) };
+        let _ = GeneratedBenchmark::generate_threaded(&spec, 1, 1);
     }
 
     #[test]
@@ -1617,7 +1436,7 @@ mod tests {
         let spec = BenchmarkSpec::large(600);
         let b = GeneratedBenchmark::generate(&spec, 7);
         let views: Vec<crate::PathView<'_>> = b.paths.iter().collect();
-        let mx = MutualExclusions::build(&b.netlist, &views).unwrap();
+        let mx = MutualExclusions::build(&b.netlist, &views, 1).unwrap();
         // Stored sensitization conflicts: one edge per pair, nothing else
         // (endpoint sharing at the hubs is handled by the O(1) endpoint
         // rule, never stored).

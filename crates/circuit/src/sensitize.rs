@@ -30,18 +30,15 @@
 //! interned id" (a shared through-gate, a stable signal the other toggles
 //! or pins oppositely, a stable flip-flop the other launches from). So
 //! instead of testing all `n(n-1)/2` pairs, [`MutualExclusions::build`]
-//! inverts the requirements into per-id adjacency lists and gathers each
-//! path's conflict neighbours from the handful of lists it appears in —
-//! `O(n + edges)` instead of `O(n²)`. The pairwise loop survives as
-//! [`MutualExclusions::build_dense`], the reference oracle the differential
-//! tests pin the sparse build against.
-//!
-//! [`MutualExclusions::build_threaded`] is the production entry point for
-//! large path sets: the same exclusion rules over counting-sort CSR
-//! adjacency (gate and flip-flop ids are dense, so the hash maps above are
-//! pure overhead) with the per-path requirement computation and the
-//! conflict gather fanned out over worker threads. Its output is pinned
-//! bitwise to [`MutualExclusions::build`] at every thread count.
+//! inverts the requirements into per-id adjacency lists — counting-sort
+//! CSR tables over the netlist's dense gate and flip-flop id spaces — and
+//! gathers each path's conflict neighbours from the handful of lists it
+//! appears in: `O(n + edges)` instead of `O(n²)`. The per-path requirement
+//! computation and the gather fan out over worker threads, with results
+//! committed in path order. The pairwise loop survives as
+//! [`MutualExclusions::build_dense`], the independent oracle the
+//! differential tests pin the sparse build against at several thread
+//! counts.
 
 use std::collections::HashMap;
 
@@ -228,120 +225,21 @@ pub struct MutualExclusions {
     excluded: Vec<Vec<usize>>,
 }
 
-/// Per-interned-id inverted indexes over a path set's requirements; each
-/// conflict rule reads as "gather every path appearing in the same list".
-#[derive(Default)]
-struct InvertedIndexes {
-    /// Paths whose transition passes through the gate.
-    by_through: HashMap<GateId, Vec<u32>>,
-    /// Paths requiring the gate's output stable (at any value).
-    stable_gate: HashMap<GateId, Vec<u32>>,
-    /// Paths requiring the signal stable at exactly Zero / exactly One.
-    stable_zero: HashMap<Signal, Vec<u32>>,
-    stable_one: HashMap<Signal, Vec<u32>>,
-    /// Paths launching from the flip-flop.
-    by_source: HashMap<FlipFlopId, Vec<u32>>,
-    /// Paths requiring the flip-flop's output stable.
-    stable_ff: HashMap<FlipFlopId, Vec<u32>>,
-}
-
 impl MutualExclusions {
     /// Computes requirements for every path and the pairwise exclusions,
-    /// in `O(n + edges)` via inverted indexes (see the module docs).
+    /// in `O(n + edges)` via counting-sort inverted indexes (see the module
+    /// docs), with the per-path work distributed over `threads` workers.
     ///
     /// Source flip-flop transitions are accounted for here: a path that
     /// needs signal `Ff(f)` stable excludes any path launching from `f`.
     ///
-    /// # Errors
-    ///
-    /// Propagates requirement-computation errors.
-    pub fn build(netlist: &Netlist, paths: &[PathView<'_>]) -> Result<Self> {
-        let reqs: Vec<PathRequirements> =
-            paths.iter().map(|p| PathRequirements::compute(netlist, *p)).collect::<Result<_>>()?;
-
-        let mut ix = InvertedIndexes::default();
-        for (i, (req, path)) in reqs.iter().zip(paths).enumerate() {
-            let i = i as u32;
-            for &g in &req.through {
-                ix.by_through.entry(g).or_default().push(i);
-            }
-            for &(sig, val) in &req.stable {
-                match sig {
-                    Signal::Gate(g) => ix.stable_gate.entry(g).or_default().push(i),
-                    Signal::Ff(f) => ix.stable_ff.entry(f).or_default().push(i),
-                };
-                match val {
-                    StableValue::Zero => ix.stable_zero.entry(sig).or_default().push(i),
-                    StableValue::One => ix.stable_one.entry(sig).or_default().push(i),
-                    StableValue::Any => {}
-                }
-            }
-            ix.by_source.entry(path.source).or_default().push(i);
-        }
-
-        // Gather each path's conflict candidates from the lists it appears
-        // in. Every rule indexes both participants, so collecting only
-        // `j > i` from `i`'s side still yields every pair exactly once.
-        let empty: Vec<u32> = Vec::new();
-        let mut mark: Vec<u32> = vec![u32::MAX; paths.len()];
-        let mut excluded = vec![Vec::new(); paths.len()];
-        for (i, (req, path)) in reqs.iter().zip(paths).enumerate() {
-            let list = &mut excluded[i];
-            let mut gather = |cands: &[u32]| {
-                for &j in cands {
-                    if j as usize > i && mark[j as usize] != i as u32 {
-                        mark[j as usize] = i as u32;
-                        list.push(j as usize);
-                    }
-                }
-            };
-            for &g in &req.through {
-                // Rule 3: another path through the same gate.
-                gather(&ix.by_through[&g]);
-                // Rule 1 (mirrored): another path needs this gate stable.
-                gather(ix.stable_gate.get(&g).unwrap_or(&empty));
-            }
-            for &(sig, val) in &req.stable {
-                match sig {
-                    // Rule 1: this path needs a gate stable that another
-                    // path toggles.
-                    Signal::Gate(g) => gather(ix.by_through.get(&g).unwrap_or(&empty)),
-                    // Source rule: this path needs a flip-flop stable that
-                    // another path launches from.
-                    Signal::Ff(f) => gather(ix.by_source.get(&f).unwrap_or(&empty)),
-                }
-                // Rule 2: same signal pinned to the opposite value.
-                match val {
-                    StableValue::Zero => gather(ix.stable_one.get(&sig).unwrap_or(&empty)),
-                    StableValue::One => gather(ix.stable_zero.get(&sig).unwrap_or(&empty)),
-                    StableValue::Any => {}
-                }
-            }
-            // Source rule (mirrored): another path needs our source stable.
-            gather(ix.stable_ff.get(&path.source).unwrap_or(&empty));
-            list.sort_unstable();
-        }
-        Ok(MutualExclusions { excluded })
-    }
-
-    /// The threaded production build: same rules as [`build`](Self::build),
-    /// with the per-path requirement computation and the conflict gather
-    /// distributed over `threads` workers and the hash-map inverted indexes
-    /// replaced by counting-sort CSR lists over the netlist's dense id
-    /// spaces.
-    ///
-    /// Output is bitwise identical to [`build`](Self::build) for every
-    /// `threads` value (the differential tests pin this); `threads <= 1`
-    /// runs inline with no thread machinery.
+    /// Output is bitwise identical for every `threads` value; `threads <=
+    /// 1` runs inline with no thread machinery.
     ///
     /// # Errors
     ///
     /// Propagates requirement-computation errors.
-    pub fn build_threaded(
-        netlist: &Netlist,
-        paths: &[PathView<'_>],
-        threads: usize,
-    ) -> Result<Self> {
+    pub fn build(netlist: &Netlist, paths: &[PathView<'_>], threads: usize) -> Result<Self> {
         let n = paths.len();
         let reqs: Vec<PathRequirements> =
             par_map_scratch(threads, default_chunk(n, threads), n, Vec::new, |items, i| {
@@ -353,8 +251,10 @@ impl MutualExclusions {
         let ix = DenseIndexes::build(netlist, paths, &reqs);
         let ff_count = netlist.flip_flop_count();
 
-        // Same gather as `build`, parallel over paths: each worker keeps a
-        // `mark` stamp vector as scratch (stamps are the path index, unique
+        // Gather each path's conflict candidates from the lists it appears
+        // in. Every rule indexes both participants, so collecting only
+        // `j > i` from `i`'s side still yields every pair exactly once.
+        // Each worker keeps a `mark` stamp vector as scratch (stamps are the path index, unique
         // per path, so stale stamps from other paths never collide) and the
         // per-path result is committed back in index order.
         let excluded = par_map_scratch(
@@ -410,8 +310,8 @@ impl MutualExclusions {
         Ok(MutualExclusions { excluded })
     }
 
-    /// The original all-pairs construction, kept as the reference oracle
-    /// for differential tests of the sparse [`build`](Self::build).
+    /// The all-pairs construction, kept as the independent oracle for
+    /// differential tests of the sparse [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -552,8 +452,7 @@ fn dense_signal(sig: Signal, ff_count: usize) -> usize {
 }
 
 /// One counting-sort CSR adjacency table: `list(k)` is every path index
-/// filed under dense key `k`, in ascending path order (the same order the
-/// hash-map indexes push in).
+/// filed under dense key `k`, in ascending path order.
 struct CsrLists {
     offsets: Vec<u32>,
     entries: Vec<u32>,
@@ -575,9 +474,10 @@ impl CsrLists {
     }
 }
 
-/// The dense counterpart of `InvertedIndexes`: six CSR tables over the
-/// netlist's dense id spaces, built by one counting pass and one fill pass
-/// (no hashing, no per-list allocation).
+/// Per-id inverted indexes over a path set's requirements — six CSR tables
+/// over the netlist's dense id spaces, built by one counting pass and one
+/// fill pass — so each conflict rule reads as "gather every path filed
+/// under the same id".
 struct DenseIndexes {
     by_through: CsrLists,
     stable_gate: CsrLists,
@@ -747,7 +647,7 @@ mod tests {
     fn mutual_exclusions_cover_source_toggling() {
         let (n, paths) = fixture();
         let refs: Vec<PathView<'_>> = paths.iter().collect();
-        let mx = MutualExclusions::build(&n, &refs).unwrap();
+        let mx = MutualExclusions::build(&n, &refs, 1).unwrap();
         // C's NAND takes f3 as its on-path input; path B *ends* at f3 but
         // that is an endpoint conflict, not a sensitization one. A and C
         // conflict through g1.
@@ -793,7 +693,7 @@ mod tests {
     fn sparse_build_matches_dense_on_fixture() {
         let (n, paths) = fixture();
         let refs: Vec<PathView<'_>> = paths.iter().collect();
-        let sparse = MutualExclusions::build(&n, &refs).unwrap();
+        let sparse = MutualExclusions::build(&n, &refs, 1).unwrap();
         let dense = MutualExclusions::build_dense(&n, &refs).unwrap();
         assert_eq!(sparse.excluded, dense.excluded);
     }
@@ -807,7 +707,7 @@ mod tests {
             let spec = base.clone().with_topology(topology);
             let bench = GeneratedBenchmark::generate(&spec, 1);
             let refs: Vec<PathView<'_>> = bench.paths.iter().collect();
-            let sparse = MutualExclusions::build(&bench.netlist, &refs).unwrap();
+            let sparse = MutualExclusions::build(&bench.netlist, &refs, 1).unwrap();
             let dense = MutualExclusions::build_dense(&bench.netlist, &refs).unwrap();
             assert_eq!(sparse.excluded, dense.excluded, "topology {}", topology.name());
         }
@@ -839,10 +739,12 @@ mod tests {
             let spec = base.clone().with_topology(topology);
             let bench = GeneratedBenchmark::generate(&spec, 1);
             let refs: Vec<PathView<'_>> = bench.paths.iter().collect();
-            let serial = MutualExclusions::build(&bench.netlist, &refs).unwrap();
-            for threads in [1, 4, 8] {
-                let threaded =
-                    MutualExclusions::build_threaded(&bench.netlist, &refs, threads).unwrap();
+            // At one thread the gather runs inline: the serial run, which
+            // `sparse_build_matches_dense_on_every_topology` pins to the
+            // dense oracle.
+            let serial = MutualExclusions::build(&bench.netlist, &refs, 1).unwrap();
+            for threads in [4, 8] {
+                let threaded = MutualExclusions::build(&bench.netlist, &refs, threads).unwrap();
                 assert_eq!(
                     threaded.excluded,
                     serial.excluded,
@@ -859,7 +761,7 @@ mod tests {
         let refs: Vec<PathView<'_>> = paths.iter().collect();
         let dense = MutualExclusions::build_dense(&n, &refs).unwrap();
         for threads in [1, 3, 16] {
-            let threaded = MutualExclusions::build_threaded(&n, &refs, threads).unwrap();
+            let threaded = MutualExclusions::build(&n, &refs, threads).unwrap();
             assert_eq!(threaded.excluded, dense.excluded, "threads {threads}");
         }
     }

@@ -94,7 +94,7 @@ proptest! {
         let refs: Vec<_> = (0..take)
             .map(|i| bench.paths.path(PathId::new(i as u32)))
             .collect();
-        let mx = MutualExclusions::build(&bench.netlist, &refs).expect("valid paths");
+        let mx = MutualExclusions::build(&bench.netlist, &refs, 1).expect("valid paths");
         for i in 0..take {
             for j in 0..take {
                 prop_assert_eq!(mx.excludes(i, j), mx.excludes(j, i));

@@ -657,10 +657,10 @@ mod tests {
     #[test]
     fn bounds_converge_and_bracket_true_delays() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
 
@@ -736,10 +736,10 @@ mod tests {
     #[test]
     fn alignment_beats_no_alignment() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model);
@@ -784,13 +784,14 @@ mod tests {
         // flow does: multiplexing gains come from batches holding several
         // paths.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let mut batches = build_batches(&oracle, &selected, Some(&widths));
-        let candidates: Vec<(usize, f64, f64)> = crate::batch::predicted_sigmas(&model, &groups)
+        let candidates: Vec<(usize, f64, f64)> = crate::batch::predicted_sigmas(&model, &groups, 1)
+            .0
             .into_iter()
             .map(|(p, s)| (p, s, 6.0 * model.path_sigma(p)))
             .collect();
@@ -831,10 +832,10 @@ mod tests {
         // *exactly* — bounds bits, iteration counts, contradiction counts
         // — across chips, alignment modes, and workspace reuse.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model);
@@ -886,10 +887,10 @@ mod tests {
         // producing *exactly* the run a heuristic-only config produces,
         // not a degraded hybrid.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected: Vec<usize> = all_selected(&groups).into_iter().take(6).collect();
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model);
@@ -937,10 +938,10 @@ mod tests {
         // all proves the loop absorbs them (widen + count) instead of
         // asserting.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model);
@@ -977,10 +978,10 @@ mod tests {
         // loops issue identical probe sequences, so they draw identical
         // noise and must report identical bounds and hostile counters.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model);
@@ -1027,10 +1028,10 @@ mod tests {
     #[test]
     fn exact_alignment_agrees_or_beats_descent_on_iterations() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected: Vec<usize> = all_selected(&groups).into_iter().take(6).collect();
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
         let batches = build_batches(&oracle, &selected, Some(&widths));
         let epsilon = default_epsilon(&model) * 4.0; // keep the MILP cheap

@@ -108,65 +108,23 @@ pub struct ConflictOracle<'a> {
 }
 
 impl<'a> ConflictOracle<'a> {
-    /// Precomputes sensitization requirements for the listed paths.
+    /// Precomputes sensitization requirements for the listed paths on
+    /// `threads` workers: the mutual-exclusion build runs on
+    /// [`MutualExclusions::build`]'s counting-sort gather and the
+    /// symmetrized CSR rows are assembled in parallel. Row `k` is its
+    /// ascending predecessors (the positions `i < k` whose
+    /// `excluded_after` list contains `k`) followed by its own
+    /// `excluded_after` list, mapped to benchmark path indices, so the
+    /// oracle is bitwise identical at every thread count.
     ///
     /// # Panics
     ///
     /// Panics if a path index is out of range for the benchmark or listed
     /// twice.
-    pub fn new(bench: &'a GeneratedBenchmark, paths: &[usize]) -> Self {
+    pub fn new(bench: &'a GeneratedBenchmark, paths: &[usize], threads: usize) -> Self {
         let views: Vec<PathView<'_>> =
             paths.iter().map(|&p| bench.paths.path(PathId::new(p as u32))).collect();
-        let exclusions =
-            MutualExclusions::build(&bench.netlist, &views).expect("generated paths are valid");
-        let mut position = vec![usize::MAX; bench.paths.len()];
-        for (pos, &p) in paths.iter().enumerate() {
-            assert!(position[p] == usize::MAX, "path {p} registered twice with the oracle");
-            position[p] = pos;
-        }
-        // Symmetrize the one-sided `excluded_after` lists into CSR form.
-        let n = paths.len();
-        let mut degree = vec![0_u32; n];
-        for i in 0..n {
-            for &j in exclusions.excluded_after(i) {
-                degree[i] += 1;
-                degree[j] += 1;
-            }
-        }
-        let mut sens_off = Vec::with_capacity(n + 1);
-        let mut total = 0_u32;
-        sens_off.push(0);
-        for &d in &degree {
-            total += d;
-            sens_off.push(total);
-        }
-        let mut cursor: Vec<u32> = sens_off[..n].to_vec();
-        let mut sens_adj = vec![0_u32; total as usize];
-        for i in 0..n {
-            for &j in exclusions.excluded_after(i) {
-                sens_adj[cursor[i] as usize] = paths[j] as u32;
-                cursor[i] += 1;
-                sens_adj[cursor[j] as usize] = paths[i] as u32;
-                cursor[j] += 1;
-            }
-        }
-        ConflictOracle { bench, exclusions, position, paths: paths.to_vec(), sens_off, sens_adj }
-    }
-
-    /// [`new`](Self::new) with an explicit worker-thread count: the
-    /// mutual-exclusion build runs on the threaded counting-sort path and
-    /// the symmetrized CSR rows are assembled in parallel (each row `k` is
-    /// its ascending predecessors followed by its own `excluded_after`
-    /// list — exactly the order the serial cursor loop writes). Pinned
-    /// bitwise to [`new`](Self::new) by the differential tests.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`new`](Self::new).
-    pub fn new_threaded(bench: &'a GeneratedBenchmark, paths: &[usize], threads: usize) -> Self {
-        let views: Vec<PathView<'_>> =
-            paths.iter().map(|&p| bench.paths.path(PathId::new(p as u32))).collect();
-        let exclusions = MutualExclusions::build_threaded(&bench.netlist, &views, threads)
+        let exclusions = MutualExclusions::build(&bench.netlist, &views, threads)
             .expect("generated paths are valid");
         let mut position = vec![usize::MAX; bench.paths.len()];
         for (pos, &p) in paths.iter().enumerate() {
@@ -176,7 +134,7 @@ impl<'a> ConflictOracle<'a> {
         let n = paths.len();
         // Predecessor CSR: pred(k) = the positions i < k whose
         // `excluded_after` contains k, ascending (one counting pass + one
-        // ascending fill, mirroring the serial loop's first-half writes).
+        // ascending fill).
         let mut pred_deg = vec![0_u32; n];
         for i in 0..n {
             for &j in exclusions.excluded_after(i) {
@@ -674,8 +632,7 @@ pub fn fill_slots_dense(
 }
 
 /// One group's predicted sigmas (paper eq. 5), plus whether the group
-/// fell back to the prior. Shared verbatim by the serial and the threaded
-/// driver so the two stay bitwise identical.
+/// fell back to the prior.
 ///
 /// A group whose selected-member covariance block cannot be factorized
 /// even after regularization is *downgraded to the prior*: its unselected
@@ -738,35 +695,11 @@ fn group_sigmas_conditioned(
 ///
 /// Computed group-locally: conditioning path `k` on the selected members
 /// of its own group (cross-group correlations are below the group's
-/// extraction threshold and contribute little).
-pub fn predicted_sigmas_counted(
-    model: &TimingModel,
-    groups: &[crate::select::PathGroup],
-) -> (Vec<(usize, f64)>, u64) {
-    let mut out = Vec::new();
-    let mut fallbacks = 0_u64;
-    for g in groups {
-        let (sigmas, fell_back) = group_predicted_sigmas(model, g);
-        out.extend(sigmas);
-        fallbacks += fell_back;
-    }
-    (out, fallbacks)
-}
-
-/// [`predicted_sigmas_counted`] without the fallback count, kept for
-/// callers that only need the priorities.
+/// extraction threshold and contribute little). Groups are independent,
+/// so each one conditions on its own work item over `threads` workers and
+/// the per-group results are concatenated in group order — bitwise
+/// identical at every thread count.
 pub fn predicted_sigmas(
-    model: &TimingModel,
-    groups: &[crate::select::PathGroup],
-) -> Vec<(usize, f64)> {
-    predicted_sigmas_counted(model, groups).0
-}
-
-/// [`predicted_sigmas_counted`] with an explicit worker-thread count:
-/// groups are independent, so each group's conditioning runs on its own
-/// work item and the per-group result vectors are concatenated in group
-/// order — bitwise identical to the serial loop at every thread count.
-pub fn predicted_sigmas_counted_threaded(
     model: &TimingModel,
     groups: &[crate::select::PathGroup],
     threads: usize,
@@ -781,15 +714,6 @@ pub fn predicted_sigmas_counted_threaded(
         fallbacks += fell_back;
     }
     (out, fallbacks)
-}
-
-/// [`predicted_sigmas_counted_threaded`] without the fallback count.
-pub fn predicted_sigmas_threaded(
-    model: &TimingModel,
-    groups: &[crate::select::PathGroup],
-    threads: usize,
-) -> Vec<(usize, f64)> {
-    predicted_sigmas_counted_threaded(model, groups, threads).0
 }
 
 #[cfg(test)]
@@ -816,10 +740,10 @@ mod tests {
     #[test]
     fn batches_contain_no_conflicts() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         for widths in [None, Some(widths_for(&model, &selected))] {
             let batches = build_batches(&oracle, &selected, widths.as_deref());
             for batch in &batches {
@@ -839,10 +763,10 @@ mod tests {
     #[test]
     fn sparse_placement_matches_dense_reference() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         for widths in [None, Some(widths_for(&model, &selected))] {
             let sparse = build_batches(&oracle, &selected, widths.as_deref());
             let dense = build_batches_dense(&oracle, &selected, widths.as_deref());
@@ -851,7 +775,8 @@ mod tests {
 
         // Slot filling must also agree, including the capacity limit.
         let widths = widths_for(&model, &selected);
-        let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups)
+        let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups, 1)
+            .0
             .into_iter()
             .map(|(p, s)| (p, s, 6.0 * model.path_sigma(p)))
             .collect();
@@ -874,7 +799,7 @@ mod tests {
             let bench = GeneratedBenchmark::generate(&spec, 1);
             let model = TimingModel::build(&bench, &VariationConfig::paper());
             let all: Vec<usize> = (0..model.path_count()).collect();
-            let oracle = ConflictOracle::new(&bench, &all);
+            let oracle = ConflictOracle::new(&bench, &all, 1);
             let widths = widths_for(&model, &all);
             for widths in [None, Some(widths.clone())] {
                 let sparse = build_batches(&oracle, &all, widths.as_deref());
@@ -890,7 +815,7 @@ mod tests {
         // hub endpoint cliques, the exact shape the sparse path targets.
         let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(256), 7);
         let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let sparse = build_batches(&oracle, &all, None);
         let dense = build_batches_dense(&oracle, &all, None);
         assert_eq!(sparse, dense);
@@ -900,44 +825,6 @@ mod tests {
                     assert!(!oracle.conflicts(a, b));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn threaded_oracle_matches_serial_at_every_thread_count() {
-        let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let serial = ConflictOracle::new(&bench, &all);
-        let serial_sigmas = predicted_sigmas(&model, &groups);
-        for threads in [1, 4, 8] {
-            let threaded = ConflictOracle::new_threaded(&bench, &all, threads);
-            assert_eq!(threaded.position, serial.position, "positions diverged ({threads})");
-            assert_eq!(threaded.paths, serial.paths, "paths diverged ({threads})");
-            assert_eq!(threaded.sens_off, serial.sens_off, "CSR offsets diverged ({threads})");
-            assert_eq!(threaded.sens_adj, serial.sens_adj, "CSR adjacency diverged ({threads})");
-            for i in 0..all.len() {
-                assert_eq!(
-                    threaded.exclusions.excluded_after(i),
-                    serial.exclusions.excluded_after(i),
-                    "exclusion list diverged at path {i} ({threads} threads)"
-                );
-            }
-            let sigmas = predicted_sigmas_threaded(&model, &groups, threads);
-            assert_eq!(sigmas, serial_sigmas, "predicted sigmas diverged ({threads})");
-        }
-        assert!(!serial_sigmas.is_empty(), "differential exercised no predictions");
-    }
-
-    #[test]
-    fn threaded_oracle_matches_serial_on_large_tier() {
-        let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(256), 7);
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let serial = ConflictOracle::new(&bench, &all);
-        for threads in [1, 4] {
-            let threaded = ConflictOracle::new_threaded(&bench, &all, threads);
-            assert_eq!(threaded.sens_off, serial.sens_off);
-            assert_eq!(threaded.sens_adj, serial.sens_adj);
         }
     }
 
@@ -951,7 +838,7 @@ mod tests {
     ) -> usize {
         let mut entries = 0;
         for threads in [1, 4, 8] {
-            let oracle = ConflictOracle::new_threaded(bench, paths, threads);
+            let oracle = ConflictOracle::new(bench, paths, threads);
             entries = 0;
             for (k, &p) in paths.iter().enumerate() {
                 let mut expected: Vec<u32> = (0..k)
@@ -995,7 +882,7 @@ mod tests {
     fn endpoint_conflicts_respected() {
         let (bench, _) = fixture();
         let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         // Find two paths sharing an endpoint and confirm the oracle flags
         // them.
         let mut found = false;
@@ -1017,7 +904,7 @@ mod tests {
     fn sens_neighbors_agree_with_exclusions() {
         let (bench, _) = fixture();
         let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let mut edges = 0_usize;
         for i in 0..all.len() {
             let mut from_csr: Vec<usize> =
@@ -1034,13 +921,14 @@ mod tests {
     #[test]
     fn slot_filling_respects_conflicts_and_capacity() {
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths = widths_for(&model, &selected);
         let mut batches = build_batches(&oracle, &selected, Some(&widths));
-        let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups)
+        let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups, 1)
+            .0
             .into_iter()
             .map(|(p, s)| (p, s, 6.0 * model.path_sigma(p)))
             .collect();
@@ -1074,7 +962,7 @@ mod tests {
         // capacity.
         let (bench, _) = fixture();
         let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let candidates: Vec<(usize, f64, f64)> = vec![(0, 2.0, 1.0), (1, 1.5, 1.0), (2, 1.0, 1.0)];
         for fill in [fill_slots, fill_slots_dense] {
             let mut batches: Vec<Vec<usize>> = vec![vec![], vec![]];
@@ -1098,8 +986,8 @@ mod tests {
     #[test]
     fn predicted_sigmas_cover_unselected_members() {
         let (_, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
-        let sigmas = predicted_sigmas(&model, &groups);
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
+        let sigmas = predicted_sigmas(&model, &groups, 1).0;
         let selected = crate::select::all_selected(&groups);
         let expected = model.path_count() - selected.len();
         assert_eq!(sigmas.len(), expected);
@@ -1116,10 +1004,10 @@ mod tests {
         // Sanity: batching k mutually-compatible outlier-ish paths should
         // need far fewer than k batches.
         let (bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let batches = build_batches(&oracle, &selected, None);
         assert!(batches.len() <= selected.len(), "coloring can never exceed one batch per path");
     }
@@ -1128,7 +1016,7 @@ mod tests {
     fn width_stratified_batches_are_homogeneous() {
         let (bench, model) = fixture();
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all);
+        let oracle = ConflictOracle::new(&bench, &all, 1);
         let widths = widths_for(&model, &all);
         let batches = build_batches(&oracle, &all, Some(&widths));
         // Mean within-batch width spread should be clearly below the
@@ -1193,18 +1081,18 @@ mod tests {
     }
 
     #[test]
-    fn counted_sigma_variants_agree_with_the_uncounted_ones() {
+    fn predicted_sigmas_are_thread_count_independent() {
         let (_bench, model) = fixture();
-        let groups = select_paths(&model, &SelectConfig::default());
-        let (counted, fallbacks) = predicted_sigmas_counted(&model, &groups);
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
+        let bits =
+            |v: &[(usize, f64)]| v.iter().map(|&(p, s)| (p, s.to_bits())).collect::<Vec<_>>();
+        let (serial, fallbacks) = predicted_sigmas(&model, &groups, 1);
         assert_eq!(fallbacks, 0, "real timing-model groups are PSD");
-        assert_eq!(counted, predicted_sigmas(&model, &groups));
-        for threads in [1, 2, 4] {
-            let (threaded, tf) = predicted_sigmas_counted_threaded(&model, &groups, threads);
+        assert!(!serial.is_empty(), "fixture predicts no sigmas");
+        for threads in [2, 4, 8] {
+            let (threaded, tf) = predicted_sigmas(&model, &groups, threads);
             assert_eq!(tf, fallbacks);
-            let bits =
-                |v: &[(usize, f64)]| v.iter().map(|&(p, s)| (p, s.to_bits())).collect::<Vec<_>>();
-            assert_eq!(bits(&threaded), bits(&counted), "drift at {threads} threads");
+            assert_eq!(bits(&threaded), bits(&serial), "drift at {threads} threads");
         }
     }
 }

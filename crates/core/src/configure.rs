@@ -277,6 +277,7 @@ mod tests {
         let lambda = crate::hold::compute_hold_bounds(
             &model,
             &crate::hold::HoldConfig { samples: 32, ..Default::default() },
+            1,
         );
         let problem =
             build_config_problem(&model, &buffers, &ranges, &lambda, model.nominal_period());

@@ -10,14 +10,11 @@ use effitest_tester::{chip_passes, DelayBounds, TesterModel, VirtualTester};
 use crate::aligned_test::{
     run_aligned_test_with, AlignedTestConfig, AlignedTestResult, AlignedTestWorkspace,
 };
-use crate::batch::{
-    build_batches, fill_slots, predicted_sigmas_counted, predicted_sigmas_counted_threaded,
-    Batches, ConflictOracle,
-};
+use crate::batch::{build_batches, fill_slots, predicted_sigmas, Batches, ConflictOracle};
 use crate::configure::{build_config_problem, configure, shifts_for, BufferIndex};
-use crate::hold::{compute_hold_bounds, compute_hold_bounds_threaded, HoldBounds, HoldConfig};
+use crate::hold::{compute_hold_bounds, HoldBounds, HoldConfig};
 use crate::predict::{predict_ranges, PredictWorkspace, PredictedRanges, Predictor};
-use crate::select::{all_selected, select_paths, select_paths_threaded, PathGroup, SelectConfig};
+use crate::select::{all_selected, select_paths, PathGroup, SelectConfig};
 
 /// Errors surfaced by the flow API.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +32,10 @@ pub enum FlowError {
     /// Surfaced instead of silently falling back to a default — the same
     /// hard-error contract every other reader of the variable follows.
     Environment(String),
+    /// A configuration value the flow cannot run with (see
+    /// [`SelectConfig::validate`]): rejected before any work starts
+    /// instead of looping or panicking inside a stage.
+    InvalidConfig(String),
 }
 
 impl fmt::Display for FlowError {
@@ -45,6 +46,7 @@ impl fmt::Display for FlowError {
                 write!(f, "benchmark has {bench_paths} paths but the model has {model_paths}")
             }
             FlowError::Environment(msg) => write!(f, "invalid environment override: {msg}"),
+            FlowError::InvalidConfig(msg) => write!(f, "invalid flow configuration: {msg}"),
         }
     }
 }
@@ -113,9 +115,7 @@ impl Default for FlowConfig {
 
 /// Wall-clock breakdown of one plan construction, stage by stage — the
 /// numbers behind `BENCH_plan.json`'s and `BENCH_scale.json`'s plan
-/// sub-stage splits. Every field is measured around the same code region
-/// in the serial and the threaded build, so the two are directly
-/// comparable.
+/// sub-stage splits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanStageTimes {
     /// Procedure 1: correlation grouping + representative selection.
@@ -284,16 +284,15 @@ impl EffiTestFlow {
     /// whole chip population — every per-chip entry point borrows the plan
     /// immutably.
     ///
-    /// Plan construction runs on the threaded stage implementations with
+    /// Plan construction runs [`plan_threaded`](Self::plan_threaded) with
     /// the worker count from `EFFITEST_THREADS` (default: the machine's
-    /// parallelism); results are bitwise identical at every thread count
-    /// and to the serial reference ([`plan_reference`](Self::plan_reference)).
+    /// parallelism); results are bitwise identical at every thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::EmptyPaths`] / [`FlowError::ModelMismatch`] on
-    /// malformed inputs, and [`FlowError::Environment`] when
-    /// `EFFITEST_THREADS` is set but invalid.
+    /// Same as [`plan_threaded`](Self::plan_threaded), plus
+    /// [`FlowError::Environment`] when `EFFITEST_THREADS` is set but
+    /// invalid.
     pub fn plan<'a>(
         &self,
         bench: &'a GeneratedBenchmark,
@@ -305,23 +304,25 @@ impl EffiTestFlow {
     }
 
     /// [`plan`](Self::plan) with an explicit worker-thread count: every
-    /// stage runs its threaded implementation (per-path criticality
-    /// scoring, the conflict oracle's inverted-index gather and CSR
-    /// assembly, predicted sigmas, hold-bound sampling, and the per-group
-    /// conditioning-gain factorization), with results committed in index
-    /// order so the plan is **bitwise independent of the thread count**
-    /// and bitwise identical to [`plan_reference`](Self::plan_reference).
+    /// stage (per-path criticality scoring, the conflict oracle's
+    /// counting-sort gather and CSR assembly, predicted sigmas, hold-bound
+    /// sampling, and the per-group conditioning-gain factorization) fans
+    /// out over `threads` workers and commits its results in index order,
+    /// so the plan is **bitwise independent of the thread count**. At one
+    /// thread every stage runs inline on the calling thread.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::EmptyPaths`] / [`FlowError::ModelMismatch`] on
-    /// malformed inputs.
+    /// Returns [`FlowError::InvalidConfig`] when the selection config
+    /// fails [`SelectConfig::validate`], and [`FlowError::EmptyPaths`] /
+    /// [`FlowError::ModelMismatch`] on malformed inputs.
     pub fn plan_threaded<'a>(
         &self,
         bench: &'a GeneratedBenchmark,
         model: &'a TimingModel,
         threads: usize,
     ) -> Result<FlowPlan<'a>, FlowError> {
+        self.config.select.validate().map_err(FlowError::InvalidConfig)?;
         if bench.paths.is_empty() {
             return Err(FlowError::EmptyPaths);
         }
@@ -334,13 +335,13 @@ impl EffiTestFlow {
         let started = Instant::now();
         let mut stage_times = PlanStageTimes::default();
         let stage = Instant::now();
-        let groups = select_paths_threaded(model, &self.config.select, threads);
+        let groups = select_paths(model, &self.config.select, threads);
         let selected = all_selected(&groups);
         stage_times.select = stage.elapsed();
 
         let stage = Instant::now();
         let all_paths: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new_threaded(bench, &all_paths, threads);
+        let oracle = ConflictOracle::new(bench, &all_paths, threads);
         stage_times.oracle = stage.elapsed();
 
         let stage = Instant::now();
@@ -348,7 +349,7 @@ impl EffiTestFlow {
         let widths: Vec<f64> = selected.iter().map(|&p| width_of(p)).collect();
         let mut raw_batches = build_batches(&oracle, &selected, Some(&widths));
         let buffers = BufferIndex::new(model);
-        let (sigmas, sigma_fallbacks) = predicted_sigmas_counted_threaded(model, &groups, threads);
+        let (sigmas, sigma_fallbacks) = predicted_sigmas(model, &groups, threads);
         let slot_filled = if self.config.slot_fill {
             let candidates: Vec<(usize, f64, f64)> =
                 sigmas.iter().map(|&(p, sigma)| (p, sigma, width_of(p))).collect();
@@ -365,103 +366,17 @@ impl EffiTestFlow {
         stage_times.batch = stage.elapsed();
 
         let stage = Instant::now();
-        let lambda = compute_hold_bounds_threaded(model, &self.config.hold, threads);
+        let lambda = compute_hold_bounds(model, &self.config.hold, threads);
         stage_times.hold = stage.elapsed();
         let epsilon = self.epsilon_for(model);
         let stage = Instant::now();
-        let predictor = Predictor::new_threaded(
+        let predictor = Predictor::new(
             model,
             &groups,
             &batches.tested_paths(),
             self.config.bound_sigma,
             threads,
         );
-        stage_times.predictor = stage.elapsed();
-
-        Ok(FlowPlan {
-            bench,
-            model,
-            groups,
-            batches,
-            lambda,
-            buffers,
-            oracle,
-            predicted_sigmas: sigmas,
-            sigma_fallbacks,
-            predictor,
-            epsilon,
-            prep_time: started.elapsed(),
-            stage_times,
-        })
-    }
-
-    /// The **reference** plan construction: every stage in its original
-    /// serial form (from-scratch grouping, `HashMap` inverted indexes in
-    /// the oracle, the serial hold-sampling and factorization loops).
-    ///
-    /// Kept so the threaded build can be differentially tested and
-    /// benchmarked against it — the two are bitwise identical
-    /// (`tests/parallel_plan.rs` pins it on every topology); use
-    /// [`plan`](Self::plan) everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::EmptyPaths`] / [`FlowError::ModelMismatch`] on
-    /// malformed inputs.
-    pub fn plan_reference<'a>(
-        &self,
-        bench: &'a GeneratedBenchmark,
-        model: &'a TimingModel,
-    ) -> Result<FlowPlan<'a>, FlowError> {
-        if bench.paths.is_empty() {
-            return Err(FlowError::EmptyPaths);
-        }
-        if bench.paths.len() != model.path_count() {
-            return Err(FlowError::ModelMismatch {
-                bench_paths: bench.paths.len(),
-                model_paths: model.path_count(),
-            });
-        }
-        let started = Instant::now();
-        let mut stage_times = PlanStageTimes::default();
-        let stage = Instant::now();
-        let groups = select_paths(model, &self.config.select);
-        let selected = all_selected(&groups);
-        stage_times.select = stage.elapsed();
-
-        let stage = Instant::now();
-        let all_paths: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(bench, &all_paths);
-        stage_times.oracle = stage.elapsed();
-
-        let stage = Instant::now();
-        let width_of = |p: usize| 2.0 * self.config.bound_sigma * model.path_sigma(p);
-        let widths: Vec<f64> = selected.iter().map(|&p| width_of(p)).collect();
-        let mut raw_batches = build_batches(&oracle, &selected, Some(&widths));
-        let buffers = BufferIndex::new(model);
-        let (sigmas, sigma_fallbacks) = predicted_sigmas_counted(model, &groups);
-        let slot_filled = if self.config.slot_fill {
-            let candidates: Vec<(usize, f64, f64)> =
-                sigmas.iter().map(|&(p, sigma)| (p, sigma, width_of(p))).collect();
-            // A series batch holds at most one source and one sink per
-            // buffered flip-flop, so 2 * nb is the structural slot count
-            // for buffer-incident paths (which required paths all are).
-            let capacity =
-                (2 * buffers.len()).max(raw_batches.iter().map(Vec::len).max().unwrap_or(1));
-            fill_slots(&oracle, &mut raw_batches, &candidates, Some(capacity), &width_of)
-        } else {
-            Vec::new()
-        };
-        let batches = Batches { batches: raw_batches, slot_filled };
-        stage_times.batch = stage.elapsed();
-
-        let stage = Instant::now();
-        let lambda = compute_hold_bounds(model, &self.config.hold);
-        stage_times.hold = stage.elapsed();
-        let epsilon = self.epsilon_for(model);
-        let stage = Instant::now();
-        let predictor =
-            Predictor::new(model, &groups, &batches.tested_paths(), self.config.bound_sigma);
         stage_times.predictor = stage.elapsed();
 
         Ok(FlowPlan {
@@ -1015,11 +930,45 @@ mod tests {
     }
 
     #[test]
+    fn invalid_select_configs_are_rejected_before_planning() {
+        // Regression: the first three used to hang `plan()` (every seed
+        // deferred as a singleton while the threshold never moved or was
+        // never finite), the last three used to panic inside selection.
+        // Each runs on its own thread so a hang fails the test instead of
+        // stalling the suite.
+        let base = SelectConfig::default();
+        let cases = [
+            SelectConfig { threshold_start: f64::NAN, ..base.clone() },
+            SelectConfig { threshold_start: f64::INFINITY, ..base.clone() },
+            SelectConfig { threshold_step: 1e-300, ..base.clone() },
+            SelectConfig { threshold_step: 0.0, ..base.clone() },
+            SelectConfig { criticality_fraction: Some(1.5), ..base.clone() },
+            SelectConfig { criticality_fraction: Some(f64::NAN), ..base },
+        ];
+        for select in cases {
+            let label = format!("{select:?}");
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (bench, model) = fixture();
+                let flow = EffiTestFlow::new(FlowConfig { select, ..FlowConfig::default() });
+                let _ = tx.send(flow.plan(&bench, &model).map(|_| ()));
+            });
+            match rx.recv_timeout(Duration::from_secs(60)) {
+                Ok(Err(FlowError::InvalidConfig(msg))) => assert!(!msg.is_empty()),
+                Ok(other) => panic!("{label}: expected InvalidConfig, got {other:?}"),
+                Err(e) => panic!("{label}: plan() did not return ({e})"),
+            }
+        }
+    }
+
+    #[test]
     fn flow_error_display() {
         assert!(!FlowError::EmptyPaths.to_string().is_empty());
         let e = FlowError::ModelMismatch { bench_paths: 1, model_paths: 2 };
         assert!(e.to_string().contains('1'));
         let e = FlowError::Environment("EFFITEST_THREADS must be a positive integer".into());
         assert!(e.to_string().contains("EFFITEST_THREADS"));
+        let e = FlowError::InvalidConfig("threshold_step must be positive".into());
+        assert!(e.to_string().contains("threshold_step"));
     }
 }

@@ -105,48 +105,13 @@ impl HoldBounds {
 /// `underline(d)_ij` (via the model's hold forms), then discards the
 /// allowed `floor((1 - Y) M)` worst samples greedily and sets
 /// `lambda_ij` to the per-path maximum over the kept samples.
-pub fn compute_hold_bounds(model: &TimingModel, config: &HoldConfig) -> HoldBounds {
-    let hold_paths: Vec<usize> =
-        (0..model.path_count()).filter(|&i| model.hold_form(i).is_some()).collect();
-    if hold_paths.is_empty() || config.samples == 0 {
-        return HoldBounds::default();
-    }
-    // Sample matrix: per path, M realizations.
-    let m = config.samples;
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(m); hold_paths.len()];
-    for k in 0..m {
-        let chip = model.sample_chip(config.seed.wrapping_add(k as u64));
-        for (pi, &p) in hold_paths.iter().enumerate() {
-            samples[pi].push(chip.hold_bound(p).expect("hold form exists"));
-        }
-    }
-    let discards = allowed_discards(config.yield_target, m);
-    let kept = greedy_discard(&samples, discards);
-
-    let mut lambda = HashMap::new();
-    for (pi, &p) in hold_paths.iter().enumerate() {
-        let lam = samples[pi]
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| kept[*k])
-            .map(|(_, &v)| v)
-            .fold(f64::NEG_INFINITY, f64::max);
-        lambda.insert(p, lam);
-    }
-    HoldBounds { lambda }
-}
-
-/// [`compute_hold_bounds`] with an explicit worker-thread count: the `M`
-/// Monte-Carlo chip samples are independent (chip `k` is seeded with
-/// `seed + k`), so each runs on its own work item producing a per-chip
-/// column of hold bounds; the columns are transposed serially in `k`
-/// order, after which the greedy discard proceeds exactly as the serial
-/// form — bitwise identical at every thread count.
-pub fn compute_hold_bounds_threaded(
-    model: &TimingModel,
-    config: &HoldConfig,
-    threads: usize,
-) -> HoldBounds {
+///
+/// The `M` chip samples are independent (chip `k` is seeded with
+/// `seed + k`), so each runs on its own work item over `threads` workers,
+/// producing a column of hold bounds; the columns are transposed in `k`
+/// order before the greedy discard, so the bounds are bitwise identical at
+/// every thread count.
+pub fn compute_hold_bounds(model: &TimingModel, config: &HoldConfig, threads: usize) -> HoldBounds {
     let hold_paths: Vec<usize> =
         (0..model.path_count()).filter(|&i| model.hold_form(i).is_some()).collect();
     if hold_paths.is_empty() || config.samples == 0 {
@@ -307,7 +272,7 @@ mod tests {
     fn bounds_cover_target_yield() {
         let m = model();
         let config = HoldConfig { yield_target: 0.95, samples: 200, seed: 3 };
-        let bounds = compute_hold_bounds(&m, &config);
+        let bounds = compute_hold_bounds(&m, &config, 1);
         assert!(!bounds.is_empty());
         // Fresh chips: the fraction where every hold bound <= lambda must
         // land near (or above) the target.
@@ -333,9 +298,9 @@ mod tests {
     fn discards_reduce_total() {
         let m = model();
         let strict =
-            compute_hold_bounds(&m, &HoldConfig { yield_target: 1.0, samples: 128, seed: 5 });
+            compute_hold_bounds(&m, &HoldConfig { yield_target: 1.0, samples: 128, seed: 5 }, 1);
         let relaxed =
-            compute_hold_bounds(&m, &HoldConfig { yield_target: 0.9, samples: 128, seed: 5 });
+            compute_hold_bounds(&m, &HoldConfig { yield_target: 0.9, samples: 128, seed: 5 }, 1);
         assert!(relaxed.total() <= strict.total() + 1e-9);
     }
 
@@ -379,12 +344,13 @@ mod tests {
     fn threaded_bounds_match_serial_at_every_thread_count() {
         let m = model();
         let config = HoldConfig { yield_target: 0.95, samples: 96, seed: 3 };
-        let serial = compute_hold_bounds(&m, &config);
+        // At one thread the sampling runs inline: the serial run.
+        let serial = compute_hold_bounds(&m, &config, 1);
         let mut expect: Vec<(usize, u64)> = serial.iter().map(|(p, l)| (p, l.to_bits())).collect();
         expect.sort_unstable();
         assert!(!expect.is_empty(), "differential exercised no bounds");
-        for threads in [1, 4, 8] {
-            let threaded = compute_hold_bounds_threaded(&m, &config, threads);
+        for threads in [4, 8] {
+            let threaded = compute_hold_bounds(&m, &config, threads);
             let mut got: Vec<(usize, u64)> =
                 threaded.iter().map(|(p, l)| (p, l.to_bits())).collect();
             got.sort_unstable();
@@ -396,7 +362,7 @@ mod tests {
     fn zero_samples_and_no_hold_paths_are_safe() {
         let m = model();
         let empty =
-            compute_hold_bounds(&m, &HoldConfig { yield_target: 0.99, samples: 0, seed: 1 });
+            compute_hold_bounds(&m, &HoldConfig { yield_target: 0.99, samples: 0, seed: 1 }, 1);
         assert!(empty.is_empty());
         assert_eq!(empty.lambda(0), None);
         assert_eq!(empty.total(), 0.0);
@@ -418,7 +384,7 @@ mod tests {
     fn lambda_values_are_attained_sample_maxima() {
         let m = model();
         let config = HoldConfig { yield_target: 0.99, samples: 64, seed: 9 };
-        let bounds = compute_hold_bounds(&m, &config);
+        let bounds = compute_hold_bounds(&m, &config, 1);
         for (p, lam) in bounds.iter() {
             // Every lambda must be one of the sampled hold bounds.
             let mut attained = false;

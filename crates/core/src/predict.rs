@@ -204,7 +204,12 @@ impl Predictor {
     ///
     /// `tested` lists the path indices that will carry measured bounds on
     /// every chip (the plan's selected + slot-filled paths); `sigma_k`
-    /// scales the predicted half-width (paper: 3).
+    /// scales the predicted half-width (paper: 3). The per-group
+    /// observed-block Cholesky and conditioning-gain factorization — the
+    /// plan's single most expensive stage — runs one group per work item
+    /// over `threads` workers, and the factored groups are committed (and
+    /// fallbacks counted) in group order, so the engine is bitwise
+    /// identical at every thread count.
     ///
     /// Groups whose observed block cannot be factorized are downgraded to
     /// the prior and counted ([`fallback_count`](Self::fallback_count));
@@ -214,68 +219,7 @@ impl Predictor {
     ///
     /// Panics if `tested` or a group references an out-of-range path
     /// (cannot happen for plan-built inputs).
-    pub fn new(model: &TimingModel, groups: &[PathGroup], tested: &[usize], sigma_k: f64) -> Self {
-        let n = model.path_count();
-        let mut is_tested = vec![false; n];
-        for &p in tested {
-            is_tested[p] = true;
-        }
-        let priors: Vec<DelayBounds> = (0..n)
-            .map(|p| DelayBounds::from_gaussian(model.path_mean(p), model.path_sigma(p), sigma_k))
-            .collect();
-
-        let mut group_predictors = Vec::new();
-        let mut fallbacks = 0_u64;
-        for group in groups {
-            let observed: Vec<usize> =
-                group.members.iter().copied().filter(|&p| is_tested[p]).collect();
-            if observed.is_empty() || observed.len() == group.members.len() {
-                continue;
-            }
-            let gauss = model.gaussian(&group.members);
-            let obs_pos: Vec<usize> = group
-                .members
-                .iter()
-                .enumerate()
-                .filter(|&(_, &p)| is_tested[p])
-                .map(|(pos, _)| pos)
-                .collect();
-            // A block that cannot be factorized even after regularization
-            // is a *prediction fallback*: the group keeps its priors,
-            // counted, never a panic.
-            match gauss.conditioner(&obs_pos) {
-                Ok(conditioner) => {
-                    let predicted: Vec<usize> = conditioner
-                        .remaining_indices()
-                        .iter()
-                        .map(|&pos| group.members[pos])
-                        .collect();
-                    group_predictors.push(GroupPredictor { observed, predicted, conditioner });
-                }
-                Err(_) => fallbacks += 1,
-            }
-        }
-        Predictor {
-            n_paths: n,
-            planned: (0..n).filter(|&p| is_tested[p]).collect(),
-            sigma_k,
-            priors,
-            groups: group_predictors,
-            fallbacks,
-        }
-    }
-
-    /// [`new`](Self::new) with an explicit worker-thread count: the
-    /// per-group observed-block Cholesky + conditioning-gain factorization
-    /// — the plan's single most expensive stage — runs one group per work
-    /// item, and the factored groups are committed (and fallbacks counted)
-    /// serially in group order, so the result is bitwise identical to
-    /// [`new`](Self::new) at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`new`](Self::new).
-    pub fn new_threaded(
+    pub fn new(
         model: &TimingModel,
         groups: &[PathGroup],
         tested: &[usize],
@@ -1101,7 +1045,7 @@ mod tests {
         let bench =
             GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
-        let groups = select_paths(&model, &SelectConfig::default());
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
         (bench, model, groups)
     }
 
@@ -1258,7 +1202,7 @@ mod tests {
         // reference path bit for bit, chip after chip.
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         assert_eq!(predictor.path_count(), model.path_count());
         assert_eq!(predictor.tested_count(), selected.len());
         assert_eq!(predictor.fallback_count(), 0);
@@ -1278,10 +1222,11 @@ mod tests {
     fn threaded_predictor_matches_serial_at_every_thread_count() {
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let serial = Predictor::new(&model, &groups, &selected, 3.0);
+        // At one thread the factorization runs inline: the serial run.
+        let serial = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let chips: Vec<_> = (0..4).map(|s| model.sample_chip(6_000 + s)).collect();
-        for threads in [1, 4, 8] {
-            let threaded = Predictor::new_threaded(&model, &groups, &selected, 3.0, threads);
+        for threads in [4, 8] {
+            let threaded = Predictor::new(&model, &groups, &selected, 3.0, threads);
             assert_eq!(threaded.planned, serial.planned, "planned set diverged ({threads})");
             assert_eq!(threaded.fallbacks, serial.fallbacks, "fallbacks diverged ({threads})");
             assert_eq!(threaded.groups.len(), serial.groups.len());
@@ -1304,7 +1249,7 @@ mod tests {
     fn predictor_workspace_reuse_is_invisible() {
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let mut ws = PredictWorkspace::new();
         for seed in 0..5 {
             let chip = model.sample_chip(3_000 + seed);
@@ -1338,7 +1283,7 @@ mod tests {
     fn batched_population_matches_per_chip_bitwise_at_any_thread_count() {
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let tested_maps: Vec<HashMap<usize, DelayBounds>> =
             (0..7).map(|seed| measure(&model.sample_chip(4_000 + seed), &selected, 0.5)).collect();
         let chips = ChipMatrix::gather(&predictor, &tested_maps);
@@ -1377,7 +1322,7 @@ mod tests {
     fn batched_population_degenerate_shapes() {
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         // Zero chips: empty output, no panic, at any thread count.
         let empty = ChipMatrix::gather(&predictor, &[]);
         for threads in [0, 1, 4] {
@@ -1401,7 +1346,7 @@ mod tests {
     fn chip_matrix_rejects_incomplete_tested_map() {
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let mut m = ChipMatrix::new(&predictor, 1);
         m.set_chip(0, &HashMap::new());
     }
@@ -1413,7 +1358,7 @@ mod tests {
         // bounds) and the fallback count must surface in the output.
         let (_, model, groups) = fixture();
         let selected = crate::select::all_selected(&groups);
-        let reference = Predictor::new(&model, &groups, &selected, 3.0);
+        let reference = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let downgraded = Predictor {
             n_paths: reference.n_paths,
             planned: reference.planned.clone(),

@@ -66,6 +66,67 @@ impl Default for SelectConfig {
     }
 }
 
+/// Most threshold rounds [`SelectConfig::validate`] accepts between
+/// `threshold_start` and the floor. The paper's descent (0.95 to 0.30 in
+/// steps of 0.05) takes 13; even a 0.001 step across the whole
+/// correlation range [-1, 1] fits.
+const MAX_THRESHOLD_ROUNDS: usize = 10_000;
+
+impl SelectConfig {
+    /// Checks that Procedure 1 terminates under this configuration:
+    /// finite thresholds, a criticality fraction in `[0, 1]` with a finite
+    /// sigma multiplier, and a threshold step that reaches the floor (or
+    /// the correlation bound -1) in at most 10 000 strictly decreasing
+    /// rounds. Without the last check a NaN or infinite start, or a step
+    /// too small to move the threshold, defers every seed forever.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.threshold_start.is_finite() {
+            return Err(format!("threshold_start must be finite, got {}", self.threshold_start));
+        }
+        if self.threshold_floor.is_nan() {
+            return Err("threshold_floor must not be NaN".into());
+        }
+        if !(self.threshold_step.is_finite() && self.threshold_step > 0.0) {
+            return Err(format!(
+                "threshold_step must be positive and finite, got {}",
+                self.threshold_step
+            ));
+        }
+        if let Some(fraction) = self.criticality_fraction {
+            if !(0.0..=1.0).contains(&fraction) {
+                return Err(format!("criticality_fraction must lie in [0, 1], got {fraction}"));
+            }
+            if !self.criticality_sigma.is_finite() {
+                return Err(format!(
+                    "criticality_sigma must be finite, got {}",
+                    self.criticality_sigma
+                ));
+            }
+        }
+        // Replay the threshold sequence of `group_paths`, which depends
+        // on nothing but these three fields.
+        let mut threshold = self.threshold_start;
+        let mut rounds = 0;
+        while threshold > self.threshold_floor + 1e-12 && threshold >= -1.0 {
+            let next = threshold - self.threshold_step;
+            rounds += 1;
+            if next >= threshold || rounds > MAX_THRESHOLD_ROUNDS {
+                return Err(format!(
+                    "threshold_step {} does not descend from {} to the floor {} within \
+                     {MAX_THRESHOLD_ROUNDS} rounds",
+                    self.threshold_step, self.threshold_start, self.threshold_floor
+                ));
+            }
+            threshold = next;
+        }
+        Ok(())
+    }
+}
+
 /// Criticality score of a path: its delay mean plus `k` standard
 /// deviations — the upper tail the frequency-stepped test probes first.
 pub fn criticality_score(model: &TimingModel, path: usize, k: f64) -> f64 {
@@ -75,36 +136,10 @@ pub fn criticality_score(model: &TimingModel, path: usize, k: f64) -> f64 {
 /// Paths surviving the criticality cut at `fraction` of the maximum
 /// score, in path-index order. The maximum-score path always survives.
 ///
-/// This serial form scores every path twice (once for the max fold, once
-/// for the filter); it is retained as the differential reference for
-/// [`critical_paths_threaded`], which scores each path exactly once, in
-/// parallel.
-fn critical_paths(model: &TimingModel, fraction: f64, k: f64) -> Vec<usize> {
-    assert!(
-        (0.0..=1.0).contains(&fraction),
-        "criticality_fraction must lie in [0, 1], got {fraction}"
-    );
-    let max_score = (0..model.path_count())
-        .map(|p| criticality_score(model, p, k))
-        .fold(f64::NEG_INFINITY, f64::max);
-    let cut = fraction * max_score;
-    (0..model.path_count()).filter(|&p| criticality_score(model, p, k) >= cut).collect()
-}
-
-/// Threaded [`critical_paths`]: each path's score is computed once, on
-/// whichever worker claims it, and committed in path order. Scores are
-/// pure per path, so the surviving set is bitwise identical to the serial
-/// reference at every thread count.
-fn critical_paths_threaded(
-    model: &TimingModel,
-    fraction: f64,
-    k: f64,
-    threads: usize,
-) -> Vec<usize> {
-    assert!(
-        (0.0..=1.0).contains(&fraction),
-        "criticality_fraction must lie in [0, 1], got {fraction}"
-    );
+/// Each path is scored once, on whichever worker claims it, and the
+/// survivors are committed in path order, so the set does not depend on
+/// the thread count.
+fn critical_paths(model: &TimingModel, fraction: f64, k: f64, threads: usize) -> Vec<usize> {
     let scores =
         effitest_parallel::par_map(threads, model.path_count(), |p| criticality_score(model, p, k));
     let max_score = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -112,56 +147,34 @@ fn critical_paths_threaded(
     (0..model.path_count()).filter(|&p| scores[p] >= cut).collect()
 }
 
-/// Runs Procedure 1 over all required paths of a timing model.
+/// Runs Procedure 1 over all required paths of a timing model, scoring
+/// criticality on `threads` workers.
 ///
 /// Returns the groups in extraction order; with the default configuration
 /// every path index appears in exactly one group, and every group has at
 /// least one selected representative. With `criticality_fraction` set,
-/// only the surviving paths are grouped (see [`SelectConfig`]).
+/// only the surviving paths are grouped (see [`SelectConfig`]). The
+/// groups are bitwise identical at every thread count.
 ///
 /// # Panics
 ///
-/// Panics if the model has no paths or the configuration is degenerate
-/// (non-positive threshold step, criticality fraction outside `[0, 1]`).
-pub fn select_paths(model: &TimingModel, config: &SelectConfig) -> Vec<PathGroup> {
+/// Panics if the model has no paths or the configuration fails
+/// [`SelectConfig::validate`] (which is what guarantees that the
+/// threshold descent terminates).
+pub fn select_paths(model: &TimingModel, config: &SelectConfig, threads: usize) -> Vec<PathGroup> {
     assert!(model.path_count() > 0, "no paths to select from");
-    assert!(config.threshold_step > 0.0, "threshold step must be positive");
+    if let Err(e) = config.validate() {
+        panic!("invalid SelectConfig: {e}");
+    }
 
     let remaining: Vec<usize> = match config.criticality_fraction {
         None => (0..model.path_count()).collect(),
-        Some(fraction) => critical_paths(model, fraction, config.criticality_sigma),
+        Some(fraction) => critical_paths(model, fraction, config.criticality_sigma, threads),
     };
     group_paths(model, config, remaining)
 }
 
-/// [`select_paths`] with an explicit worker-thread count: the per-path
-/// criticality scoring fans out over `threads` workers (and each score is
-/// computed exactly once instead of twice). The correlation-grouping loop
-/// itself is shared with the serial entry point, so the groups are bitwise
-/// identical to [`select_paths`] at every thread count.
-///
-/// # Panics
-///
-/// Same as [`select_paths`].
-pub fn select_paths_threaded(
-    model: &TimingModel,
-    config: &SelectConfig,
-    threads: usize,
-) -> Vec<PathGroup> {
-    assert!(model.path_count() > 0, "no paths to select from");
-    assert!(config.threshold_step > 0.0, "threshold step must be positive");
-
-    let remaining: Vec<usize> = match config.criticality_fraction {
-        None => (0..model.path_count()).collect(),
-        Some(fraction) => {
-            critical_paths_threaded(model, fraction, config.criticality_sigma, threads)
-        }
-    };
-    group_paths(model, config, remaining)
-}
-
-/// The correlation-grouping loop shared by the serial and threaded entry
-/// points (Procedure 1's threshold descent).
+/// The correlation-grouping loop (Procedure 1's threshold descent).
 fn group_paths(
     model: &TimingModel,
     config: &SelectConfig,
@@ -260,7 +273,7 @@ mod tests {
     #[test]
     fn every_path_lands_in_exactly_one_group() {
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         let mut seen = vec![false; m.path_count()];
         for g in &groups {
             for &p in &g.members {
@@ -274,7 +287,7 @@ mod tests {
     #[test]
     fn selected_are_members_and_nonempty() {
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         for g in &groups {
             assert!(!g.selected.is_empty());
             assert!(g.n_pcs >= 1);
@@ -294,7 +307,7 @@ mod tests {
         // The paper's headline: ~10% of paths need measurement. Clustered
         // synthetic benchmarks should show a clear reduction.
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         let selected = selected_count(&groups);
         assert!(
             selected * 2 <= m.path_count(),
@@ -306,7 +319,7 @@ mod tests {
     #[test]
     fn first_groups_have_highest_threshold() {
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         for w in groups.windows(2) {
             assert!(w[0].threshold >= w[1].threshold - 1e-12);
         }
@@ -316,7 +329,7 @@ mod tests {
     #[test]
     fn highly_correlated_members_share_groups() {
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         // Within a group extracted at threshold th, every member
         // correlates with the seed at >= th; spot-check pairwise corr is
         // high-ish for the first (tightest) group.
@@ -336,8 +349,9 @@ mod tests {
     fn energy_threshold_controls_selection_size() {
         let m = model();
         let tight =
-            select_paths(&m, &SelectConfig { pca_energy: 0.999, ..SelectConfig::default() });
-        let loose = select_paths(&m, &SelectConfig { pca_energy: 0.5, ..SelectConfig::default() });
+            select_paths(&m, &SelectConfig { pca_energy: 0.999, ..SelectConfig::default() }, 1);
+        let loose =
+            select_paths(&m, &SelectConfig { pca_energy: 0.5, ..SelectConfig::default() }, 1);
         assert!(selected_count(&loose) <= selected_count(&tight));
     }
 
@@ -346,10 +360,11 @@ mod tests {
         // `Some(0.0)` admits every path, so the result must be *identical*
         // to the default — the filter is a pure pre-pass, not a reorder.
         let m = model();
-        let unfiltered = select_paths(&m, &SelectConfig::default());
+        let unfiltered = select_paths(&m, &SelectConfig::default(), 1);
         let zero = select_paths(
             &m,
             &SelectConfig { criticality_fraction: Some(0.0), ..SelectConfig::default() },
+            1,
         );
         assert_eq!(unfiltered, zero);
     }
@@ -367,6 +382,7 @@ mod tests {
         let groups = select_paths(
             &m,
             &SelectConfig { criticality_fraction: Some(fraction), ..SelectConfig::default() },
+            1,
         );
         let mut grouped: Vec<usize> =
             groups.iter().flat_map(|g| g.members.iter().copied()).collect();
@@ -381,11 +397,11 @@ mod tests {
     #[test]
     fn oversized_groups_are_chunked_with_no_member_lost() {
         let m = model();
-        let default_groups = select_paths(&m, &SelectConfig::default());
+        let default_groups = select_paths(&m, &SelectConfig::default(), 1);
         let largest = default_groups.iter().map(|g| g.members.len()).max().unwrap();
         assert!(largest > 3, "fixture has no group large enough to exercise chunking");
         let cfg = SelectConfig { max_group_size: 3, ..SelectConfig::default() };
-        let chunked = select_paths(&m, &cfg);
+        let chunked = select_paths(&m, &cfg, 1);
         for g in &chunked {
             assert!(g.members.len() <= 3, "chunk cap violated: {} members", g.members.len());
             assert!(!g.selected.is_empty());
@@ -406,8 +422,8 @@ mod tests {
     fn chunked_selection_is_deterministic_across_reruns() {
         let m = model();
         let cfg = SelectConfig { max_group_size: 3, ..SelectConfig::default() };
-        let a = select_paths(&m, &cfg);
-        let b = select_paths(&m, &cfg);
+        let a = select_paths(&m, &cfg, 1);
+        let b = select_paths(&m, &cfg, 1);
         assert_eq!(a, b);
     }
 
@@ -418,18 +434,74 @@ mod tests {
             SelectConfig::default(),
             SelectConfig { criticality_fraction: Some(0.9), ..SelectConfig::default() },
         ] {
-            let serial = select_paths(&m, &cfg);
-            for threads in [1, 4, 8] {
-                let threaded = select_paths_threaded(&m, &cfg, threads);
+            // At one thread the scoring runs inline: the serial run.
+            let serial = select_paths(&m, &cfg, 1);
+            for threads in [4, 8] {
+                let threaded = select_paths(&m, &cfg, threads);
                 assert_eq!(threaded, serial, "threads {threads}");
             }
         }
     }
 
+    /// The six configurations that used to hang (the first three) or
+    /// panic (the last three) inside Procedure 1.
+    fn non_terminating_configs() -> Vec<SelectConfig> {
+        let base = SelectConfig::default();
+        vec![
+            SelectConfig { threshold_start: f64::NAN, ..base.clone() },
+            SelectConfig { threshold_start: f64::INFINITY, ..base.clone() },
+            SelectConfig { threshold_step: 1e-300, ..base.clone() },
+            SelectConfig { threshold_step: 0.0, ..base.clone() },
+            SelectConfig { criticality_fraction: Some(1.5), ..base.clone() },
+            SelectConfig { criticality_fraction: Some(f64::NAN), ..base },
+        ]
+    }
+
+    #[test]
+    fn validate_rejects_configs_that_cannot_terminate() {
+        for cfg in non_terminating_configs() {
+            assert!(cfg.validate().is_err(), "accepted {cfg:?}");
+        }
+        let base = SelectConfig::default();
+        for bad in [
+            SelectConfig { threshold_floor: f64::NAN, ..base.clone() },
+            SelectConfig { threshold_step: -0.05, ..base.clone() },
+            SelectConfig { threshold_step: f64::INFINITY, ..base.clone() },
+            // Moves the threshold, but would take ~1e8 rounds.
+            SelectConfig { threshold_step: 1e-8, ..base.clone() },
+            SelectConfig {
+                criticality_fraction: Some(0.5),
+                criticality_sigma: f64::NAN,
+                ..base.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "accepted {bad:?}");
+        }
+        for good in [
+            base.clone(),
+            SelectConfig { criticality_fraction: Some(0.0), ..base.clone() },
+            SelectConfig { criticality_fraction: Some(1.0), ..base.clone() },
+            // Starting at or below the floor groups everything at once.
+            SelectConfig { threshold_start: 0.1, ..base.clone() },
+            // A floor below -1 ends at the correlation bound instead.
+            SelectConfig { threshold_floor: f64::NEG_INFINITY, ..base.clone() },
+            SelectConfig { threshold_start: 5.0, threshold_step: 0.001, ..base },
+        ] {
+            assert_eq!(good.validate(), Ok(()), "rejected {good:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SelectConfig")]
+    fn select_paths_asserts_a_valid_config() {
+        let cfg = SelectConfig { threshold_step: 1e-300, ..SelectConfig::default() };
+        let _ = select_paths(&model(), &cfg, 1);
+    }
+
     #[test]
     fn all_selected_is_sorted_and_unique() {
         let m = model();
-        let groups = select_paths(&m, &SelectConfig::default());
+        let groups = select_paths(&m, &SelectConfig::default(), 1);
         let sel = all_selected(&groups);
         for w in sel.windows(2) {
             assert!(w[0] < w[1]);

@@ -25,7 +25,12 @@
 //!
 //! With `threads <= 1` (or a single chunk) the loop runs inline on the
 //! calling thread with no thread machinery at all; the parallel path
-//! produces bitwise-identical output.
+//! produces bitwise-identical output. That is why each stage has exactly
+//! one implementation taking `threads`: a serial copy of the same closure
+//! would be the one-thread call. A stage's tests therefore pin its output
+//! to golden values or to an oracle that uses a *different* algorithm
+//! (dense pairwise conflicts, refactorizing prediction), and sweep the
+//! thread count against one thread.
 //!
 //! # Thread count
 //!

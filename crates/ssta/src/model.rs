@@ -79,26 +79,6 @@ impl TimingModel {
         )
     }
 
-    /// [`build`](Self::build) with an explicit worker-thread count (output
-    /// is bitwise identical for every `threads` value).
-    ///
-    /// # Panics
-    ///
-    /// Same as [`build`](Self::build), minus the environment read.
-    pub fn build_threaded(
-        bench: &GeneratedBenchmark,
-        config: &VariationConfig,
-        threads: usize,
-    ) -> Self {
-        Self::build_with_buffer_range_threaded(
-            bench,
-            config,
-            Self::BUFFER_RANGE_FRACTION,
-            Self::BUFFER_STEPS,
-            threads,
-        )
-    }
-
     /// [`build`](Self::build) with an explicit tuning-range axis: the
     /// buffer range spans `range_fraction` of the nominal clock period
     /// (paper: 1/8) over `steps` discrete settings (paper: 20). The
@@ -126,14 +106,12 @@ impl TimingModel {
     /// explicit worker-thread count: the per-path canonical forms fan out
     /// over `threads` workers and are committed in path order, so the
     /// model (including the `max`-folded nominal period) is bitwise
-    /// identical for every `threads` value — pinned against
-    /// [`build_with_buffer_range_reference`](Self::build_with_buffer_range_reference)
-    /// by the differential tests.
+    /// identical for every `threads` value.
     ///
     /// # Panics
     ///
-    /// Same as
-    /// [`build_with_buffer_range_reference`](Self::build_with_buffer_range_reference).
+    /// Panics on an invalid `config`, a non-positive / non-finite
+    /// `range_fraction`, or `steps < 2`.
     pub fn build_with_buffer_range_threaded(
         bench: &GeneratedBenchmark,
         config: &VariationConfig,
@@ -152,8 +130,7 @@ impl TimingModel {
         let paths: Vec<effitest_circuit::PathView<'_>> = bench.paths.iter().collect();
 
         // Each path's forms are a pure function of the path; the serial
-        // commit below folds the nominal period in index order, exactly as
-        // the serial reference does.
+        // commit below folds the nominal period in index order.
         let per_path = effitest_parallel::par_map(threads, n, |idx| {
             let path = paths[idx];
             let sink = bench.netlist.flip_flop(path.sink).expect("valid sink");
@@ -179,69 +156,6 @@ impl TimingModel {
             setup_forms.push(form);
             hold_forms.push(hold);
             endpoints.push(ends);
-        }
-
-        let width = nominal_period * range_fraction;
-        let buffer_spec = TuningBufferSpec::centered(width, steps);
-
-        TimingModel {
-            factor_space,
-            config: config.clone(),
-            setup_forms,
-            hold_forms,
-            endpoints,
-            buffered_ffs: bench.netlist.buffered_flip_flops(),
-            gate_count: bench.netlist.gate_count(),
-            nominal_period,
-            buffer_spec,
-        }
-    }
-
-    /// The original serial per-path loop, retained as the differential
-    /// reference the threaded build is pinned against.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid `config`, a non-positive / non-finite
-    /// `range_fraction`, or `steps < 2`.
-    pub fn build_with_buffer_range_reference(
-        bench: &GeneratedBenchmark,
-        config: &VariationConfig,
-        range_fraction: f64,
-        steps: u32,
-    ) -> Self {
-        config.assert_valid();
-        assert!(
-            range_fraction.is_finite() && range_fraction > 0.0,
-            "buffer range fraction must be positive and finite"
-        );
-        assert!(steps >= 2, "buffers need at least 2 discrete settings");
-        let factor_space = FactorSpace::new(bench.netlist.die(), config.grid_dim);
-        let n = bench.paths.len();
-
-        let mut setup_forms = Vec::with_capacity(n);
-        let mut hold_forms = Vec::with_capacity(n);
-        let mut endpoints = Vec::with_capacity(n);
-        let mut nominal_period = 0.0_f64;
-
-        for (idx, path) in bench.paths.iter().enumerate() {
-            let sink = bench.netlist.flip_flop(path.sink).expect("valid sink");
-            let mut form = chain_form(bench, config, &factor_space, path.gates, 1.0);
-            form.mean += sink.setup;
-            nominal_period = nominal_period.max(form.mean);
-            endpoints.push((path.source, path.sink));
-
-            let hold = bench.short_paths[idx].as_ref().map(|sp| {
-                debug_assert_eq!(sp.source, path.source);
-                debug_assert_eq!(sp.sink, path.sink);
-                // underline(d) = h_j - d_min: negate the chain form.
-                let mut h = chain_form(bench, config, &factor_space, &sp.gates, -1.0);
-                h.mean += sink.hold;
-                h
-            });
-
-            setup_forms.push(form);
-            hold_forms.push(hold);
         }
 
         let width = nominal_period * range_fraction;
@@ -470,15 +384,19 @@ mod tests {
         let bench =
             GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);
         let config = VariationConfig::paper();
-        let reference = TimingModel::build_with_buffer_range_reference(
-            &bench,
-            &config,
-            TimingModel::BUFFER_RANGE_FRACTION,
-            TimingModel::BUFFER_STEPS,
-        );
-        for threads in [1, 4, 8] {
-            let threaded = TimingModel::build_threaded(&bench, &config, threads);
-            assert_eq!(threaded, reference, "threads {threads}");
+        let build = |threads| {
+            TimingModel::build_with_buffer_range_threaded(
+                &bench,
+                &config,
+                TimingModel::BUFFER_RANGE_FRACTION,
+                TimingModel::BUFFER_STEPS,
+                threads,
+            )
+        };
+        // At one thread the per-path forms are built inline: the serial run.
+        let reference = build(1);
+        for threads in [4, 8] {
+            assert_eq!(build(threads), reference, "threads {threads}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! tuning freedom.
 //!
 //! Run with: `cargo run --release --example hold_time_study [circuit]`
-//! (default: s13207).
+//! (default: s13207). Sampling runs on `EFFITEST_THREADS` workers.
 
 use effitest::flow::hold::{compute_hold_bounds, HoldConfig};
+use effitest::flow::parallel::threads::threads_from_env;
 use effitest::prelude::*;
 
 fn main() {
@@ -16,6 +17,7 @@ fn main() {
         .find(|s| s.name == name)
         .unwrap_or_else(|| panic!("unknown circuit `{name}`"));
 
+    let threads = threads_from_env().unwrap_or_else(|e| panic!("{e}"));
     let bench = GeneratedBenchmark::generate(&spec, 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
     let buffer = model.buffer_spec();
@@ -35,7 +37,7 @@ fn main() {
 
     for target in [1.0, 0.999, 0.99, 0.95, 0.90] {
         let config = HoldConfig { yield_target: target, samples: 512, seed: 99 };
-        let bounds = compute_hold_bounds(&model, &config);
+        let bounds = compute_hold_bounds(&model, &config, threads);
         let max_lambda = bounds.iter().map(|(_, l)| l).fold(f64::NEG_INFINITY, f64::max);
         // Fresh Monte-Carlo validation of the achieved hold yield.
         let n = 600;

@@ -104,7 +104,7 @@ fn cell_fixture(
     let spec = BenchmarkSpec::iscas89_s13207().scaled_down(12).with_topology(topology);
     let bench = GeneratedBenchmark::generate(&spec, GEN_SEED);
     let model = TimingModel::build(&bench, &variation.config());
-    let groups = select_paths(&model, &SelectConfig::default());
+    let groups = select_paths(&model, &SelectConfig::default(), 1);
     let selected = all_selected(&groups);
     (model, groups, selected)
 }
@@ -117,7 +117,7 @@ fn predicted_ranges_cover_unmeasured_truth_on_every_topology_and_variation() {
     for topology in Topology::all() {
         for variation in VariationProfile::all() {
             let (model, groups, selected) = cell_fixture(topology, variation);
-            let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+            let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
             assert_eq!(predictor.fallback_count(), 0, "{topology:?}/{variation:?} fell back");
 
             let mut covered = 0_u64;
@@ -180,7 +180,7 @@ fn upper_bound_conditioning_is_conservative_on_every_topology_and_variation() {
     for topology in Topology::all() {
         for variation in VariationProfile::all() {
             let (model, groups, selected) = cell_fixture(topology, variation);
-            let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+            let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
             let chip = model.sample_chip(CHIP_SEED_BASE + 13);
             let eps = 2.0;
             let tested = measure(&chip, &selected, eps);
@@ -335,8 +335,8 @@ fn noisy_measurements_degrade_coverage_gracefully() {
     for topology in Topology::all() {
         for variation in VariationProfile::all() {
             let (model, _groups, selected) = cell_fixture(topology, variation);
-            let groups = select_paths(&model, &SelectConfig::default());
-            let predictor = Predictor::new(&model, &groups, &selected, 3.0);
+            let groups = select_paths(&model, &SelectConfig::default(), 1);
+            let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
             for (li, &(noise_rel, _, _)) in LEVELS.iter().enumerate() {
                 for k in 0..CHIPS_PER_CELL {
                     let chip = model.sample_chip(CHIP_SEED_BASE + k);
