@@ -254,9 +254,10 @@ impl MutualExclusions {
         // Gather each path's conflict candidates from the lists it appears
         // in. Every rule indexes both participants, so collecting only
         // `j > i` from `i`'s side still yields every pair exactly once.
-        // Each worker keeps a `mark` stamp vector as scratch (stamps are the path index, unique
-        // per path, so stale stamps from other paths never collide) and the
-        // per-path result is committed back in index order.
+        // Each worker keeps a `mark` stamp vector as scratch (stamps are
+        // the path index, unique per path, so stale stamps from other
+        // paths never collide) and the per-path result is committed back
+        // in index order.
         let excluded = par_map_scratch(
             threads,
             default_chunk(n, threads),

@@ -935,7 +935,8 @@ mod tests {
         // deferred as a singleton while the threshold never moved or was
         // never finite), the last three used to panic inside selection.
         // Each runs on its own thread so a hang fails the test instead of
-        // stalling the suite.
+        // stalling the suite (a hung thread cannot be joined; it is left
+        // behind when the test fails).
         let base = SelectConfig::default();
         let cases = [
             SelectConfig { threshold_start: f64::NAN, ..base.clone() },
@@ -948,12 +949,16 @@ mod tests {
         for select in cases {
             let label = format!("{select:?}");
             let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
+            let planner = std::thread::spawn(move || {
                 let (bench, model) = fixture();
                 let flow = EffiTestFlow::new(FlowConfig { select, ..FlowConfig::default() });
                 let _ = tx.send(flow.plan(&bench, &model).map(|_| ()));
             });
-            match rx.recv_timeout(Duration::from_secs(60)) {
+            let outcome = rx.recv_timeout(Duration::from_secs(60));
+            if outcome.is_ok() {
+                planner.join().expect("planning thread panicked after sending");
+            }
+            match outcome {
                 Ok(Err(FlowError::InvalidConfig(msg))) => assert!(!msg.is_empty()),
                 Ok(other) => panic!("{label}: expected InvalidConfig, got {other:?}"),
                 Err(e) => panic!("{label}: plan() did not return ({e})"),

@@ -77,7 +77,7 @@ impl SelectConfig {
     /// finite thresholds, a criticality fraction in `[0, 1]` with a finite
     /// sigma multiplier, and a threshold step that reaches the floor (or
     /// the correlation bound -1) in at most 10 000 strictly decreasing
-    /// rounds. Without the last check a NaN or infinite start, or a step
+    /// rounds. Without these checks a NaN or infinite start, or a step
     /// too small to move the threshold, defers every seed forever.
     ///
     /// # Errors
