@@ -133,25 +133,32 @@ fn bench_solvers(c: &mut Criterion) {
     });
 }
 
+/// A symmetric, diagonally dominant (hence SPD) test matrix.
+fn spd_matrix(n: usize) -> Matrix {
+    Matrix::from_fn(n, n, |i, j| {
+        if i == j {
+            n as f64
+        } else {
+            (((i * 31 + j * 17) + (j * 31 + i * 17)) % 13) as f64 / 13.0
+        }
+    })
+}
+
 fn bench_linalg(c: &mut Criterion) {
     let mut group = c.benchmark_group("micro/linalg");
     for n in [32_usize, 96] {
-        // Symmetric and diagonally dominant => SPD.
-        let a = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                n as f64
-            } else {
-                (((i * 31 + j * 17) + (j * 31 + i * 17)) % 13) as f64 / 13.0
-            }
-        });
-        group.bench_with_input(BenchmarkId::new("cholesky", n), &a, |b, a| {
+        group.bench_with_input(BenchmarkId::new("cholesky", n), &spd_matrix(n), |b, a| {
             b.iter(|| {
                 black_box(
                     effitest_linalg::CholeskyDecomposition::new(a).expect("spd").log_determinant(),
                 )
             })
         });
-        group.bench_with_input(BenchmarkId::new("jacobi_eigen", n), &a, |b, a| {
+    }
+    // 470 is the largest correlation group of full-size s13207, the
+    // biggest PCA Procedure 1 runs on the paper's circuits.
+    for n in [32_usize, 96, 470] {
+        group.bench_with_input(BenchmarkId::new("symmetric_eigen", n), &spd_matrix(n), |b, a| {
             b.iter(|| {
                 black_box(effitest_linalg::SymmetricEigen::new(a).expect("sym").eigenvalues()[0])
             })

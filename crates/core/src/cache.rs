@@ -61,8 +61,11 @@ use crate::select::PathGroup;
 pub const PLAN_MAGIC: [u8; 4] = *b"EFPC";
 
 /// Codec version; bump on any layout change so stale blobs fall back to a
-/// counted rebuild instead of misdecoding.
-pub const PLAN_CODEC_VERSION: u32 = 1;
+/// counted rebuild instead of misdecoding, and on any change to what a
+/// plan build selects from the same inputs, so a blob built by the old
+/// rule is rebuilt rather than served. Version 2: tied PCA loadings pick
+/// the lowest index (`Pca::dominant_variable`).
+pub const PLAN_CODEC_VERSION: u32 = 2;
 
 /// Content key of a plan: a fingerprint of everything `flow.plan(bench,
 /// model)` is a function of. Two invocations with the same key build

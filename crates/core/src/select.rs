@@ -36,8 +36,9 @@ pub struct SelectConfig {
     /// Cumulative-variance fraction a group's retained PCs must reach.
     pub pca_energy: f64,
     /// Oversized groups are chunked to at most this many members before
-    /// PCA (the Jacobi eigendecomposition is O(n^3); chunking a
-    /// high-correlation group costs at most a few extra representatives).
+    /// PCA. The eigendecomposition is O(n^3), about 0.2 s at 470 members
+    /// (s13207's largest group) on one core of a 2-vCPU host. Chunking a
+    /// high-correlation group costs at most a few extra representatives.
     pub max_group_size: usize,
     /// Criticality pre-selection: when set, only paths whose criticality
     /// score (`mu + criticality_sigma * sigma`) reaches this fraction of

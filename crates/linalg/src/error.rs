@@ -40,9 +40,16 @@ pub enum LinalgError {
         /// Value of the offending diagonal entry.
         value: f64,
     },
+    /// An entry that must be a finite number was NaN or infinite.
+    NonFinite {
+        /// Row of the first offending entry.
+        row: usize,
+        /// Column of the first offending entry.
+        col: usize,
+    },
     /// An iterative algorithm did not converge within its iteration cap.
     NoConvergence {
-        /// Name of the algorithm (e.g. `"jacobi"`).
+        /// Name of the algorithm (e.g. `"implicit QL"`).
         algorithm: &'static str,
         /// Number of iterations performed.
         iterations: usize,
@@ -87,6 +94,9 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { pivot, value } => {
                 write!(f, "matrix is not positive definite (diagonal {pivot} has value {value:e})")
             }
+            LinalgError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
+            }
             LinalgError::NoConvergence { algorithm, iterations } => {
                 write!(f, "{algorithm} did not converge after {iterations} iterations")
             }
@@ -115,7 +125,8 @@ mod tests {
             LinalgError::NotSymmetric { max_asymmetry: 0.5 },
             LinalgError::Singular { pivot: 1 },
             LinalgError::NotPositiveDefinite { pivot: 0, value: -1.0 },
-            LinalgError::NoConvergence { algorithm: "jacobi", iterations: 100 },
+            LinalgError::NonFinite { row: 0, col: 1 },
+            LinalgError::NoConvergence { algorithm: "implicit QL", iterations: 30 },
             LinalgError::RaggedRows { expected: 3, row: 1, found: 2 },
             LinalgError::Empty,
             LinalgError::IndexOutOfBounds { index: 9, bound: 3 },

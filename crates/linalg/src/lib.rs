@@ -8,7 +8,8 @@
 //!   general linear solves and inverses.
 //! * [`CholeskyDecomposition`] — factorization of symmetric positive-definite
 //!   matrices, the workhorse behind conditional Gaussian inference.
-//! * [`SymmetricEigen`] — Jacobi eigendecomposition of symmetric matrices.
+//! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices by
+//!   Householder tridiagonalization and implicit-shift QL.
 //! * [`Pca`] — principal component analysis on covariance matrices
 //!   (paper §3.1, used to pick representative paths per correlation group).
 //! * [`MultivariateGaussian`] — joint Gaussians with exact conditional

@@ -1,5 +1,11 @@
 use crate::{Matrix, Result, SymmetricEigen};
 
+/// Relative gap below which [`Pca::dominant_variable`] treats two loadings
+/// as tied. Eigensolver round-off is orders of magnitude smaller, and the
+/// smallest non-zero gap between the top two candidate loadings on the
+/// eight paper circuits is 3.9e-4 (pci_bridge32).
+const LOADING_TIE: f64 = 1e-9;
+
 /// One principal component of a covariance matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrincipalComponent {
@@ -51,7 +57,11 @@ impl Pca {
     ///
     /// Propagates [`SymmetricEigen`] errors for malformed input.
     pub fn from_covariance(cov: &Matrix) -> Result<Self> {
-        let eig = SymmetricEigen::new(cov)?;
+        Ok(Self::from_eigen(&SymmetricEigen::new(cov)?))
+    }
+
+    /// PCA from an existing eigendecomposition of the covariance.
+    pub(crate) fn from_eigen(eig: &SymmetricEigen) -> Self {
         let components: Vec<PrincipalComponent> = eig
             .eigenvalues()
             .iter()
@@ -62,7 +72,7 @@ impl Pca {
             })
             .collect();
         let total_variance = components.iter().map(|c| c.variance).sum();
-        Ok(Pca { components, total_variance })
+        Pca { components, total_variance }
     }
 
     /// All components, sorted by descending variance.
@@ -128,15 +138,23 @@ impl Pca {
     /// For component `comp`, the index of the variable with the largest
     /// absolute loading, ignoring the indices in `excluded`.
     ///
+    /// Loadings within a relative `1e-9` of the largest count as tied, and
+    /// the lowest tied index wins. Symmetric groups have components whose
+    /// loadings are equal in exact arithmetic, so without the rule the pick
+    /// would follow the eigensolver's round-off.
+    ///
     /// Returns `None` if every variable is excluded.
     pub fn dominant_variable(&self, comp: usize, excluded: &[usize]) -> Option<usize> {
-        let c = &self.components[comp];
-        c.direction
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !excluded.contains(i))
-            .max_by(|(_, a), (_, b)| a.abs().total_cmp(&b.abs()))
-            .map(|(i, _)| i)
+        let candidates = || {
+            self.components[comp]
+                .direction
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !excluded.contains(i))
+                .map(|(i, v)| (i, v.abs()))
+        };
+        let max = candidates().map(|(_, a)| a).reduce(f64::max)?;
+        candidates().find(|&(_, a)| a >= max - LOADING_TIE * max).map(|(i, _)| i)
     }
 }
 
@@ -192,6 +210,31 @@ mod tests {
         assert_ne!(second, first);
         assert!(second < 3);
         assert_eq!(pca.dominant_variable(0, &[0, 1, 2, 3]), None);
+    }
+
+    #[test]
+    fn dominant_variable_breaks_near_ties_by_lowest_index() {
+        let pca = Pca {
+            components: vec![PrincipalComponent {
+                variance: 1.0,
+                direction: vec![0.5, -0.5 * (1.0 + 1e-12), 0.5 * (1.0 - 1e-12), 0.4],
+            }],
+            total_variance: 1.0,
+        };
+        // All three leading loadings tie; the lowest index not excluded wins.
+        assert_eq!(pca.dominant_variable(0, &[]), Some(0));
+        assert_eq!(pca.dominant_variable(0, &[0]), Some(1));
+        assert_eq!(pca.dominant_variable(0, &[0, 1]), Some(2));
+        assert_eq!(pca.dominant_variable(0, &[0, 1, 2]), Some(3));
+        // A gap well above the tie tolerance is a real difference.
+        let pca = Pca {
+            components: vec![PrincipalComponent {
+                variance: 1.0,
+                direction: vec![0.5, -0.5 * (1.0 + 1e-6)],
+            }],
+            total_variance: 1.0,
+        };
+        assert_eq!(pca.dominant_variable(0, &[]), Some(1));
     }
 
     #[test]

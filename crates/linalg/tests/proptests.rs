@@ -6,6 +6,10 @@ use effitest_linalg::{
 };
 use proptest::prelude::*;
 
+#[path = "support/symmetric.rs"]
+mod symmetric;
+use symmetric::{symmetric_matrix, Family};
+
 /// Strategy: a well-conditioned SPD matrix built as `B B^T + n*I`.
 fn spd_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_n).prop_flat_map(|n| {
@@ -62,15 +66,29 @@ proptest! {
     }
 
     #[test]
-    fn eigen_reconstructs_and_is_orthonormal(a in spd_matrix(8)) {
+    fn eigen_reconstructs_and_is_orthonormal((family, a) in symmetric_matrix(48)) {
         let eig = SymmetricEigen::new(&a).expect("symmetric by construction");
+        let scale = a.max_abs().max(1.0);
         let recon = eig.reconstruct();
-        prop_assert!((&recon - &a).max_abs() < 1e-8 * a.max_abs().max(1.0));
+        prop_assert!((&recon - &a).max_abs() < 1e-8 * scale);
         let vtv = eig.eigenvectors().transpose().matmul(eig.eigenvectors()).expect("square");
         prop_assert!((&vtv - &Matrix::identity(a.rows())).max_abs() < 1e-9);
-        // SPD input: all eigenvalues positive.
-        for &l in eig.eigenvalues() {
-            prop_assert!(l > 0.0);
+        let lambda = eig.eigenvalues();
+        for w in lambda.windows(2) {
+            prop_assert!(w[0] >= w[1], "eigenvalues not descending: {:?}", w);
+        }
+        // Every family is positive semidefinite; the SPD one strictly.
+        let smallest = lambda[lambda.len() - 1];
+        match family {
+            Family::PositiveDefinite => prop_assert!(smallest > 0.0),
+            _ => prop_assert!(smallest > -1e-10 * scale, "{family:?}: {smallest}"),
+        }
+        // Rank deficiency shows as numerically zero trailing eigenvalues.
+        if family == Family::RankDeficient {
+            let rank = (a.rows() + 1) / 3;
+            for &l in &lambda[rank..] {
+                prop_assert!(l.abs() < 1e-10 * scale, "rank {rank} input: eigenvalue {l}");
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 //! This facade crate re-exports the whole workspace so downstream users can
 //! depend on a single crate:
 //!
-//! * [`linalg`] — dense linear algebra (Cholesky, Jacobi eigen, PCA,
-//!   conditional Gaussians).
+//! * [`linalg`] — dense linear algebra (Cholesky, symmetric eigen by
+//!   Householder + implicit QL, PCA, conditional Gaussians).
 //! * [`circuit`] — netlist model, placement, synthetic benchmark generator
 //!   reproducing the paper's Table 1 circuit statistics.
 //! * [`ssta`] — spatially correlated process variations, canonical delay

@@ -13,9 +13,10 @@
 //! sigmas, the predictor's factored conditioners, and epsilon — to
 //! constants captured from the original serial pipeline, at threads 1, 4
 //! and 8, across all six paper topologies and a reduced large-tier
-//! circuit. The large tier also pins its generated netlist's content
-//! fingerprint and checks that the timing model does not depend on the
-//! thread count.
+//! circuit, and at one thread on two full-size paper circuits whose large
+//! correlation groups exercise the PCA eigensolver. The large tier also
+//! pins its generated netlist's content fingerprint and checks that the
+//! timing model does not depend on the thread count.
 
 use effitest::circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
 use effitest::flow::select::SelectConfig;
@@ -34,6 +35,13 @@ const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
     ("mesh", 0xcdc6_2530_7de5_35d0),
     ("sparse", 0xaab5_d014_8d62_7e74),
 ];
+
+/// `plan_fingerprint` of full-size paper circuits at one thread (seed 1,
+/// paper variation, default flow config). These run PCA on large groups
+/// (470 members in s13207; 35 groups of up to 108 in ac97_ctrl), so they
+/// catch an eigensolver change that flips a representative.
+const GOLDEN_FULL_SIZE_PLANS: [(&str, u64); 2] =
+    [("s13207", 0xc95e_4f9d_5a1c_22f3), ("ac97_ctrl", 0x89ec_bf2e_c081_bb40)];
 
 /// `content_fingerprint` of `GeneratedBenchmark::generate(&large(256), 1)`.
 const GOLDEN_LARGE_CONTENT: u64 = 0x8f57_e6b5_f400_eab4;
@@ -59,6 +67,19 @@ fn plan_is_bitwise_thread_count_independent_on_every_paper_topology() {
                 "plan diverged from its golden fingerprint on {name} at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn full_size_plans_match_their_golden_fingerprints() {
+    let flow = EffiTestFlow::new(FlowConfig::default());
+    let specs = [BenchmarkSpec::iscas89_s13207(), BenchmarkSpec::tau13_ac97_ctrl()];
+    for (spec, &(name, golden)) in specs.iter().zip(&GOLDEN_FULL_SIZE_PLANS) {
+        assert_eq!(spec.name, name);
+        let bench = GeneratedBenchmark::generate(spec, 1);
+        let model = TimingModel::build(&bench, &VariationConfig::paper());
+        let plan = flow.plan_threaded(&bench, &model, 1).expect("plan");
+        assert_eq!(plan_fingerprint(&plan), golden, "{name} plan diverged from its golden value");
     }
 }
 
