@@ -26,20 +26,61 @@ use effitest_solver::align::{
     sorted_center_weights, AlignPath, AlignmentEngine, AlignmentProblem, BufferVar,
 };
 
+/// Which buffers a scenario's paths touch.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Path `k` has source buffer `k % nb`, a sink buffer on two paths in
+    /// three, and a hold bound on every fourth path.
+    Mixed,
+    /// A full-size s13207 batch: each path on exactly one buffer
+    /// (`k % nb`), as source on even and sink on odd paths, and a hold
+    /// bound on every fourth path.
+    S13207,
+    /// The 100k-path large-tier batch: each path on a sink buffer of its
+    /// own, no hold bounds.
+    LargeTier,
+}
+
+impl Shape {
+    fn label(self) -> &'static str {
+        match self {
+            Shape::Mixed => "mixed",
+            Shape::S13207 => "s13207",
+            Shape::LargeTier => "large_tier",
+        }
+    }
+}
+
 /// One bench scenario: `np` paths over `nb` buffers, `iters` stepping
 /// iterations per trace replay.
 #[derive(Debug, Clone, Copy)]
 struct Scenario {
+    shape: Shape,
     np: usize,
     nb: usize,
     iters: usize,
 }
 
-const SCENARIOS: [Scenario; 3] = [
-    Scenario { np: 4, nb: 2, iters: 48 },
-    Scenario { np: 8, nb: 3, iters: 48 },
-    Scenario { np: 12, nb: 4, iters: 48 },
+const SCENARIOS: [Scenario; 5] = [
+    Scenario { shape: Shape::Mixed, np: 4, nb: 2, iters: 48 },
+    Scenario { shape: Shape::Mixed, np: 8, nb: 3, iters: 48 },
+    Scenario { shape: Shape::Mixed, np: 12, nb: 4, iters: 48 },
+    Scenario { shape: Shape::S13207, np: 9, nb: 5, iters: 48 },
+    // Few iterations: the cold side re-runs the four-seed multi-start on
+    // every one of them.
+    Scenario { shape: Shape::LargeTier, np: 206, nb: 206, iters: 8 },
 ];
+
+/// Source buffer, sink buffer and hold bound of path `k`.
+fn roles(shape: Shape, k: usize, nb: usize) -> (Option<usize>, Option<usize>, Option<f64>) {
+    let hold = (k % 4 == 0).then_some(-12.0);
+    match shape {
+        Shape::Mixed => (Some(k % nb), (k % 3 != 0).then_some((k + 1) % nb), hold),
+        Shape::S13207 if k % 2 == 0 => (Some(k % nb), None, hold),
+        Shape::S13207 => (None, Some(k % nb), hold),
+        Shape::LargeTier => (None, Some(k % nb), None),
+    }
+}
 
 /// Builds the iteration trace: per iteration, the active paths with their
 /// sorted-center weights, centers converging toward their cluster the way
@@ -47,20 +88,24 @@ const SCENARIOS: [Scenario; 3] = [
 fn make_trace(s: Scenario) -> (Vec<BufferVar>, Vec<Vec<AlignPath>>) {
     let buffers: Vec<BufferVar> =
         (0..s.nb).map(|_| BufferVar { min: -8.0, max: 8.0, steps: 20 }).collect();
-    let mut centers: Vec<f64> =
-        (0..s.np).map(|k| 100.0 + 7.0 * (k as f64) * if k % 2 == 0 { 1.0 } else { -1.0 }).collect();
+    let mut centers: Vec<f64> = (0..s.np)
+        .map(|k| 100.0 + 7.0 * ((k % 12) as f64) * if k % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
     let targets: Vec<f64> = centers.iter().map(|c| 100.0 + (c - 100.0) * 0.1).collect();
     let mut trace = Vec::with_capacity(s.iters);
     for _ in 0..s.iters {
         let weights = sorted_center_weights(&centers, 1000.0, 1.0);
         trace.push(
             (0..s.np)
-                .map(|k| AlignPath {
-                    center: centers[k],
-                    weight: weights[k],
-                    source_buffer: Some(k % s.nb),
-                    sink_buffer: if k % 3 == 0 { None } else { Some((k + 1) % s.nb) },
-                    hold_lower_bound: if k % 4 == 0 { Some(-12.0) } else { None },
+                .map(|k| {
+                    let (source_buffer, sink_buffer, hold_lower_bound) = roles(s.shape, k, s.nb);
+                    AlignPath {
+                        center: centers[k],
+                        weight: weights[k],
+                        source_buffer,
+                        sink_buffer,
+                        hold_lower_bound,
+                    }
                 })
                 .collect(),
         );
@@ -107,8 +152,8 @@ fn measure_and_record() {
     println!("\nPer-iteration alignment solve: cold rebuild vs warm engine");
     println!("({samples} samples per measurement; min-of-samples reported)");
     let header = format!(
-        "{:>10} {:>14} {:>14} {:>9}",
-        "paths/buf", "cold ns/solve", "warm ns/solve", "speedup"
+        "{:>10} {:>10} {:>14} {:>14} {:>9}",
+        "shape", "paths/buf", "cold ns/solve", "warm ns/solve", "speedup"
     );
     println!("{header}");
     effitest_bench::rule(&header);
@@ -131,13 +176,23 @@ fn measure_and_record() {
         let warm_ns = effitest_bench::best_of(samples, || run_warm(&mut engine, &buffers, &trace))
             / s.iters as u64;
         let speedup = cold_ns as f64 / warm_ns.max(1) as f64;
-        println!("{:>7}p{:>2}b {cold_ns:>14} {warm_ns:>14} {speedup:>8.2}x", s.np, s.nb);
+        println!(
+            "{:>10} {:>10} {cold_ns:>14} {warm_ns:>14} {speedup:>8.2}x",
+            s.shape.label(),
+            format!("{}p{}b", s.np, s.nb)
+        );
         entries.push(format!(
             concat!(
-                "    {{\"paths\": {}, \"buffers\": {}, \"iterations\": {}, ",
+                "    {{\"shape\": \"{}\", \"paths\": {}, \"buffers\": {}, \"iterations\": {}, ",
                 "\"cold_ns_per_solve\": {}, \"warm_ns_per_solve\": {}, \"speedup\": {:.3}}}"
             ),
-            s.np, s.nb, s.iters, cold_ns, warm_ns, speedup
+            s.shape.label(),
+            s.np,
+            s.nb,
+            s.iters,
+            cold_ns,
+            warm_ns,
+            speedup
         ));
     }
 
@@ -171,12 +226,12 @@ fn bench_alignment(c: &mut Criterion) {
     for s in SCENARIOS {
         let (buffers, trace) = make_trace(s);
         group.bench_with_input(
-            BenchmarkId::new("cold_rebuild", format!("{}p{}b", s.np, s.nb)),
+            BenchmarkId::new("cold_rebuild", format!("{}/{}p{}b", s.shape.label(), s.np, s.nb)),
             &(&buffers, &trace),
             |b, (buffers, trace)| b.iter(|| black_box(run_cold(buffers, trace))),
         );
         group.bench_with_input(
-            BenchmarkId::new("warm_engine", format!("{}p{}b", s.np, s.nb)),
+            BenchmarkId::new("warm_engine", format!("{}/{}p{}b", s.shape.label(), s.np, s.nb)),
             &(&buffers, &trace),
             |b, (buffers, trace)| b.iter(|| black_box(run_warm(&mut engine, buffers, trace))),
         );

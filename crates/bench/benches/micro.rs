@@ -1,13 +1,13 @@
 //! Kernel microbenches and design-choice ablations.
 //!
-//! * `micro/ablation_alignment_*` — the DESIGN.md A1 ablation: exact MILP
-//!   vs. weighted-median coordinate descent on identical per-batch
+//! * `micro/ablation_alignment_*` — the alignment-solver ablation: exact
+//!   MILP vs. weighted-median coordinate descent on identical per-batch
 //!   alignment problems (the paper used Gurobi; the reproduction defaults
 //!   to the heuristic and cross-checks exactness in tests).
 //! * `micro/*` — scaling of the statistical kernels the flow leans on:
 //!   covariance assembly, group PCA, conditional Gaussian prediction,
 //!   Monte-Carlo chip sampling, simplex LP, lattice buffer configuration,
-//!   and the hold-bound greedy (DESIGN.md A2).
+//!   and the symmetric eigensolver.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};

@@ -1,8 +1,9 @@
 //! Gate-level circuit substrate for the EffiTest reproduction.
 //!
 //! The paper evaluates on ISCAS89 and TAU13 circuits mapped to an industrial
-//! library — neither of which ships with this repository. Following the
-//! substitution rule in `DESIGN.md`, this crate provides:
+//! library — neither of which ships with this repository. Each is replaced
+//! by a synthetic circuit generated to match the statistics the paper
+//! publishes for it, so this crate provides:
 //!
 //! * a netlist data model ([`Netlist`], [`Gate`], [`FlipFlop`], [`Signal`])
 //!   with placement information and post-silicon tunable buffers

@@ -43,6 +43,30 @@
 //! the coordinate descent from the previous iteration's buffer values and
 //! the exact MILP from the previous solution as its branch-and-bound
 //! incumbent.
+//!
+//! # Incremental candidate scan
+//!
+//! A buffer moves only its incident paths: one or two of a batch's paths
+//! on the paper's circuits, one of 206 on the 100k-path large tier. Once
+//! per solve the engine indexes each buffer's incident paths (a CSR), and
+//! once per descent it caches every path's shifted center `c_p + x_i -
+//! x_j` and sorts them. Scanning a buffer filters its incident paths out
+//! of the sorted centers and checks the other paths' hold bounds once, as
+//! no candidate can change them. Each candidate value then re-checks only
+//! the incident paths' hold bounds, merges only their shifted centers
+//! into the sorted rest to find the weighted median, and sums the
+//! objective in path order over the cached centers. Buffers without an
+//! incident path are skipped: moving one changes nothing.
+//!
+//! Every number is computed by the same expression, in the same order,
+//! as a full rescan that rebuilds and re-sorts all centers per candidate
+//! (kept as the test oracle), so the descent is bit-identical to it. The
+//! median adds tied centers' weights in path order. That is the order
+//! the rescan's sort leaves them in for up to 20 paths (the standard
+//! library sorts such short slices by stable insertion); above 20 its tie
+//! order is unspecified. The order can only matter for non-integer tied
+//! weights, and the flow's sorted-center weights are integers, whose
+//! partial sums are exact.
 
 use crate::milp::DEFAULT_NODE_LIMIT;
 use crate::{
@@ -216,7 +240,9 @@ impl AlignmentProblem {
     /// values to warm-start.
     ///
     /// Hold bounds are respected throughout; if a seed violates one, the
-    /// violating buffers are first repaired greedily.
+    /// violating buffers are first repaired greedily. A seed that repair
+    /// cannot make feasible descends only through feasible moves, and its
+    /// result loses to any feasible one, whatever the objectives.
     ///
     /// This is the *cold* entry point — it builds a throwaway
     /// [`AlignmentEngine`] per call. Iterative callers should hold an
@@ -384,70 +410,249 @@ fn best_period_in(problem: &AlignmentProblem, x: &[f64], pts: &mut Vec<(f64, f64
     weighted_median_in_place(pts).unwrap_or(0.0)
 }
 
-/// Best discrete value for buffer `b` with the period re-optimized per
-/// candidate (joint move), everything else fixed. `cand` and `pts` are
-/// caller scratch.
-fn best_buffer_value_in(
-    problem: &AlignmentProblem,
-    b: usize,
-    x: &[f64],
-    cand: &mut Vec<f64>,
-    pts: &mut Vec<(f64, f64)>,
-) -> (f64, f64, f64) {
-    cand.clear();
-    cand.extend_from_slice(x);
-    let mut best_v = x[b];
-    let mut best_t = best_period_in(problem, x, pts);
-    let mut best_obj = problem.objective(best_t, x);
-    for v in problem.buffers[b].values() {
-        if (v - x[b]).abs() < 1e-15 {
-            continue;
-        }
-        cand[b] = v;
-        if !problem.paths.iter().all(|p| p.hold_ok(cand)) {
-            continue;
-        }
-        let t = best_period_in(problem, cand, pts);
-        let obj = problem.objective(t, cand);
-        if obj < best_obj - 1e-12 {
-            best_obj = obj;
-            best_v = v;
-            best_t = t;
-        }
-    }
-    (best_v, best_t, best_obj)
+/// A median point of the incremental descent: `(shifted center,
+/// max(weight, 0), path index)`.
+type MedianPoint = (f64, f64, usize);
+
+/// The order the median accumulates weight in: by position, ties by path
+/// index. This is the order the stable small-slice sort inside
+/// [`weighted_median_in_place`] leaves a path-ordered point list in.
+fn median_order(a: &MedianPoint, b: &MedianPoint) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.2.cmp(&b.2))
 }
 
-/// Coordinate descent from the (already grid-snapped) seed in `x`,
-/// mutating it toward a local optimum. Returns `(period, objective)`.
-fn descend_in(
-    problem: &AlignmentProblem,
-    x: &mut [f64],
-    cand: &mut Vec<f64>,
-    pts: &mut Vec<(f64, f64)>,
-) -> (f64, f64) {
-    problem.repair_hold(x);
-    let mut period = best_period_in(problem, x, pts);
-    let mut objective = problem.objective(period, x);
-    for _round in 0..50 {
-        if objective == 0.0 {
-            break; // perfect alignment: no candidate can improve on zero
+/// `fixed` and `moved`, each already in [`median_order`], merged.
+fn merged<'a>(
+    fixed: &'a [MedianPoint],
+    moved: &'a [MedianPoint],
+) -> impl Iterator<Item = &'a MedianPoint> {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let take_moved = match (fixed.get(i), moved.get(j)) {
+            (Some(f), Some(m)) => median_order(m, f).is_lt(),
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        if take_moved {
+            j += 1;
+            Some(&moved[j - 1])
+        } else {
+            i += 1;
+            fixed.get(i - 1)
         }
-        let mut changed = false;
-        for b in 0..problem.buffers.len() {
-            let (best_v, best_t, best_obj) = best_buffer_value_in(problem, b, x, cand, pts);
-            if best_obj + 1e-12 < objective {
-                x[b] = best_v;
-                period = best_t;
-                objective = best_obj;
-                changed = true;
+    })
+}
+
+/// The scan of [`weighted_median_in_place`] over points already in median
+/// order: the same `total / 2` threshold, `1e-15` slack and last-point
+/// fallback, with `total` summed in path order as that function sums it.
+/// Empty input or a non-positive total gives period 0, as the descent's
+/// `unwrap_or(0.0)` does.
+fn median_of<'a>(points: impl Iterator<Item = &'a MedianPoint>, total: f64) -> f64 {
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let half = total / 2.0;
+    let mut acc = 0.0;
+    let mut last = 0.0;
+    for &(c, w, _) in points {
+        acc += w;
+        if acc >= half - 1e-15 {
+            return c;
+        }
+        last = c;
+    }
+    last
+}
+
+/// [`AlignmentProblem::objective`] over cached shifted centers, summed in
+/// path order.
+fn objective_at(paths: &[AlignPath], shifted: &[f64], period: f64) -> f64 {
+    paths.iter().zip(shifted).map(|(p, &c)| p.weight * (period - c).abs()).sum()
+}
+
+/// `true` if moving buffer `b` shifts `path`.
+fn touches(path: &AlignPath, b: usize) -> bool {
+    path.source_buffer == Some(b) || path.sink_buffer == Some(b)
+}
+
+/// Scratch of the incremental coordinate descent (see [`Descent::descend`]).
+#[derive(Debug, Default)]
+struct Descent {
+    /// Per-buffer CSR: buffer `b` moves paths `incident[starts[b]..starts[b + 1]]`.
+    starts: Vec<usize>,
+    incident: Vec<usize>,
+    /// `sum_p max(weight_p, 0)` in path order.
+    total: f64,
+    /// `center + shift(x)` of every path at the descent's current `x`.
+    shifted: Vec<f64>,
+    /// Every path's point, in median order.
+    sorted: Vec<MedianPoint>,
+    /// `sorted` without the scanned buffer's incident paths.
+    fixed: Vec<MedianPoint>,
+    /// The scanned buffer's incident paths at one candidate value, sorted.
+    moved: Vec<MedianPoint>,
+}
+
+impl Descent {
+    /// Indexes the problem's paths by buffer; once per solve.
+    fn prepare(&mut self, problem: &AlignmentProblem) {
+        let nb = problem.buffers.len();
+        let buffers_of = |p: &AlignPath| {
+            let sink = p.sink_buffer.filter(|&s| Some(s) != p.source_buffer);
+            p.source_buffer.into_iter().chain(sink)
+        };
+        // Count into starts[b + 2], prefix-sum so starts[b + 1] is b's
+        // start, then fill: each fill advances starts[b + 1] to b's end.
+        self.starts.clear();
+        self.starts.resize(nb + 2, 0);
+        for p in &problem.paths {
+            for b in buffers_of(p) {
+                self.starts[b + 2] += 1;
             }
         }
-        if !changed {
-            break;
+        for b in 2..nb + 2 {
+            self.starts[b] += self.starts[b - 1];
         }
+        self.incident.clear();
+        self.incident.resize(self.starts[nb + 1], 0);
+        for (i, p) in problem.paths.iter().enumerate() {
+            for b in buffers_of(p) {
+                self.incident[self.starts[b + 1]] = i;
+                self.starts[b + 1] += 1;
+            }
+        }
+        self.starts.pop();
+        self.total = problem.paths.iter().map(|p| p.weight.max(0.0)).sum();
     }
-    (period, objective)
+
+    /// Coordinate descent from the grid-snapped seed in `x`, moving it to
+    /// a local optimum; returns `(period, objective)`.
+    ///
+    /// Each buffer tries every lattice value with the period re-optimized
+    /// per candidate (a joint move). Only the buffer's incident paths move,
+    /// so a candidate re-checks just their hold bounds and merges just
+    /// their shifted centers into the sorted rest. Every value is computed
+    /// by the same expression, in the same order, as a full rescan of all
+    /// paths would, so the result is bit-identical to one (see the module
+    /// docs for how tied centers are ordered).
+    fn descend(&mut self, problem: &AlignmentProblem, x: &mut [f64]) -> (f64, f64) {
+        problem.repair_hold(x);
+        let paths = &problem.paths;
+        self.shifted.clear();
+        self.shifted.extend(paths.iter().map(|p| p.center + p.shift(x)));
+        self.sorted.clear();
+        self.sorted.extend(
+            paths
+                .iter()
+                .zip(&self.shifted)
+                .enumerate()
+                .map(|(i, (p, &c))| (c, p.weight.max(0.0), i)),
+        );
+        self.sorted.sort_unstable_by(median_order);
+
+        let mut period = median_of(self.sorted.iter(), self.total);
+        let mut objective = objective_at(paths, &self.shifted, period);
+        for _round in 0..50 {
+            if objective == 0.0 {
+                break; // perfect alignment: no candidate can improve on zero
+            }
+            let mut changed = false;
+            for b in 0..problem.buffers.len() {
+                let Some((v, t, obj)) = self.scan(problem, b, x, objective) else {
+                    continue;
+                };
+                if obj + 1e-12 < objective {
+                    x[b] = v;
+                    period = t;
+                    objective = obj;
+                    changed = true;
+                    self.accept(problem, b, x);
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        (period, objective)
+    }
+
+    /// Scans buffer `b`'s lattice from the descent's current `objective`;
+    /// returns the first strictly best candidate `(value, period,
+    /// objective)`, if any. Leaves `x` and `shifted` as it found them and
+    /// `fixed` holding the paths `b` does not move.
+    fn scan(
+        &mut self,
+        problem: &AlignmentProblem,
+        b: usize,
+        x: &mut [f64],
+        objective: f64,
+    ) -> Option<(f64, f64, f64)> {
+        let Descent { starts, incident, total, shifted, sorted, fixed, moved } = self;
+        let paths = &problem.paths;
+        let inc = &incident[starts[b]..starts[b + 1]];
+        if inc.is_empty() {
+            return None; // moving an unused buffer changes nothing
+        }
+        fixed.clear();
+        for pt in sorted.iter() {
+            let path = &paths[pt.2];
+            if !touches(path, b) {
+                if !path.hold_ok(x) {
+                    return None; // no candidate can repair a path it does not move
+                }
+                fixed.push(*pt);
+            }
+        }
+        let current = x[b];
+        let mut best = None;
+        let mut best_obj = objective;
+        for v in problem.buffers[b].values() {
+            if (v - current).abs() < 1e-15 {
+                continue;
+            }
+            x[b] = v;
+            if !inc.iter().all(|&p| paths[p].hold_ok(x)) {
+                continue;
+            }
+            place(paths, inc, x, shifted, moved);
+            let t = median_of(merged(fixed, moved), *total);
+            let obj = objective_at(paths, shifted, t);
+            if obj < best_obj - 1e-12 {
+                best_obj = obj;
+                best = Some((v, t, obj));
+            }
+        }
+        x[b] = current;
+        place(paths, inc, x, shifted, moved);
+        best
+    }
+
+    /// Re-sorts the points after the descent moved buffer `b` to `x[b]`.
+    fn accept(&mut self, problem: &AlignmentProblem, b: usize, x: &[f64]) {
+        let inc = &self.incident[self.starts[b]..self.starts[b + 1]];
+        place(&problem.paths, inc, x, &mut self.shifted, &mut self.moved);
+        self.sorted.clear();
+        self.sorted.extend(merged(&self.fixed, &self.moved));
+    }
+}
+
+/// Shifts the incident paths `inc` to `x`: their centers go into `shifted`
+/// and, in median order, `moved`.
+fn place(
+    paths: &[AlignPath],
+    inc: &[usize],
+    x: &[f64],
+    shifted: &mut [f64],
+    moved: &mut Vec<MedianPoint>,
+) {
+    moved.clear();
+    for &p in inc {
+        let c = paths[p].center + paths[p].shift(x);
+        shifted[p] = c;
+        moved.push((c, paths[p].weight.max(0.0), p));
+    }
+    moved.sort_unstable_by(median_order);
 }
 
 /// Warm-started, allocation-free alignment solver for the per-batch
@@ -468,9 +673,9 @@ fn descend_in(
 ///    initial branch-and-bound incumbent — and update the warm state from
 ///    the solution they return.
 ///
-/// All scratch (descent candidates, median points, the MILP working
-/// program and its simplex workspace) lives in the engine: steady-state
-/// [`solve`](Self::solve) calls allocate nothing, and
+/// All scratch (the descent's per-buffer path index and sorted centers,
+/// the MILP working program and its simplex workspace) lives in the
+/// engine: steady-state [`solve`](Self::solve) calls allocate nothing, and
 /// [`solve_exact`](Self::solve_exact) reuses the branch-and-bound
 /// workspace but still rebuilds its constraint rows (a handful of small
 /// vectors per path) each call.
@@ -483,7 +688,7 @@ pub struct AlignmentEngine {
     seeds: Vec<f64>,
     x: Vec<f64>,
     best_x: Vec<f64>,
-    cand: Vec<f64>,
+    descent: Descent,
     pts: Vec<(f64, f64)>,
     /// `true` until the first solve after `begin_batch` / `seed`: the
     /// first solve runs the full multi-start, later solves descend from
@@ -512,7 +717,7 @@ impl AlignmentEngine {
             seeds: Vec::new(),
             x: Vec::new(),
             best_x: Vec::new(),
-            cand: Vec::new(),
+            descent: Descent::default(),
             pts: Vec::new(),
             multistart: true,
             solution: AlignmentSolution { period: 0.0, buffer_values: Vec::new(), objective: 0.0 },
@@ -612,7 +817,9 @@ impl AlignmentEngine {
         let mut best_obj = f64::INFINITY;
         let mut best_period = 0.0;
         let mut have_best = false;
+        let mut best_feasible = false;
         self.seeds.clear();
+        self.descent.prepare(&self.problem);
         for kind in kinds {
             {
                 let AlignmentEngine { problem, warm, x, .. } = self;
@@ -639,12 +846,16 @@ impl AlignmentEngine {
                 continue;
             }
             self.seeds.extend_from_slice(&self.x);
-            let (period, objective) = {
-                let AlignmentEngine { problem, x, cand, pts, .. } = self;
-                descend_in(problem, x, cand, pts)
-            };
-            if !have_best || objective < best_obj - 1e-12 {
+            let (period, objective) = self.descent.descend(&self.problem, &mut self.x);
+            // A seed that greedy repair left on a violated hold bound can
+            // descend to a lower objective than any feasible seed; a
+            // feasible descent always beats it.
+            let feasible = self.problem.paths.iter().all(|p| p.hold_ok(&self.x));
+            let better =
+                if feasible == best_feasible { objective < best_obj - 1e-12 } else { feasible };
+            if !have_best || better {
                 have_best = true;
+                best_feasible = feasible;
                 best_obj = objective;
                 best_period = period;
                 self.best_x.clear();
@@ -747,6 +958,316 @@ mod tests {
             sink_buffer: snk,
             hold_lower_bound: None,
         }
+    }
+
+    /// Oracle: the full-rescan buffer scan the incremental descent
+    /// replaced. Every candidate re-checks every hold bound, re-sorts every
+    /// shifted center and re-sums the whole objective.
+    fn best_buffer_value_in(
+        problem: &AlignmentProblem,
+        b: usize,
+        x: &[f64],
+        cand: &mut Vec<f64>,
+        pts: &mut Vec<(f64, f64)>,
+    ) -> (f64, f64, f64) {
+        cand.clear();
+        cand.extend_from_slice(x);
+        let mut best_v = x[b];
+        let mut best_t = best_period_in(problem, x, pts);
+        let mut best_obj = problem.objective(best_t, x);
+        for v in problem.buffers[b].values() {
+            if (v - x[b]).abs() < 1e-15 {
+                continue;
+            }
+            cand[b] = v;
+            if !problem.paths.iter().all(|p| p.hold_ok(cand)) {
+                continue;
+            }
+            let t = best_period_in(problem, cand, pts);
+            let obj = problem.objective(t, cand);
+            if obj < best_obj - 1e-12 {
+                best_obj = obj;
+                best_v = v;
+                best_t = t;
+            }
+        }
+        (best_v, best_t, best_obj)
+    }
+
+    /// Oracle: the full-rescan coordinate descent.
+    fn descend_in(
+        problem: &AlignmentProblem,
+        x: &mut [f64],
+        cand: &mut Vec<f64>,
+        pts: &mut Vec<(f64, f64)>,
+    ) -> (f64, f64) {
+        problem.repair_hold(x);
+        let mut period = best_period_in(problem, x, pts);
+        let mut objective = problem.objective(period, x);
+        for _round in 0..50 {
+            if objective == 0.0 {
+                break;
+            }
+            let mut changed = false;
+            for b in 0..problem.buffers.len() {
+                let (best_v, best_t, best_obj) = best_buffer_value_in(problem, b, x, cand, pts);
+                if best_obj + 1e-12 < objective {
+                    x[b] = best_v;
+                    period = best_t;
+                    objective = best_obj;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        (period, objective)
+    }
+
+    /// Oracle: [`AlignmentEngine::solve`]'s seed loop over [`descend_in`].
+    fn oracle_solve(
+        problem: &AlignmentProblem,
+        warm: &[f64],
+        multistart: bool,
+    ) -> AlignmentSolution {
+        let kinds = if multistart { 0..4_u8 } else { 0..1 };
+        let (mut cand, mut pts, mut seeds) = (Vec::new(), Vec::new(), Vec::<Vec<f64>>::new());
+        let mut best: Option<(AlignmentSolution, bool)> = None;
+        for kind in kinds {
+            let mut x: Vec<f64> = (problem.buffers.iter().zip(warm))
+                .map(|(b, &w)| match kind {
+                    0 => b.value(b.nearest(w)),
+                    1 => b.value(b.nearest(0.0)),
+                    2 => b.value(0),
+                    _ => b.value(b.steps - 1),
+                })
+                .collect();
+            if (problem.buffers.is_empty() && kind > 0) || seeds.contains(&x) {
+                continue;
+            }
+            seeds.push(x.clone());
+            let (period, objective) = descend_in(problem, &mut x, &mut cand, &mut pts);
+            let feasible = problem.paths.iter().all(|p| p.hold_ok(&x));
+            let better = best.as_ref().is_none_or(|(s, best_feasible)| {
+                if feasible == *best_feasible {
+                    objective < s.objective - 1e-12
+                } else {
+                    feasible
+                }
+            });
+            if better {
+                best = Some((AlignmentSolution { period, buffer_values: x, objective }, feasible));
+            }
+        }
+        best.expect("the warm seed always descends").0
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Deterministic generator for the differential test.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn unit(&mut self) -> f64 {
+            self.next() as f64 / (1_u64 << 31) as f64
+        }
+
+        fn chance(&mut self, one_in: u64) -> bool {
+            self.below(one_in) == 0
+        }
+    }
+
+    /// A random alignment problem. Centers sit on a coarse grid half the
+    /// time and buffers often step in binary fractions, so shifted centers
+    /// tie. Above 20 paths the weights are integers: the oracle's unstable
+    /// sort leaves ties of more than 20 points in an unspecified order, and
+    /// only exact (integer) partial sums make that order irrelevant.
+    fn random_problem(rng: &mut Lcg, large: bool) -> AlignmentProblem {
+        let nb = rng.below(7) as usize;
+        let np = if large { 21 + rng.below(12) } else { rng.below(13) } as usize;
+        let buffers: Vec<BufferVar> = (0..nb)
+            .map(|_| {
+                let steps = 2 + rng.below(19) as u32;
+                if rng.chance(2) {
+                    let step = [0.25, 0.5, 1.0][rng.below(3) as usize];
+                    let min = -(rng.below(steps as u64) as f64) * step;
+                    buf(min, min + step * (steps - 1) as f64, steps)
+                } else {
+                    let min = -3.0 * rng.unit();
+                    buf(min, min + 0.1 + 5.0 * rng.unit(), steps)
+                }
+            })
+            .collect();
+        let integer_weights = large || rng.chance(2);
+        let mut paths: Vec<AlignPath> = (0..np)
+            .map(|_| {
+                let center =
+                    if rng.chance(2) { rng.below(17) as f64 * 0.5 } else { 20.0 * rng.unit() };
+                let pick = |rng: &mut Lcg| {
+                    (nb > 0 && !rng.chance(3)).then(|| rng.below(nb as u64) as usize)
+                };
+                let source_buffer = pick(rng);
+                let sink_buffer = if rng.chance(8) { source_buffer } else { pick(rng) };
+                let hold_lower_bound = rng.chance(3).then(|| {
+                    if rng.chance(2) {
+                        rng.below(9) as f64 * 0.5 - 3.0
+                    } else {
+                        8.0 * rng.unit() - 5.0
+                    }
+                });
+                let weight = match rng.below(12) {
+                    0 => 0.0,
+                    1 if !integer_weights => -0.3,
+                    _ if !integer_weights => 0.1 * (1 + rng.below(9)) as f64,
+                    _ => 1.0,
+                };
+                AlignPath { center, weight, source_buffer, sink_buffer, hold_lower_bound }
+            })
+            .collect();
+        if integer_weights && rng.chance(2) {
+            let centers: Vec<f64> = paths.iter().map(|p| p.center).collect();
+            for (p, w) in paths.iter_mut().zip(sorted_center_weights(&centers, 1000.0, 1.0)) {
+                p.weight = w;
+            }
+        }
+        AlignmentProblem { paths, buffers }
+    }
+
+    /// Tied centers whose weights reach half the total when added in path
+    /// order (34.4 + 39.6 + 27.2 against 101.2) but not in reverse order.
+    const TIE_CENTERS: [f64; 4] = [0.0, 0.0, 0.0, 1.0];
+    const TIE_WEIGHTS: [f64; 4] = [34.4, 39.6, 27.2, 101.2];
+
+    /// Problems whose optimal period depends on the tie order: the
+    /// buffered path (first or last) can only move away from the tie.
+    fn tie_order_problems() -> Vec<AlignmentProblem> {
+        let tied: Vec<AlignPath> = (TIE_CENTERS.iter().zip(TIE_WEIGHTS))
+            .map(|(&center, weight)| AlignPath { weight, ..path(center, None, None) })
+            .collect();
+        let buffers = vec![buf(0.0, 0.5, 2)];
+        let mut last = tied.clone();
+        last[3].source_buffer = Some(0);
+        let mut first = vec![last[3]];
+        first.extend_from_slice(&tied[..3]);
+        vec![
+            AlignmentProblem { paths: last, buffers: buffers.clone() },
+            AlignmentProblem { paths: first, buffers },
+        ]
+    }
+
+    #[test]
+    fn merged_median_adds_tied_weights_in_path_order() {
+        let point = |p: usize| (TIE_CENTERS[p], TIE_WEIGHTS[p], p);
+        let total = TIE_WEIGHTS.iter().sum();
+        let mut pts: Vec<(f64, f64)> = TIE_CENTERS.iter().copied().zip(TIE_WEIGHTS).collect();
+        assert_eq!(weighted_median_in_place(&mut pts), Some(0.0));
+        assert_eq!(median_of([2, 1, 0, 3].map(point).iter(), total), 1.0, "order matters");
+        for moved in 0..3 {
+            let fixed: Vec<MedianPoint> = (0..4).filter(|&p| p != moved).map(point).collect();
+            assert_eq!(median_of(merged(&fixed, &[point(moved)]), total), 0.0, "moved {moved}");
+        }
+    }
+
+    /// The incremental descent, and the engine over warm multi-solve
+    /// sequences, return the full-rescan oracle's period, objective and
+    /// buffer values bit for bit.
+    #[test]
+    fn incremental_descent_matches_full_rescan_bitwise() {
+        let mut rng = Lcg(0x5eed_a11e);
+        let mut descent = Descent::default();
+        let mut engine = AlignmentEngine::new();
+        let (mut cand, mut pts) = (Vec::new(), Vec::new());
+        let (mut stuck_holds, mut same_buffer, mut bufferless, mut unused_buffers) = (0, 0, 0, 0);
+        let mut fractional_ties = 0;
+        let tie_order = tie_order_problems();
+        for case in 0..10_000 + tie_order.len() {
+            let mut problem = match tie_order.get(case) {
+                Some(problem) => problem.clone(),
+                None => random_problem(&mut rng, case % 20 == 0),
+            };
+            let nb = problem.buffers.len();
+            let paths = &problem.paths;
+            same_buffer += paths
+                .iter()
+                .filter(|p| p.source_buffer.is_some() && p.source_buffer == p.sink_buffer)
+                .count();
+            bufferless += paths
+                .iter()
+                .filter(|p| p.source_buffer.is_none() && p.sink_buffer.is_none())
+                .count();
+            unused_buffers += (0..nb).filter(|&b| !paths.iter().any(|p| touches(p, b))).count();
+            if paths.iter().any(|p| p.weight.fract() != 0.0)
+                && paths
+                    .iter()
+                    .enumerate()
+                    .any(|(i, p)| paths[..i].iter().any(|q| q.center == p.center))
+            {
+                fractional_ties += 1;
+            }
+
+            // Single descents from random lattice seeds.
+            descent.prepare(&problem);
+            for _ in 0..2 {
+                let seed: Vec<f64> = (problem.buffers.iter())
+                    .map(|b| b.value(rng.below(b.steps as u64) as u32))
+                    .collect();
+                let mut repaired = seed.clone();
+                problem.repair_hold(&mut repaired);
+                if !problem.paths.iter().all(|p| p.hold_ok(&repaired)) {
+                    stuck_holds += 1;
+                }
+                let (mut fast_x, mut slow_x) = (seed.clone(), seed);
+                let fast = descent.descend(&problem, &mut fast_x);
+                let slow = descend_in(&problem, &mut slow_x, &mut cand, &mut pts);
+                assert_eq!(fast.0.to_bits(), slow.0.to_bits(), "period, case {case}");
+                assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "objective, case {case}");
+                assert_eq!(bits(&fast_x), bits(&slow_x), "buffer values, case {case}");
+            }
+
+            // A warm sequence: multi-start first, warm seed alone after,
+            // re-armed once by `seed`.
+            engine.begin_batch(&problem.buffers);
+            let mut warm = vec![0.0; nb];
+            for iter in 0..3 {
+                if iter > 0 {
+                    for p in &mut problem.paths {
+                        p.center += rng.below(5) as f64 * 0.25 - 0.5;
+                    }
+                }
+                let multistart = iter == 0 || (iter == 2 && case % 3 == 0);
+                if iter == 2 && multistart {
+                    warm = (problem.buffers.iter()).map(|b| b.min + rng.unit() * b.max).collect();
+                    engine.seed(&warm);
+                }
+                let e = engine.paths_mut();
+                e.clear();
+                e.extend_from_slice(&problem.paths);
+                let fast = engine.solve().clone();
+                let slow = oracle_solve(&problem, &warm, multistart);
+                assert_eq!(fast.period.to_bits(), slow.period.to_bits(), "period, case {case}");
+                assert_eq!(fast.objective.to_bits(), slow.objective.to_bits(), "case {case}");
+                assert_eq!(bits(&fast.buffer_values), bits(&slow.buffer_values), "case {case}");
+                warm = slow.buffer_values;
+            }
+        }
+        // Every structural case the scan special-cases was exercised.
+        assert!(stuck_holds > 500, "unrepairable hold bounds: {stuck_holds}");
+        assert!(same_buffer > 500, "same-buffer paths: {same_buffer}");
+        assert!(bufferless > 500, "bufferless paths: {bufferless}");
+        assert!(unused_buffers > 500, "buffers without paths: {unused_buffers}");
+        assert!(fractional_ties > 500, "tied centers, non-integer weights: {fractional_ties}");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! are totally unimodular), so [`ConfigProblem::solve`] binary-searches
 //! `xi` and certifies each probe with Bellman–Ford — exact and fast. A
 //! MILP formulation ([`ConfigProblem::solve_exact_milp`]) serves as the
-//! oracle in tests.
+//! oracle in tests and solves problems whose buffers differ in step size.
 
 use crate::align::BufferVar;
 use crate::{ConstraintOp, DifferenceSystem, LinearProgram, MixedIntegerProgram};
@@ -82,13 +82,15 @@ impl ConfigProblem {
     /// that `D' = l`), i.e. the chip cannot be configured to run at
     /// `clock_period`.
     ///
-    /// # Panics
-    ///
-    /// Panics if the buffers do not share a common step size (the uniform
-    /// lattice assumption; the EffiTest flow always uses uniform buffer
-    /// specs, per the paper's setup).
+    /// The lattice probes need one step size shared by every buffer (the
+    /// EffiTest flow always uses uniform buffer specs, per the paper's
+    /// setup). Buffers with different step sizes are solved by
+    /// [`solve_exact_milp`](Self::solve_exact_milp) instead, which also
+    /// returns `None` if branch and bound hits its node limit.
     pub fn solve(&self) -> Option<ConfigSolution> {
-        let delta = self.common_step();
+        let Some(delta) = self.common_step() else {
+            return self.solve_exact_milp();
+        };
         // xi = 0: assumed delays at their upper bounds (best case).
         if let Some(x) = self.feasible(0.0, delta) {
             return Some(self.finish(0.0, x));
@@ -220,24 +222,14 @@ impl ConfigProblem {
         })
     }
 
-    /// Common buffer step size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffers disagree (non-uniform lattices need the MILP).
-    fn common_step(&self) -> f64 {
-        let mut delta = None;
-        for buf in &self.buffers {
-            let d = buf.step_size();
-            match delta {
-                None => delta = Some(d),
-                Some(prev) => assert!(
-                    (prev - d).abs() < 1e-12,
-                    "buffers must share a step size for the lattice solver"
-                ),
-            }
-        }
-        delta.unwrap_or(1.0)
+    /// Common buffer step size (1 without buffers), or `None` if the
+    /// buffers' step sizes differ.
+    fn common_step(&self) -> Option<f64> {
+        let Some(first) = self.buffers.first() else {
+            return Some(1.0);
+        };
+        let delta = first.step_size();
+        self.buffers.iter().all(|b| (b.step_size() - delta).abs() < 1e-12).then_some(delta)
     }
 
     /// Feasibility probe at slack `xi`: integerized difference constraints.
@@ -465,6 +457,31 @@ mod tests {
         let sol = problem.solve().expect("feasible");
         assert_eq!(sol.xi, 0.0);
         assert_eq!(sol.buffer_values.len(), 1);
+    }
+
+    #[test]
+    fn non_uniform_lattice_falls_back_to_the_milp() {
+        // Step sizes 1.0 and 0.5: the lattice probes cannot integerize
+        // these constraints, so the solve must not panic but defer to the
+        // exact MILP.
+        let problem = ConfigProblem {
+            clock_period: 10.0,
+            paths: vec![
+                cpath(10.2, 11.3, None, Some(0)),
+                cpath(9.0, 10.6, Some(1), None),
+                ConfigPath {
+                    lower: 8.0,
+                    upper: 9.5,
+                    source_buffer: Some(0),
+                    sink_buffer: Some(1),
+                    hold_lower_bound: Some(-1.5),
+                },
+            ],
+            buffers: vec![buf(-2.0, 2.0, 5), buf(-2.0, 2.0, 9)],
+        };
+        let sol = problem.solve().expect("feasible");
+        assert_eq!(Some(&sol), problem.solve_exact_milp().as_ref());
+        assert!(problem.is_feasible_config(&sol.buffer_values, sol.xi, 1e-9));
     }
 
     #[test]
