@@ -13,8 +13,8 @@
 //!
 //! The gather itself is charged to the batched path (it starts from the
 //! same per-chip `HashMap`s the per-chip loop consumes), so the reported
-//! speedup is end to end. A second measurement covers the tester-side
-//! SoA batching ([`ChipBank`] vs one `VirtualTester` per chip).
+//! speedup is end to end. No flow driver runs the batched engine; the
+//! benchmark harness's traced split times the same kernel.
 //!
 //! Results go to `BENCH_population.json` (override the path with
 //! `BENCH_POPULATION_OUT`). The floor scenario (first in `SCENARIOS`)
@@ -34,8 +34,8 @@ use effitest_core::predict::{
     BatchPredictedRanges, ChipMatrix, PredictWorkspace, PredictedRanges, Predictor,
 };
 use effitest_core::select::{all_selected, select_paths, SelectConfig};
-use effitest_ssta::{ChipInstance, TimingModel, VariationConfig};
-use effitest_tester::{ChipBank, DelayBounds, VirtualTester};
+use effitest_ssta::{TimingModel, VariationConfig};
+use effitest_tester::DelayBounds;
 
 /// Which of the paper's ISCAS'89 circuit statistics a scenario scales
 /// down from.
@@ -93,14 +93,13 @@ const SCENARIOS: [Scenario; 6] = [
     Scenario { circuit: Circuit::S13207, scale: 4, chips: 1024, threads: 4 },
 ];
 
-/// One prepared scenario: the prediction engine, the sampled population,
-/// and its pinned per-chip measured bounds (tight windows around true
+/// One prepared scenario: the prediction engine and the sampled
+/// population's pinned per-chip measured bounds (tight windows around true
 /// delays, the regime the aligned test converges to).
 struct Fixture {
     model: TimingModel,
     groups: usize,
     predictor: Predictor,
-    chips: Vec<ChipInstance>,
     tested: Vec<HashMap<usize, DelayBounds>>,
     selected: usize,
 }
@@ -112,11 +111,9 @@ fn make_fixture(s: Scenario) -> Fixture {
     let groups = select_paths(&model, &SelectConfig::default(), 1);
     let selected = all_selected(&groups);
     let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
-    let chips: Vec<ChipInstance> =
-        (0..s.chips).map(|k| model.sample_chip(800 + k as u64)).collect();
-    let tested: Vec<HashMap<usize, DelayBounds>> = chips
-        .iter()
-        .map(|chip| {
+    let tested: Vec<HashMap<usize, DelayBounds>> = (0..s.chips)
+        .map(|k| {
+            let chip = model.sample_chip(800 + k as u64);
             selected
                 .iter()
                 .map(|&p| {
@@ -126,7 +123,7 @@ fn make_fixture(s: Scenario) -> Fixture {
                 .collect()
         })
         .collect();
-    Fixture { model, groups: groups.len(), predictor, chips, tested, selected: selected.len() }
+    Fixture { model, groups: groups.len(), predictor, tested, selected: selected.len() }
 }
 
 /// The per-chip reference: one `predict_with` per chip, the warm
@@ -167,27 +164,6 @@ fn run_batched(
         acc += out.chip_lower(c)[0] + out.chip_upper(c)[np - 1];
     }
     acc
-}
-
-/// Per-chip tester reference: one `VirtualTester` per chip answering the
-/// probe batch.
-fn run_testers(chips: &[ChipInstance], period: f64, probes: &[(usize, f64)]) -> usize {
-    let mut results = Vec::new();
-    let mut passes = 0;
-    for chip in chips {
-        let mut t = VirtualTester::new(chip);
-        t.apply_batch_into(period, probes, &mut results);
-        passes += results.iter().filter(|&&b| b).count();
-    }
-    passes
-}
-
-/// Tester-side SoA batching: the whole bank answers the probe batch in
-/// one pass.
-fn run_bank(bank: &mut ChipBank, period: f64, probes: &[(usize, f64)]) -> usize {
-    let mut results = Vec::new();
-    bank.apply_batch_into(period, probes, &mut results);
-    results.iter().filter(|&&b| b).count()
 }
 
 /// Quality guard: the batched engine must agree bit for bit with the
@@ -254,37 +230,6 @@ fn measure_and_record() {
         ));
     }
 
-    // Tester-side SoA batching, informational: the whole bank vs one
-    // VirtualTester per chip on the same probe batch.
-    let s = SCENARIOS[0];
-    let f = make_fixture(s);
-    let period = f.model.nominal_period();
-    let probes: Vec<(usize, f64)> =
-        (0..f.model.path_count()).step_by(3).map(|p| (p, 0.125)).collect();
-    let mut bank = ChipBank::gather(&f.chips);
-    {
-        // Guard: every bank column equals the chip's own tester.
-        let mut solo = Vec::new();
-        let mut banked = Vec::new();
-        bank.apply_batch_into(period, &probes, &mut banked);
-        for (c, chip) in f.chips.iter().enumerate() {
-            VirtualTester::new(chip).apply_batch_into(period, &probes, &mut solo);
-            for (i, &expect) in solo.iter().enumerate() {
-                assert_eq!(banked[i * f.chips.len() + c], expect, "bank diverged on chip {c}");
-            }
-        }
-    }
-    let testers_ns =
-        effitest_bench::best_of(samples, || run_testers(&f.chips, period, &probes) as f64);
-    let bank_ns = effitest_bench::best_of(samples, || run_bank(&mut bank, period, &probes) as f64);
-    let tester_speedup = testers_ns as f64 / bank_ns.max(1) as f64;
-    println!(
-        "{:>22} {:>6} {:>8} {testers_ns:>14} {bank_ns:>14} {tester_speedup:>8.2}x",
-        format!("tester({})", probes.len()),
-        s.chips,
-        1
-    );
-
     let json = format!(
         concat!(
             "{{\n",
@@ -293,18 +238,11 @@ fn measure_and_record() {
             "batched chip-matrix engine (one blocked GEMM per group; gather charged to the ",
             "batched side; bitwise-identical by the quality guard)\",\n",
             "  \"samples\": {},\n",
-            "  \"scenarios\": [\n{}\n  ],\n",
-            "  \"tester\": {{\"chips\": {}, \"probes\": {}, \"per_chip_ns\": {}, ",
-            "\"bank_ns\": {}, \"speedup\": {:.3}}}\n",
+            "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),
         samples,
-        entries.join(",\n"),
-        s.chips,
-        probes.len(),
-        testers_ns,
-        bank_ns,
-        tester_speedup
+        entries.join(",\n")
     );
     // Default to the workspace-root record (cargo runs benches from the
     // package dir, which would scatter untracked copies under crates/).

@@ -25,7 +25,7 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
 use effitest_core::cache::{plan_fingerprint, CacheOutcome, PlanCache};
-use effitest_core::population::{run_flow_population_batched, PopulationConfig};
+use effitest_core::population::{run_flow_population, PopulationConfig};
 use effitest_core::select::SelectConfig;
 use effitest_core::service::{MeasurementEvent, ServiceConfig, ServiceEngine, TuningDecision};
 use effitest_core::{ChipOutcome, EffiTestFlow, FlowConfig, FlowPlan};
@@ -128,7 +128,7 @@ fn measure_streaming(samples: usize, threads: usize) -> StreamingNumbers {
     let flow = EffiTestFlow::new(plan_flow_config());
     let plan = flow.plan(&bench, &model).expect("plan");
     let td = model.nominal_period();
-    let outcomes = run_flow_population_batched(
+    let outcomes = run_flow_population(
         &flow,
         &plan,
         td,
@@ -273,7 +273,7 @@ fn measure_and_record() {
             "{{\n",
             "  \"bench\": \"service\",\n",
             "  \"description\": \"test-floor service on the large H-tree tier: shuffled ",
-            "out-of-order ingestion drained through the batched prediction kernels ",
+            "out-of-order ingestion drained through per-chip prediction and configuration ",
             "(throughput + per-chip decision latency), and cold-vs-cached acquisition of the ",
             "chip-independent plan through the content-addressed store; bitwise quality guards ",
             "(shuffled == in-order, cached fingerprint == fresh) run before any timing\",\n",
@@ -317,7 +317,7 @@ fn bench_service(c: &mut Criterion) {
     let flow = EffiTestFlow::new(plan_flow_config());
     let plan = flow.plan(&bench, &model).expect("plan");
     let td = model.nominal_period();
-    let outcomes = run_flow_population_batched(
+    let outcomes = run_flow_population(
         &flow,
         &plan,
         td,

@@ -35,16 +35,15 @@
 //! gathers each path's conflict neighbours from the handful of lists it
 //! appears in: `O(n + edges)` instead of `O(n²)`. The per-path requirement
 //! computation and the gather fan out over worker threads, with results
-//! committed in path order. The pairwise loop survives as
-//! [`MutualExclusions::build_dense`], the independent oracle the
-//! differential tests pin the sparse build against at several thread
-//! counts.
+//! committed in path order. The pairwise loop survives in the unit tests
+//! as the independent oracle the sparse build is pinned against at
+//! several thread counts.
 
 use std::collections::HashMap;
 
 use effitest_parallel::{default_chunk, par_map_scratch};
 
-use crate::{CircuitError, FlipFlopId, GateId, Netlist, PathView, Result, Signal};
+use crate::{CircuitError, GateId, Netlist, PathView, Result, Signal};
 
 /// A stability requirement on a side-input signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,29 +310,6 @@ impl MutualExclusions {
         Ok(MutualExclusions { excluded })
     }
 
-    /// The all-pairs construction, kept as the independent oracle for
-    /// differential tests of the sparse [`build`](Self::build).
-    ///
-    /// # Errors
-    ///
-    /// Propagates requirement-computation errors.
-    pub fn build_dense(netlist: &Netlist, paths: &[PathView<'_>]) -> Result<Self> {
-        let reqs: Vec<PathRequirements> =
-            paths.iter().map(|p| PathRequirements::compute(netlist, *p)).collect::<Result<_>>()?;
-        let mut excluded = vec![Vec::new(); paths.len()];
-        for i in 0..paths.len() {
-            for j in (i + 1)..paths.len() {
-                let incompatible = !reqs[i].compatible(&reqs[j])
-                    || stable_blocks_source(&reqs[i], paths[j].source)
-                    || stable_blocks_source(&reqs[j], paths[i].source);
-                if incompatible {
-                    excluded[i].push(j);
-                }
-            }
-        }
-        Ok(MutualExclusions { excluded })
-    }
-
     /// `true` if paths at positions `i` and `j` are mutually exclusive.
     pub fn excludes(&self, i: usize, j: usize) -> bool {
         let (lo, hi) = if i < j { (i, j) } else { (j, i) };
@@ -383,10 +359,6 @@ impl MutualExclusions {
         }
         Ok(MutualExclusions { excluded })
     }
-}
-
-fn stable_blocks_source(reqs: &PathRequirements, source: FlipFlopId) -> bool {
-    reqs.stable.iter().any(|&(sig, _)| sig == Signal::Ff(source))
 }
 
 /// Allocation-light equivalent of [`PathRequirements::compute`]: collects
@@ -555,7 +527,38 @@ impl DenseIndexes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlipFlop, Gate, GateKind, PathKind, PathSet, Point, Rect};
+    use crate::{FlipFlop, FlipFlopId, Gate, GateKind, PathKind, PathSet, Point, Rect};
+
+    impl MutualExclusions {
+        /// The all-pairs construction: the independent oracle the
+        /// differential tests pin the sparse [`build`](Self::build) against.
+        ///
+        /// # Errors
+        ///
+        /// Propagates requirement-computation errors.
+        pub(crate) fn build_dense(netlist: &Netlist, paths: &[PathView<'_>]) -> Result<Self> {
+            let reqs: Vec<PathRequirements> = paths
+                .iter()
+                .map(|p| PathRequirements::compute(netlist, *p))
+                .collect::<Result<_>>()?;
+            let mut excluded = vec![Vec::new(); paths.len()];
+            for i in 0..paths.len() {
+                for j in (i + 1)..paths.len() {
+                    let incompatible = !reqs[i].compatible(&reqs[j])
+                        || stable_blocks_source(&reqs[i], paths[j].source)
+                        || stable_blocks_source(&reqs[j], paths[i].source);
+                    if incompatible {
+                        excluded[i].push(j);
+                    }
+                }
+            }
+            Ok(MutualExclusions { excluded })
+        }
+    }
+
+    fn stable_blocks_source(reqs: &PathRequirements, source: FlipFlopId) -> bool {
+        reqs.stable.iter().any(|&(sig, _)| sig == Signal::Ff(source))
+    }
 
     /// Two disjoint inverter chains (always compatible) and one NAND whose
     /// side input is another chain's gate (conflicts).

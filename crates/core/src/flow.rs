@@ -13,7 +13,7 @@ use crate::aligned_test::{
 use crate::batch::{build_batches, fill_slots, predicted_sigmas, Batches, ConflictOracle};
 use crate::configure::{build_config_problem, configure, shifts_for, BufferIndex};
 use crate::hold::{compute_hold_bounds, HoldBounds, HoldConfig};
-use crate::predict::{predict_ranges, PredictWorkspace, PredictedRanges, Predictor};
+use crate::predict::{PredictWorkspace, PredictedRanges, Predictor};
 use crate::select::{all_selected, select_paths, PathGroup, SelectConfig};
 
 /// Errors surfaced by the flow API.
@@ -421,65 +421,24 @@ impl EffiTestFlow {
     /// workspace; results are bitwise identical, allocations are not.
     ///
     /// Prediction runs on the plan's precomputed [`Predictor`] (gains
-    /// factored once at plan time); the per-chip refactorizing path
-    /// survives as
-    /// [`test_and_predict_reference`](Self::test_and_predict_reference)
-    /// and produces bitwise-identical ranges.
+    /// factored once at plan time).
     pub fn test_and_predict_with(
         &self,
         ws: &mut FlowWorkspace,
         prepared: &FlowPlan<'_>,
         chip: &ChipInstance,
     ) -> (PredictedRanges, AlignedTestResult) {
-        let aligned = self.run_aligned_phase(ws, prepared, chip);
-        let predicted = prepared.predictor.predict_with(&mut ws.predict, &aligned.bounds);
-        (predicted, aligned)
-    }
-
-    /// The **reference** per-chip path: aligned test followed by
-    /// from-scratch conditioning ([`predict_ranges`]) that rebuilds and
-    /// refactorizes every group's Gaussian on this chip, as the flow did
-    /// before the plan-level [`Predictor`] existed.
-    ///
-    /// Kept so the engine can be differentially tested against it — the
-    /// two are bitwise identical on every chip (`tests/prediction.rs`
-    /// proves it across the whole scenario matrix); use
-    /// [`test_and_predict`](Self::test_and_predict) everywhere else.
-    pub fn test_and_predict_reference(
-        &self,
-        prepared: &FlowPlan<'_>,
-        chip: &ChipInstance,
-    ) -> (PredictedRanges, AlignedTestResult) {
-        let aligned = self.run_aligned_phase(&mut FlowWorkspace::new(), prepared, chip);
-        let predicted = predict_ranges(
-            prepared.model,
-            &prepared.groups,
-            &aligned.bounds,
-            self.config.bound_sigma,
-        );
-        (predicted, aligned)
-    }
-
-    /// Phase 1 (the aligned test), shared by the engine and reference
-    /// entry points so their differential comparison always runs on the
-    /// same measured bounds. Also the batched population engine's first
-    /// phase (`crate::population::run_flow_population_batched`), which is
-    /// why it is crate-visible.
-    pub(crate) fn run_aligned_phase(
-        &self,
-        ws: &mut FlowWorkspace,
-        prepared: &FlowPlan<'_>,
-        chip: &ChipInstance,
-    ) -> AlignedTestResult {
         let mut tester = VirtualTester::with_model(chip, self.config.tester);
-        run_aligned_test_with(
+        let aligned = run_aligned_test_with(
             &mut ws.aligned,
             prepared.model,
             &mut tester,
             &prepared.batches.batches,
             &prepared.lambda,
             &self.aligned_config(prepared.epsilon),
-        )
+        );
+        let predicted = prepared.predictor.predict_with(&mut ws.predict, &aligned.bounds);
+        (predicted, aligned)
     }
 
     /// Phase 3 on a chip: configure the buffers for `clock_period` from

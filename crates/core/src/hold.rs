@@ -178,10 +178,13 @@ fn greedy_discard(samples: &[Vec<f64>], discards: usize) -> Vec<bool> {
         })
         .collect();
 
+    // Reduction per candidate sample: the sum, in path order, of
+    // (max - runner_up) over the paths where it is the current maximum.
+    // `None` marks a sample that is no path's maximum this round, which is
+    // not the same as a zero gain.
+    let mut reduction: Vec<Option<f64>> = vec![None; m];
     for _round in 0..discards {
-        // Reduction per candidate sample: sum over paths where it is the
-        // current maximum of (max - runner_up).
-        let mut reduction: HashMap<usize, f64> = HashMap::new();
+        reduction.fill(None);
         for p in 0..n_paths {
             let mut top = None;
             let mut second = None;
@@ -196,17 +199,18 @@ fn greedy_discard(samples: &[Vec<f64>], discards: usize) -> Vec<bool> {
                 }
             }
             if let (Some(t), Some(s)) = (top, second) {
-                let gain = samples[p][t] - samples[p][s];
-                *reduction.entry(t).or_insert(0.0) += gain;
+                *reduction[t].get_or_insert(0.0) += samples[p][t] - samples[p][s];
             }
         }
-        // Discard the best candidate; if no sample is a unique maximum
-        // anywhere (all gains zero), discard any kept sample — it changes
-        // nothing.
+        // Discard the best candidate, the lowest sample index on a tie.
+        // With no candidate at all (no path has two kept samples), discard
+        // the first kept sample.
         let victim = reduction
             .iter()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(&k, _)| k)
+            .enumerate()
+            .filter_map(|(k, r)| r.map(|r| (k, r)))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+            .map(|(k, _)| k)
             .or_else(|| kept.iter().position(|&b| b));
         match victim {
             Some(k) => kept[k] = false,
@@ -214,46 +218,6 @@ fn greedy_discard(samples: &[Vec<f64>], discards: usize) -> Vec<bool> {
         }
     }
     kept
-}
-
-/// Exhaustive oracle for tiny instances: best keep mask over all discard
-/// subsets of the given size. Exposed for tests and benches only.
-pub fn exhaustive_discard_total(samples: &[Vec<f64>], discards: usize) -> f64 {
-    let m = samples.first().map_or(0, Vec::len);
-    let mut best = f64::INFINITY;
-    let mut combo: Vec<usize> = (0..discards).collect();
-    loop {
-        let mut kept = vec![true; m];
-        for &k in &combo {
-            kept[k] = false;
-        }
-        let total: f64 = samples
-            .iter()
-            .map(|vals| {
-                vals.iter()
-                    .enumerate()
-                    .filter(|(k, _)| kept[*k])
-                    .map(|(_, &v)| v)
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .sum();
-        best = best.min(total);
-        // Next combination.
-        let mut i = discards;
-        loop {
-            if i == 0 {
-                return best;
-            }
-            i -= 1;
-            if combo[i] + (discards - i) < m {
-                combo[i] += 1;
-                for j in (i + 1)..discards {
-                    combo[j] = combo[j - 1] + 1;
-                }
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -266,6 +230,46 @@ mod tests {
         let bench =
             GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);
         TimingModel::build(&bench, &VariationConfig::paper())
+    }
+
+    /// Exhaustive oracle for tiny instances: the smallest total over all
+    /// discard subsets of the given size.
+    fn exhaustive_discard_total(samples: &[Vec<f64>], discards: usize) -> f64 {
+        let m = samples.first().map_or(0, Vec::len);
+        let mut best = f64::INFINITY;
+        let mut combo: Vec<usize> = (0..discards).collect();
+        loop {
+            let mut kept = vec![true; m];
+            for &k in &combo {
+                kept[k] = false;
+            }
+            let total: f64 = samples
+                .iter()
+                .map(|vals| {
+                    vals.iter()
+                        .enumerate()
+                        .filter(|(k, _)| kept[*k])
+                        .map(|(_, &v)| v)
+                        .fold(f64::NEG_INFINITY, f64::max)
+                })
+                .sum();
+            best = best.min(total);
+            // Next combination.
+            let mut i = discards;
+            loop {
+                if i == 0 {
+                    return best;
+                }
+                i -= 1;
+                if combo[i] + (discards - i) < m {
+                    combo[i] += 1;
+                    for j in (i + 1)..discards {
+                        combo[j] = combo[j - 1] + 1;
+                    }
+                    break;
+                }
+            }
+        }
     }
 
     #[test]
@@ -338,6 +342,18 @@ mod tests {
         // The greedy is a heuristic; it should hit the optimum on the
         // clear majority of random tiny instances.
         assert!(worse <= 5, "greedy missed exhaustive optimum {worse}/20 times");
+    }
+
+    #[test]
+    fn tied_reductions_discard_the_lowest_sample_index() {
+        // Samples 0 and 1 are identical columns, and so are 2 and 3. In
+        // each path one pair shares the maximum, so samples 0 and 2 both
+        // reduce the total by exactly 0.0: a tie that sample order, never
+        // hash order, must break. Repeat to catch a per-call random order.
+        let samples = vec![vec![5.0, 5.0, 0.0, 0.0], vec![0.0, 0.0, 5.0, 5.0]];
+        for _run in 0..64 {
+            assert_eq!(greedy_discard(&samples, 1), vec![false, true, true, true]);
+        }
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //!    full re-test of the aged chip.
 //! 3. **Adaptive re-tuning** — instead of the full re-test, a sparse
 //!    subset of the plan's tested paths (every `retune_stride`-th) is
-//!    re-measured path-wise on the aged chip, the prediction engine
-//!    extrapolates the rest from the *existing* plan's correlation groups,
-//!    and the buffers are re-configured. The report quantifies the yield
-//!    recovered per tester iteration spent, against both the kept
-//!    configuration (floor) and the full re-test (ceiling).
+//!    re-measured path-wise on the aged chip, a [`Predictor`] built once
+//!    per cell over that subset extrapolates the rest from the *existing*
+//!    plan's correlation groups, and the buffers are re-configured. The
+//!    report quantifies the yield recovered per tester iteration spent,
+//!    against both the kept configuration (floor) and the full re-test
+//!    (ceiling).
 //!
 //! # Determinism
 //!
@@ -58,16 +59,16 @@ use std::collections::HashMap;
 
 use effitest_circuit::GeneratedBenchmark;
 use effitest_linalg::stats::empirical_quantile;
-use effitest_ssta::{DriftModel, TimingModel};
+use effitest_ssta::{ChipInstance, DriftModel, TimingModel};
 use effitest_tester::{
     chip_passes, path_wise_binary_search, DelayBounds, TesterModel, VirtualTester,
 };
 
 use crate::configure::shifts_for;
 use crate::population::{run_population, run_population_scratch, PopulationConfig};
-use crate::predict::predict_ranges;
+use crate::predict::Predictor;
 use crate::scenarios::{json_escape, json_f64, MatrixRun, ScenarioAxes, ScenarioSpec};
-use crate::{EffiTestFlow, FlowError, FlowWorkspace};
+use crate::{EffiTestFlow, FlowError, FlowPlan, FlowWorkspace};
 
 /// The axes of a hostile-silicon matrix: scenario cells crossed with
 /// tester-noise levels and drift models.
@@ -306,10 +307,14 @@ pub fn run_hostile_scenario(
     };
 
     // The sparse re-measurement subset is a plan property: every
-    // `retune_stride`-th tested path, in tested-path order.
+    // `retune_stride`-th tested path, in tested-path order. Every aged chip
+    // re-measures the same subset, so its conditioning gains are factored
+    // once per cell, over the plan's own correlation groups.
     let stride = spec.retune_stride.max(1);
     let retune_paths: Vec<usize> =
         plan.batches.tested_paths().into_iter().step_by(stride).collect();
+    let retune_predictor =
+        Predictor::new(&model, &plan.groups, &retune_paths, flow.config().bound_sigma, threads);
 
     let per_chip: Vec<HostileChip> = run_population_scratch(
         &model,
@@ -332,19 +337,8 @@ pub fn run_hostile_scenario(
             // Leg B — adaptive re-tuning: path-wise re-measurement of the
             // sparse subset on the aged chip, prediction of everything else
             // from the existing plan's groups, then re-configuration.
-            let mut vt = VirtualTester::with_model(&aged, tester);
-            let mut measured: HashMap<usize, DelayBounds> = HashMap::new();
-            for &p in &retune_paths {
-                let mut b = DelayBounds::from_gaussian(
-                    model.path_mean(p),
-                    model.path_sigma(p),
-                    flow.config().bound_sigma,
-                );
-                path_wise_binary_search(&mut vt, p, &mut b, plan.epsilon);
-                measured.insert(p, b);
-            }
-            let iterations_adaptive = vt.iterations();
-            let pred = predict_ranges(&model, &plan.groups, &measured, flow.config().bound_sigma);
+            let (measured, iterations_adaptive) = remeasure(&flow, &plan, &aged, &retune_paths);
+            let pred = retune_predictor.predict_with(ws.predict(), &measured);
             let (_, pass_adaptive, _) = flow.configure_and_check(&plan, &aged, &pred.ranges, td);
 
             // Leg C — the full re-test ceiling: run the whole flow again on
@@ -403,6 +397,33 @@ pub fn run_hostile_scenario(
         prediction_fallbacks: plan.predictor.fallback_count(),
         sigma_fallbacks: plan.sigma_fallbacks,
     })
+}
+
+/// Leg B's sparse re-measurement: path-wise frequency stepping of each of
+/// `paths` on the aged chip through the flow's tester, from its prior
+/// window down to the plan's `epsilon`. Returns the measured bounds and the
+/// tester iterations spent.
+fn remeasure(
+    flow: &EffiTestFlow,
+    plan: &FlowPlan<'_>,
+    aged: &ChipInstance,
+    paths: &[usize],
+) -> (HashMap<usize, DelayBounds>, u64) {
+    let model = plan.model;
+    let mut vt = VirtualTester::with_model(aged, flow.config().tester);
+    let measured = paths
+        .iter()
+        .map(|&p| {
+            let mut b = DelayBounds::from_gaussian(
+                model.path_mean(p),
+                model.path_sigma(p),
+                flow.config().bound_sigma,
+            );
+            path_wise_binary_search(&mut vt, p, &mut b, plan.epsilon);
+            (p, b)
+        })
+        .collect();
+    (measured, vt.iterations())
 }
 
 /// Runs every cell of the hostile matrix (cells sequentially, each cell's
@@ -575,6 +596,55 @@ mod tests {
             let parallel =
                 hostile_report_to_json(&run_hostile_scenario(&spec, threads).expect("feasible"));
             assert_eq!(serial, parallel, "hostile reports drifted at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn retune_predictor_matches_the_oracle_on_aged_chips() {
+        // The adaptive leg conditions on `retune_paths`, not on the plan's
+        // tested set. On a noisy, drifted cell its per-cell Predictor must
+        // still reproduce the from-scratch oracle bit for bit on every
+        // aged chip's re-measured bounds.
+        use crate::predict::{predict_ranges, PredictWorkspace};
+        let spec = tiny_axes()
+            .cells()
+            .into_iter()
+            .rev()
+            .find(|c| c.noise_rel > 0.0 && !c.drift.is_none())
+            .expect("hostile leg present");
+        let cell = &spec.cell;
+        let bench = GeneratedBenchmark::generate(&cell.spec, cell.seed);
+        let model = TimingModel::build_with_buffer_range(
+            &bench,
+            &cell.variation.config(),
+            cell.tuning_fraction,
+            TimingModel::BUFFER_STEPS,
+        );
+        let epsilon = EffiTestFlow::new(cell.flow.clone()).epsilon_for(&model);
+        let mut config = cell.flow.clone();
+        config.tester = TesterModel {
+            noise_sigma: spec.noise_rel * epsilon,
+            quantization_lsb: spec.quant_rel * epsilon,
+            noise_seed: spec.noise_seed,
+        };
+        let flow = EffiTestFlow::new(config);
+        let plan = flow.plan(&bench, &model).expect("plan");
+        let retune_paths: Vec<usize> =
+            plan.batches.tested_paths().into_iter().step_by(spec.retune_stride).collect();
+        assert!(retune_paths.len() < plan.tested_path_count(), "subset must differ from the plan");
+        let sigma_k = flow.config().bound_sigma;
+        let predictor = Predictor::new(&model, &plan.groups, &retune_paths, sigma_k, 1);
+        let mut ws = PredictWorkspace::new();
+        let bits = |ranges: &[DelayBounds]| -> Vec<(u64, u64)> {
+            ranges.iter().map(|b| (b.lower.to_bits(), b.upper.to_bits())).collect()
+        };
+        for k in 0..cell.n_chips as u64 {
+            let aged = spec.drift.aged(&model.sample_chip(700 + k), spec.drift_time);
+            let (measured, _) = remeasure(&flow, &plan, &aged, &retune_paths);
+            let engine = predictor.predict_with(&mut ws, &measured);
+            let oracle = predict_ranges(&model, &plan.groups, &measured, sigma_k);
+            assert_eq!(bits(&engine.ranges), bits(&oracle.ranges), "aged chip {k} drifted");
+            assert_eq!(engine.measured, oracle.measured, "aged chip {k} measured flags");
         }
     }
 

@@ -6,7 +6,11 @@
 //! the sensitization conflict graph, predicted sigmas, hold bounds — is
 //! chip-independent and lives in a [`FlowPlan`] built once per circuit.
 //! This module supplies the other half: a deterministic engine that fans
-//! the *per-chip* step out across worker threads.
+//! the *per-chip* step out across worker threads. Each chip runs the whole
+//! per-chip flow — aligned test, prediction through the plan's
+//! [`Predictor::predict_with`](crate::predict::Predictor::predict_with),
+//! configuration — on the worker that claims it; no stage is batched
+//! across chips.
 //!
 //! # Determinism
 //!
@@ -66,9 +70,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use effitest_ssta::{ChipInstance, TimingModel};
-use effitest_tester::DelayBounds;
 
-use crate::predict::ChipMatrix;
 use crate::{ChipOutcome, EffiTestFlow, FlowPlan, FlowWorkspace};
 
 // Thread-count plumbing shared with the plan-construction phase; one env
@@ -225,84 +227,6 @@ pub fn run_flow_population(
     })
 }
 
-/// [`run_flow_population`] with the prediction phase **batched across the
-/// whole population**: instead of one gain matvec per group per chip, the
-/// aligned-test bounds of every chip are gathered into a path-major
-/// [`ChipMatrix`] and each group's factored gain is applied to all chips
-/// at once as one cache-blocked GEMM
-/// ([`crate::predict::Predictor::predict_population`]), partitioned across
-/// worker threads in contiguous chip blocks.
-///
-/// The three phases:
-///
-/// 1. **Aligned test** per chip (unchanged, work-stealing parallel via
-///    [`run_population_scratch`]);
-/// 2. **Batched prediction** over the gathered chip matrix;
-/// 3. **Configure + final check** per chip (parallel again), assembling
-///    [`ChipOutcome`]s whose measured entries are restored from the
-///    aligned bounds so even the proven flags match the per-chip path.
-///
-/// Outcomes are **bitwise identical** to [`run_flow_population`] on the
-/// same config at any thread count — the per-chip engine survives as the
-/// differential reference, and `tests/population.rs` holds the two equal
-/// across the scenario matrix.
-///
-/// # Panics
-///
-/// Same as [`run_flow_population`].
-pub fn run_flow_population_batched(
-    flow: &EffiTestFlow,
-    plan: &FlowPlan<'_>,
-    clock_period: f64,
-    config: &PopulationConfig,
-) -> Vec<ChipOutcome> {
-    // Phase 1: aligned test per chip (parallel, work-stealing).
-    let aligned = run_population_scratch(plan.model, config, FlowWorkspace::new, |ws, _k, chip| {
-        flow.run_aligned_phase(ws, plan, chip)
-    });
-    // Gather the population's measured bounds into the SoA chip matrix and
-    // run the batched prediction over contiguous chip blocks.
-    let mut chips = ChipMatrix::new(&plan.predictor, aligned.len());
-    for (k, a) in aligned.iter().enumerate() {
-        chips.set_chip(k, &a.bounds);
-    }
-    let batch = plan.predictor.predict_population(&chips, config.threads);
-    // Phase 3: configure + final check per chip (parallel again). Ranges
-    // are rebuilt from the batch output; measured paths are overwritten
-    // from the aligned bounds so their proven flags survive exactly as in
-    // the per-chip path.
-    run_population_scratch(
-        plan.model,
-        config,
-        || (),
-        |(), k, chip| {
-            let a = &aligned[k];
-            let mut ranges: Vec<DelayBounds> = batch
-                .chip_lower(k)
-                .iter()
-                .zip(batch.chip_upper(k))
-                .map(|(&l, &u)| DelayBounds::new(l, u))
-                .collect();
-            for (&p, b) in &a.bounds {
-                ranges[p] = *b;
-            }
-            let (configured, passes, config_time) =
-                flow.configure_and_check(plan, chip, &ranges, clock_period);
-            ChipOutcome {
-                iterations: a.iterations,
-                align_time: a.align_time,
-                config_time,
-                configured,
-                passes,
-                contradictions: a.contradictions,
-                widenings: a.widenings,
-                ranges,
-                measured: batch.measured().to_vec(),
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,46 +291,6 @@ mod tests {
                     .map(key)
                     .collect();
             assert_eq!(par, serial, "outcomes drifted at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn batched_flow_matches_per_chip_flow_bitwise() {
-        let (bench, model) = fixture();
-        let flow = EffiTestFlow::new(FlowConfig::default());
-        let plan = flow.plan(&bench, &model).unwrap();
-        let td = model.nominal_period();
-        let key = |o: &ChipOutcome| {
-            (
-                o.iterations,
-                o.passes,
-                o.contradictions,
-                o.configured.as_ref().map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
-                o.ranges.iter().map(|b| (b.lower.to_bits(), b.upper.to_bits())).collect::<Vec<_>>(),
-                o.measured.clone(),
-            )
-        };
-        let base = PopulationConfig { n_chips: 6, base_seed: 900, threads: 1 };
-        let per_chip: Vec<_> =
-            run_flow_population(&flow, &plan, td, &base).iter().map(key).collect();
-        for threads in [1, 2, 4] {
-            let batched: Vec<_> = run_flow_population_batched(
-                &flow,
-                &plan,
-                td,
-                &PopulationConfig { threads, ..base },
-            )
-            .iter()
-            .map(key)
-            .collect();
-            assert_eq!(batched, per_chip, "batched flow drifted at {threads} threads");
-        }
-        // The measured bounds' proven flags survive the batch round-trip:
-        // full structural equality of the ranges, not just their bits.
-        let reference = run_flow_population(&flow, &plan, td, &base);
-        let batched = run_flow_population_batched(&flow, &plan, td, &base);
-        for (b, r) in batched.iter().zip(&reference) {
-            assert_eq!(b.ranges, r.ranges);
         }
     }
 

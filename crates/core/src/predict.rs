@@ -20,9 +20,20 @@
 //! value-independent), so the per-chip step collapses to one gain
 //! application per group through a reusable, zero-allocation
 //! [`PredictWorkspace`] — and produces **bitwise identical** ranges to the
-//! from-scratch conditioning path, which survives as [`predict_ranges`]
-//! (the reference implementation and the entry point for ad-hoc tested
-//! sets).
+//! from-scratch conditioning path, which survives as [`predict_ranges`]:
+//! the oracle the differential tests and the prediction bench compare the
+//! engine against. Every production caller — the flow, the population
+//! drivers, the service and the hostile re-tune — predicts through
+//! [`Predictor::predict_with`]; a caller with a different tested set
+//! builds its own [`Predictor`] over it.
+//!
+//! # Batched population engine
+//!
+//! [`ChipMatrix`] and [`Predictor::predict_population`] apply each group's
+//! gain to a whole population at once, one GEMM per group, with every
+//! chip's ranges bitwise identical to [`Predictor::predict_with`]. No flow
+//! driver runs it: only the population bench and the benchmark harness's
+//! traced split time it against the per-chip engine.
 //!
 //! # Fallback semantics
 //!
@@ -76,12 +87,12 @@ pub struct PredictedRanges {
 }
 
 /// Conditions each group on its measured members and assembles full
-/// ranges — the **reference** per-chip path: every group's joint Gaussian
-/// is rebuilt and refactorized per call.
+/// ranges — the **oracle** for [`Predictor`]: every group's joint Gaussian
+/// is rebuilt and refactorized per call, the from-scratch form of the
+/// engine's arithmetic.
 ///
-/// This is the entry point for ad-hoc tested sets (the key set of `tested`
-/// may be anything). For a *fixed* tested set applied across a whole chip
-/// population, build a [`Predictor`] instead: same results, bitwise, at a
+/// The key set of `tested` may be anything. Production code builds a
+/// [`Predictor`] over its tested set instead: same results, bitwise, at a
 /// fraction of the cost.
 ///
 /// `tested` maps path index to its measured bounds; `sigma_k` scales the
@@ -786,9 +797,9 @@ impl BatchPredictedRanges {
 impl Predictor {
     /// Predicts all ranges for a whole chip population at once: one
     /// cache-blocked GEMM per correlation group
-    /// ([`GaussianConditioner::condition_mean_batch_into`]) instead of
-    /// `n_chips` matvecs, with the chip matrix partitioned across `threads`
-    /// worker threads in contiguous column blocks.
+    /// ([`GaussianConditioner::condition_mean_batch_chipmajor_into`])
+    /// instead of `n_chips` matvecs, with the chip matrix partitioned
+    /// across `threads` worker threads in contiguous column blocks.
     ///
     /// Every chip's column is **bitwise identical** to
     /// [`predict_with`](Self::predict_with) on that chip's tested map, at

@@ -6,8 +6,8 @@
 //! that way: several circuit revisions run concurrently, testers emit
 //! per-path bound measurements as batches finish, and events for one chip
 //! interleave arbitrarily with events for every other. This module is the
-//! ingestion layer between that firehose and the batched prediction /
-//! configuration kernels:
+//! ingestion layer between that firehose and the per-chip prediction /
+//! configuration stages:
 //!
 //! * **Sharded bounded queues** — every `(revision, chip)` pair maps to a
 //!   fixed shard by a seeded hash ([`chip_shard`]). Each shard holds a
@@ -21,13 +21,14 @@
 //!   state is a pure function of the event **set**. Contradictory
 //!   duplicates (empty intersection) widen to the union and are counted,
 //!   never panicked on.
-//! * **Batched decision fan-out** — [`ServiceEngine::drain`] collects
-//!   every *complete* chip (all planned paths measured), groups them per
-//!   shard and revision, and runs the existing population kernels:
-//!   [`ChipMatrix::gather`] → [`Predictor::predict_population`] →
-//!   [`build_config_problem`] → [`configure`]. One drain call amortizes
-//!   the per-group conditioning across every chip that completed since the
-//!   last drain.
+//! * **Per-chip decisions** — [`ServiceEngine::drain`] collects every
+//!   *complete* chip (all planned paths measured) and decides each one
+//!   through the batch flow's own per-chip stages: the revision plan's
+//!   [`Predictor::predict_with`](crate::predict::Predictor::predict_with)
+//!   → [`build_config_problem`] → [`configure`]. Chips are not batched
+//!   across a drain: a test floor drains as soon as a chip's last
+//!   measurement lands, so a drain nearly always decides exactly one chip
+//!   and a cross-chip batch would have nothing to amortize.
 //!
 //! # Determinism
 //!
@@ -46,7 +47,7 @@ use effitest_tester::DelayBounds;
 
 use crate::configure::{build_config_problem, configure};
 use crate::flow::FlowPlan;
-use crate::predict::ChipMatrix;
+use crate::predict::PredictWorkspace;
 use crate::scenarios::json_f64;
 
 /// One measurement emitted by a tester: a delay-bound interval for one
@@ -376,57 +377,36 @@ impl<'a> ServiceEngine<'a> {
     }
 }
 
-/// Decides one shard's completed chips, grouped per revision so each
-/// group shares one batched prediction pass.
+/// Decides one shard's completed chips, in `(revision, chip)` order: each
+/// chip's merged bounds go through its revision plan's
+/// [`Predictor`](crate::predict::Predictor), the same per-chip prediction
+/// the batch flow runs, then through [`build_config_problem`] and
+/// [`configure`].
 fn decide_shard(
     revisions: &HashMap<u64, Revision<'_>>,
     chips: &[((u64, u64), ChipAccum)],
 ) -> Vec<TuningDecision> {
-    let mut out = Vec::with_capacity(chips.len());
-    let mut i = 0;
-    while i < chips.len() {
-        let rev_id = chips[i].0 .0;
-        let mut j = i;
-        while j < chips.len() && chips[j].0 .0 == rev_id {
-            j += 1;
-        }
-        let rev = &revisions[&rev_id];
-        let group = &chips[i..j];
-        let maps: Vec<HashMap<usize, DelayBounds>> =
-            group.iter().map(|(_, a)| a.bounds.clone()).collect();
-        let matrix = ChipMatrix::gather(&rev.plan.predictor, &maps);
-        // Inner prediction threads stay at 1: `drain` already
-        // parallelizes across shards, and a fixed inner width keeps the
-        // kernel's reduction order — and therefore the decision bytes —
-        // independent of the outer thread count.
-        let predicted = rev.plan.predictor.predict_population(&matrix, 1);
-        for (k, ((_, chip_id), accum)) in group.iter().enumerate() {
-            let mut ranges: Vec<DelayBounds> = predicted
-                .chip_lower(k)
-                .iter()
-                .zip(predicted.chip_upper(k))
-                .map(|(&l, &u)| DelayBounds::new(l, u))
-                .collect();
-            for (&p, b) in &accum.bounds {
-                ranges[p] = *b;
-            }
+    let mut ws = PredictWorkspace::new();
+    chips
+        .iter()
+        .map(|((revision, chip), accum)| {
+            let rev = &revisions[revision];
+            let predicted = rev.plan.predictor.predict_with(&mut ws, &accum.bounds);
             let problem = build_config_problem(
                 rev.plan.model,
                 &rev.plan.buffers,
-                &ranges,
+                &predicted.ranges,
                 &rev.plan.lambda,
                 rev.clock_period,
             );
-            out.push(TuningDecision {
-                revision: rev_id,
-                chip: *chip_id,
+            TuningDecision {
+                revision: *revision,
+                chip: *chip,
                 buffers: configure(&problem).map(|sol| sol.buffer_values),
                 contradictions: accum.contradictions,
-            });
-        }
-        i = j;
-    }
-    out
+            }
+        })
+        .collect()
 }
 
 /// Serializes one decision as a flat JSON object. Buffer values are
@@ -593,13 +573,13 @@ mod tests {
 
     #[test]
     fn decisions_match_batch_flow_bitwise() {
-        use crate::population::{run_flow_population_batched, PopulationConfig};
+        use crate::population::{run_flow_population, PopulationConfig};
         let (bench, model) = fixture();
         let flow = EffiTestFlow::new(FlowConfig::default());
         let plan = flow.plan(&bench, &model).expect("plan");
         let td = model.nominal_period();
         let pop = PopulationConfig { n_chips: 6, base_seed: 77, threads: 1 };
-        let outcomes = run_flow_population_batched(&flow, &plan, td, &pop);
+        let outcomes = run_flow_population(&flow, &plan, td, &pop);
 
         let mut events: Vec<MeasurementEvent> = Vec::new();
         for (k, o) in outcomes.iter().enumerate() {

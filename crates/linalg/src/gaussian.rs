@@ -224,52 +224,6 @@ impl MultivariateGaussian {
     pub fn remaining_indices(&self, observed_idx: &[usize]) -> Vec<usize> {
         (0..self.dim()).filter(|i| !observed_idx.contains(i)).collect()
     }
-
-    /// Conditional mean and standard deviation of a *single* variable given
-    /// observations — the exact form of the paper's eqs. 4–5.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`condition`](Self::condition); additionally
-    /// [`LinalgError::IndexOutOfBounds`] if `target` is observed or invalid.
-    pub fn predict_one(
-        &self,
-        target: usize,
-        observed_idx: &[usize],
-        observed_values: &[f64],
-    ) -> Result<(f64, f64)> {
-        if target >= self.dim() || observed_idx.contains(&target) {
-            return Err(LinalgError::IndexOutOfBounds { index: target, bound: self.dim() });
-        }
-        let cond = self.marginal(&Self::union_sorted(target, observed_idx))?.condition_on_mapped(
-            target,
-            observed_idx,
-            observed_values,
-        )?;
-        Ok(cond)
-    }
-
-    fn union_sorted(target: usize, observed: &[usize]) -> Vec<usize> {
-        let mut v = Vec::with_capacity(observed.len() + 1);
-        v.push(target);
-        v.extend_from_slice(observed);
-        v
-    }
-
-    /// Helper for [`predict_one`]: after `marginal` with `[target, obs...]`,
-    /// variable 0 is the target and 1.. are the observations.
-    fn condition_on_mapped(
-        &self,
-        _target: usize,
-        observed_idx: &[usize],
-        observed_values: &[f64],
-    ) -> Result<(f64, f64)> {
-        let mapped: Vec<usize> = (1..=observed_idx.len()).collect();
-        let cond = self.condition(&mapped, observed_values)?;
-        let mu = cond.mean()[0];
-        let var = cond.covariance()[(0, 0)].max(0.0);
-        Ok((mu, var.sqrt()))
-    }
 }
 
 /// The reusable, value-independent half of a Gaussian conditioning: built
@@ -480,85 +434,33 @@ impl GaussianConditioner {
     }
 
     /// Conditional means for a whole batch of observation vectors at once
-    /// (paper eq. 4 applied to every chip of a population in one pass).
+    /// (paper eq. 4 applied to every chip of a population in one pass), in
+    /// **chip-major** layout.
     ///
     /// `observed_values` holds a row-major `observed x n_chips` matrix —
     /// row `r` carries observation `r` of every chip — and is consumed as
     /// scratch (overwritten with the triangular-solve intermediates).
     /// `mean_out` is cleared and refilled with the row-major
-    /// `remaining x n_chips` conditional means.
+    /// `n_chips x remaining` conditional means, so one chip's means are
+    /// contiguous; `wt_scratch` carries the transposed solve block.
     ///
-    /// Column `c` of the result is **bitwise identical** to
+    /// Runs `M'^T = mu_u^T + W^T Sigma_ou` with
+    /// `W = Sigma_oo^-1 (D_o - mu_o)`: the multi-column triangular solve
+    /// ([`CholeskyDecomposition::solve_columns_in_place`]) works on the
+    /// observed-major block, the small `W` is transposed, and the blocked
+    /// GEMM ([`crate::kernels::gemm_into`]) streams both operands row-major.
+    /// Row `c` of the result is **bitwise identical** to
     /// [`condition_mean_into`](Self::condition_mean_into) on chip `c`'s
-    /// observation vector: the innovation, the multi-column triangular solve
-    /// ([`CholeskyDecomposition::solve_columns_in_place`]), the blocked GEMM
-    /// ([`crate::kernels::gemm_into`]), and the prior-mean add each match
-    /// their per-vector counterpart element for element.
+    /// observation vector: the innovation and the column solve match the
+    /// vector solve element for element, each GEMM output pairs the same
+    /// operands as the matvec (IEEE multiplication commutes bitwise) and
+    /// accumulates over the same ascending observation order from `0.0`,
+    /// and the prior mean is added last.
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::ShapeMismatch`] if `observed_values.len()`
     /// is not `observed x n_chips`.
-    pub fn condition_mean_batch_into(
-        &self,
-        observed_values: &mut [f64],
-        n_chips: usize,
-        mean_out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let n_obs = self.observed.len();
-        if observed_values.len() != n_obs * n_chips {
-            return Err(LinalgError::ShapeMismatch {
-                op: "gaussian_condition_batch",
-                lhs: (n_obs, n_chips),
-                rhs: (observed_values.len(), 1),
-            });
-        }
-        mean_out.clear();
-        if n_chips == 0 {
-            return Ok(());
-        }
-        // innovation rows = d_o - mu_o, one prior mean per observed row.
-        for (row, &m) in observed_values.chunks_exact_mut(n_chips).zip(&self.mean_obs) {
-            for v in row.iter_mut() {
-                *v -= m;
-            }
-        }
-        // W = Sigma_oo^{-1} (D_o - mu_o); M' = mu_u + Sigma_uo W.
-        self.chol.solve_columns_in_place(observed_values, n_chips)?;
-        let n_rem = self.remaining.len();
-        mean_out.resize(n_rem * n_chips, 0.0);
-        crate::kernels::gemm_into(
-            n_rem,
-            n_obs,
-            n_chips,
-            self.cross.as_slice(),
-            observed_values,
-            mean_out,
-        );
-        for (row, &mu) in mean_out.chunks_exact_mut(n_chips).zip(&self.mean_rem) {
-            for shift in row.iter_mut() {
-                *shift += mu;
-            }
-        }
-        Ok(())
-    }
-
-    /// [`condition_mean_batch_into`](Self::condition_mean_batch_into) with
-    /// a **chip-major** result: `mean_out` receives `n_chips x n_rem`
-    /// row-major, so one chip's conditional means are contiguous.
-    ///
-    /// Runs `M'^T = mu_u^T + W^T Sigma_ou` instead of
-    /// `M' = mu_u + Sigma_uo W`: the solve is shared, the small `W` block
-    /// is transposed through `wt_scratch`, and the GEMM streams both
-    /// operands row-major. Every element is **bitwise identical** to the
-    /// transposed element of the path-major form — the products pair the
-    /// same operands (IEEE multiplication commutes bitwise) and each
-    /// output element accumulates over the same ascending observation
-    /// order from `0.0`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`condition_mean_batch_into`](Self::condition_mean_batch_into).
     pub fn condition_mean_batch_chipmajor_into(
         &self,
         observed_values: &mut [f64],
@@ -578,8 +480,7 @@ impl GaussianConditioner {
         if n_chips == 0 {
             return Ok(());
         }
-        // innovation rows = d_o - mu_o, one prior mean per observed row —
-        // identical to the path-major form.
+        // innovation rows = d_o - mu_o, one prior mean per observed row.
         for (row, &m) in observed_values.chunks_exact_mut(n_chips).zip(&self.mean_obs) {
             for v in row.iter_mut() {
                 *v -= m;
@@ -698,22 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_one_matches_condition() {
-        let g = three_var();
-        let (mu, sigma) = g.predict_one(0, &[1, 2], &[2.5, 2.0]).unwrap();
-        let cond = g.condition(&[1, 2], &[2.5, 2.0]).unwrap();
-        assert!((mu - cond.mean()[0]).abs() < 1e-10);
-        assert!((sigma - cond.covariance()[(0, 0)].sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn predict_one_rejects_observed_target() {
-        let g = three_var();
-        assert!(g.predict_one(1, &[1], &[2.0]).is_err());
-        assert!(g.predict_one(9, &[1], &[2.0]).is_err());
-    }
-
-    #[test]
     fn condition_with_no_observations_is_identity() {
         let g = three_var();
         let cond = g.condition(&[], &[]).unwrap();
@@ -772,22 +657,29 @@ mod tests {
         assert_eq!(conditioner.condition_mean(&[3.0]).unwrap(), first);
     }
 
+    /// Lays per-chip observation pairs out as the batch forms' row-major
+    /// `observed x n_chips` block.
+    fn observed_major(chips: &[[f64; 2]]) -> Vec<f64> {
+        let mut batch = vec![0.0; 2 * chips.len()];
+        for (c, obs) in chips.iter().enumerate() {
+            for (r, &v) in obs.iter().enumerate() {
+                batch[r * chips.len() + c] = v;
+            }
+        }
+        batch
+    }
+
     #[test]
     fn condition_mean_batch_matches_per_vector_bitwise() {
         let g = three_var();
         let conditioner = g.conditioner(&[1, 2]).unwrap();
-        let chips: [[f64; 2]; 4] = [[2.5, 2.0], [1.0, 4.5], [2.0, 3.0], [-0.25, 7.5]];
-        let n_chips = chips.len();
-        // Row-major observed x chips layout.
-        let mut batch = vec![0.0; 2 * n_chips];
-        for (c, obs) in chips.iter().enumerate() {
-            for (r, &v) in obs.iter().enumerate() {
-                batch[r * n_chips + c] = v;
-            }
-        }
-        let mut means = Vec::new();
-        conditioner.condition_mean_batch_into(&mut batch, n_chips, &mut means).unwrap();
-        assert_eq!(means.len(), n_chips); // one remaining variable
+        let chips = [[2.5, 2.0], [1.0, 4.5], [2.0, 3.0], [-0.25, 7.5]];
+        let mut batch = observed_major(&chips);
+        let (mut wt, mut means) = (Vec::new(), Vec::new());
+        conditioner
+            .condition_mean_batch_chipmajor_into(&mut batch, chips.len(), &mut wt, &mut means)
+            .unwrap();
+        assert_eq!(means.len(), chips.len()); // one remaining variable
         for (c, obs) in chips.iter().enumerate() {
             let reference = conditioner.condition_mean(obs).unwrap();
             assert_eq!(
@@ -801,7 +693,9 @@ mod tests {
     #[test]
     fn condition_mean_batch_chipmajor_is_the_bitwise_transpose() {
         // A 4-variable Gaussian so the remaining block has 2 variables and
-        // the transpose is non-trivial in both dimensions.
+        // the transpose is non-trivial in both dimensions: the chip-major
+        // block must be the exact transpose of the per-vector means stacked
+        // as columns.
         let cov = Matrix::from_rows(&[
             &[2.0, 0.6, 0.3, 0.2],
             &[0.6, 1.5, 0.4, 0.1],
@@ -811,38 +705,29 @@ mod tests {
         .unwrap();
         let g = MultivariateGaussian::new(vec![1.0, -2.0, 0.5, 3.0], cov).unwrap();
         let conditioner = g.conditioner(&[0, 3]).unwrap();
-        let chips: [[f64; 2]; 5] = [[1.5, 2.0], [0.25, 4.0], [-1.0, 3.5], [2.0, 2.5], [1.0, 3.0]];
+        let chips = [[1.5, 2.0], [0.25, 4.0], [-1.0, 3.5], [2.0, 2.5], [1.0, 3.0]];
         let n_chips = chips.len();
-        let mut batch = vec![0.0; 2 * n_chips];
+        let n_rem = conditioner.remaining_indices().len();
+        assert_eq!(n_rem, 2);
+        let mut path_major = vec![0.0; n_rem * n_chips];
         for (c, obs) in chips.iter().enumerate() {
-            for (r, &v) in obs.iter().enumerate() {
-                batch[r * n_chips + c] = v;
+            for (r, mu) in conditioner.condition_mean(obs).unwrap().into_iter().enumerate() {
+                path_major[r * n_chips + c] = mu;
             }
         }
-        let mut path_major = Vec::new();
-        conditioner
-            .condition_mean_batch_into(&mut batch.clone(), n_chips, &mut path_major)
-            .unwrap();
-        let mut wt = Vec::new();
-        let mut chip_major = Vec::new();
+        let mut batch = observed_major(&chips);
+        let (mut wt, mut chip_major) = (Vec::new(), Vec::new());
         conditioner
             .condition_mean_batch_chipmajor_into(&mut batch, n_chips, &mut wt, &mut chip_major)
             .unwrap();
-        let n_rem = conditioner.remaining_indices().len();
-        assert_eq!(n_rem, 2);
         assert_eq!(chip_major.len(), n_chips * n_rem);
         for c in 0..n_chips {
             for r in 0..n_rem {
                 assert_eq!(
                     chip_major[c * n_rem + r].to_bits(),
                     path_major[r * n_chips + c].to_bits(),
-                    "chip {c} remaining {r} diverged between layouts"
+                    "chip {c} remaining {r} diverged from per-vector conditioning"
                 );
-            }
-            // And both match the per-vector reference bitwise.
-            let reference = conditioner.condition_mean(&chips[c]).unwrap();
-            for (r, &mu) in reference.iter().enumerate() {
-                assert_eq!(chip_major[c * n_rem + r].to_bits(), mu.to_bits());
             }
         }
     }
@@ -851,14 +736,16 @@ mod tests {
     fn condition_mean_batch_validates_shape_and_handles_empty() {
         let g = three_var();
         let conditioner = g.conditioner(&[1]).unwrap();
+        let (mut wt, mut means) = (Vec::new(), Vec::new());
         let mut wrong = vec![0.0; 3];
-        let mut means = Vec::new();
         assert!(matches!(
-            conditioner.condition_mean_batch_into(&mut wrong, 2, &mut means),
+            conditioner.condition_mean_batch_chipmajor_into(&mut wrong, 2, &mut wt, &mut means),
             Err(LinalgError::ShapeMismatch { .. })
         ));
         let mut empty: Vec<f64> = Vec::new();
-        conditioner.condition_mean_batch_into(&mut empty, 0, &mut means).unwrap();
+        conditioner
+            .condition_mean_batch_chipmajor_into(&mut empty, 0, &mut wt, &mut means)
+            .unwrap();
         assert!(means.is_empty());
     }
 
@@ -911,13 +798,7 @@ mod tests {
         }
         // Batch conditioning goes through `cross_t`, which from_parts
         // recomputes — exercise it too.
-        let chips = [[2.5, 2.0], [1.0, 4.5]];
-        let mut batch = vec![0.0; 2 * chips.len()];
-        for (c, obs) in chips.iter().enumerate() {
-            for (r, &v) in obs.iter().enumerate() {
-                batch[r * chips.len() + c] = v;
-            }
-        }
+        let mut batch = observed_major(&[[2.5, 2.0], [1.0, 4.5]]);
         let (mut wt_a, mut out_a) = (Vec::new(), Vec::new());
         let (mut wt_b, mut out_b) = (Vec::new(), Vec::new());
         rebuilt

@@ -296,15 +296,17 @@ proptest! {
                 batch[r * n_chips + c] = v;
             }
         }
-        let mut means = Vec::new();
-        conditioner.condition_mean_batch_into(&mut batch, n_chips, &mut means).unwrap();
+        let (mut wt, mut means) = (Vec::new(), Vec::new());
+        conditioner
+            .condition_mean_batch_chipmajor_into(&mut batch, n_chips, &mut wt, &mut means)
+            .unwrap();
         let n_rem = conditioner.remaining_indices().len();
         prop_assert_eq!(means.len(), n_rem * n_chips);
         for (c, obs) in per_chip.iter().enumerate() {
             let reference = conditioner.condition_mean(obs).unwrap();
             for r in 0..n_rem {
                 prop_assert_eq!(
-                    means[r * n_chips + c].to_bits(),
+                    means[c * n_rem + r].to_bits(),
                     reference[r].to_bits(),
                     "chip {} remaining {} diverged from per-vector path", c, r
                 );

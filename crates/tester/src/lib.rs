@@ -480,169 +480,6 @@ impl<'a> VirtualTester<'a> {
     }
 }
 
-/// A whole population of chips mounted at once, in a structure-of-arrays
-/// layout: path `p`'s setup delay on every chip lives contiguously at
-/// `[p * n_chips, (p + 1) * n_chips)`.
-///
-/// This is the tester-side counterpart of the batched prediction engine:
-/// where [`VirtualTester::apply_batch_into`] answers one probe batch for
-/// one chip, [`ChipBank::apply_batch_into`] answers it for **every chip in
-/// one pass over the path-major rows** — the same `D + shift <= period`
-/// comparison, chip by chip, so each chip's column of the result is
-/// identical to what its own [`VirtualTester`] would report.
-///
-/// Counting semantics follow the physical setup the batch models: all
-/// chips share the applied frequency step, so one call costs **one**
-/// iteration and one scan load for the whole bank (per-chip accounting
-/// stays with [`VirtualTester`]).
-#[derive(Debug, Clone)]
-pub struct ChipBank {
-    /// Paths per chip.
-    n_paths: usize,
-    /// Chips in the bank.
-    n_chips: usize,
-    /// Setup delays, path-major (`n_paths x n_chips`, row-major).
-    delays: Vec<f64>,
-    /// Die ids, bank order (noise-stream identity per chip).
-    seeds: Vec<u64>,
-    /// Measurement-error model shared by the bank's probes.
-    model: TesterModel,
-    /// Per-(path, chip) noisy-probe counts, same layout as `delays`
-    /// (empty for an ideal model).
-    probe_counts: Vec<u64>,
-    iterations: u64,
-    scan_loads: u64,
-}
-
-impl ChipBank {
-    /// Gathers a population of chips into the SoA layout, measured by an
-    /// ideal tester.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chips disagree on their path count.
-    pub fn gather(chips: &[ChipInstance]) -> Self {
-        ChipBank::gather_with_model(chips, TesterModel::ideal())
-    }
-
-    /// Gathers a population of chips, measured through the given
-    /// measurement-error model. Each chip's noise stream is keyed by its
-    /// die id and a per-(path, chip) probe count, so chip `c`'s column of
-    /// every result stays bitwise equal to what that chip's own
-    /// [`VirtualTester::with_model`] would report for the same probe
-    /// sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chips disagree on their path count.
-    pub fn gather_with_model(chips: &[ChipInstance], model: TesterModel) -> Self {
-        let n_chips = chips.len();
-        let n_paths = chips.first().map_or(0, ChipInstance::path_count);
-        let mut delays = vec![0.0; n_paths * n_chips];
-        for (c, chip) in chips.iter().enumerate() {
-            assert_eq!(chip.path_count(), n_paths, "chips disagree on path count");
-            for p in 0..n_paths {
-                delays[p * n_chips + c] = chip.setup_delay(p);
-            }
-        }
-        let seeds = chips.iter().map(ChipInstance::seed).collect();
-        let probe_counts = if model.is_ideal() { Vec::new() } else { vec![0; n_paths * n_chips] };
-        ChipBank {
-            n_paths,
-            n_chips,
-            delays,
-            seeds,
-            model,
-            probe_counts,
-            iterations: 0,
-            scan_loads: 0,
-        }
-    }
-
-    /// The bank's measurement-error model.
-    pub fn model(&self) -> TesterModel {
-        self.model
-    }
-
-    /// Chips in the bank.
-    pub fn n_chips(&self) -> usize {
-        self.n_chips
-    }
-
-    /// Paths per chip.
-    pub fn path_count(&self) -> usize {
-        self.n_paths
-    }
-
-    /// Applies one clock period to a batch of paths **on every chip**:
-    /// `results` is cleared and refilled with the `n_probes x n_chips`
-    /// row-major pass/fail matrix (probe `i`'s row holds every chip's
-    /// answer, in bank order).
-    ///
-    /// Chip `c`'s column equals, entry for entry, what that chip's own
-    /// [`VirtualTester::apply_batch_into`] returns for the same probes:
-    /// the comparison is the identical IEEE `D + shift <= period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any path index is out of range.
-    pub fn apply_batch_into(
-        &mut self,
-        period: f64,
-        probes: &[(usize, f64)],
-        results: &mut Vec<bool>,
-    ) {
-        self.iterations += 1;
-        self.scan_loads += 1;
-        results.clear();
-        results.reserve(probes.len() * self.n_chips);
-        for &(idx, shift) in probes {
-            assert!(idx < self.n_paths, "path index {idx} out of range ({} paths)", self.n_paths);
-            let row = &self.delays[idx * self.n_chips..(idx + 1) * self.n_chips];
-            if self.model.is_ideal() {
-                results.extend(row.iter().map(|&d| d + shift <= period));
-                continue;
-            }
-            for (c, &d) in row.iter().enumerate() {
-                let slot = idx * self.n_chips + c;
-                let k = self.probe_counts[slot];
-                self.probe_counts[slot] += 1;
-                let observed = self.model.observed_delay(self.seeds[c], idx, k, d);
-                results.push(observed + shift <= period);
-            }
-        }
-    }
-
-    /// Allocating convenience form of
-    /// [`apply_batch_into`](Self::apply_batch_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any path index is out of range.
-    pub fn apply_batch(&mut self, period: f64, probes: &[(usize, f64)]) -> Vec<bool> {
-        let mut results = Vec::new();
-        self.apply_batch_into(period, probes, &mut results);
-        results
-    }
-
-    /// Total frequency-stepping iterations so far (one per applied batch,
-    /// shared by the whole bank).
-    pub fn iterations(&self) -> u64 {
-        self.iterations
-    }
-
-    /// Total scan loads so far.
-    pub fn scan_loads(&self) -> u64 {
-        self.scan_loads
-    }
-
-    /// Resets the counters (e.g. between experiment phases).
-    pub fn reset_counters(&mut self) {
-        self.iterations = 0;
-        self.scan_loads = 0;
-    }
-}
-
 /// Consecutive non-shrinking probes a binary search tolerates before
 /// giving up on a path (noisy testers can widen or stall; an ideal tester
 /// can stall only on a floating-point-degenerate interval).
@@ -985,41 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn noisy_bank_columns_match_per_chip_noisy_testers() {
-        let n_paths = 6;
-        let chips: Vec<ChipInstance> = (0..5)
-            .map(|c| {
-                let d = lcg_delays(2000 + c, n_paths);
-                ChipInstance::new(c, d, vec![None; n_paths])
-            })
-            .collect();
-        let m = TesterModel { noise_sigma: 0.2, quantization_lsb: 0.05, noise_seed: 11 };
-        let mut bank = ChipBank::gather_with_model(&chips, m);
-        assert_eq!(bank.model(), m);
-        let mut testers: Vec<VirtualTester<'_>> =
-            chips.iter().map(|c| VirtualTester::with_model(c, m)).collect();
-        // Repeat paths inside and across batches: probe counts must stay
-        // in lockstep between the bank and the solo testers.
-        let batches =
-            [vec![(0, 0.0), (3, 0.5), (0, 0.0)], vec![(3, -0.25), (5, 0.0)], vec![(0, 1.0)]];
-        let mut bank_results = Vec::new();
-        for (step, probes) in batches.iter().enumerate() {
-            let period = 5.0 + step as f64;
-            bank.apply_batch_into(period, probes, &mut bank_results);
-            for (c, tester) in testers.iter_mut().enumerate() {
-                let solo = tester.apply_batch(period, probes);
-                for (i, &expect) in solo.iter().enumerate() {
-                    assert_eq!(
-                        bank_results[i * chips.len() + c],
-                        expect,
-                        "probe {i} chip {c} step {step}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn noisy_binary_search_terminates_with_a_valid_interval() {
         let true_delay = 7.37;
         let c = chip(&[true_delay]);
@@ -1166,89 +968,5 @@ mod tests {
     fn chip_passes_validates_lengths() {
         let c = chip(&[1.0]);
         chip_passes(&c, 2.0, &[]);
-    }
-
-    /// Deterministic pseudo-random delays so bank tests cover non-trivial
-    /// floating-point values without depending on an RNG crate.
-    fn lcg_delays(seed: u64, n: usize) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                2.0 + (state >> 11) as f64 / (1u64 << 53) as f64 * 8.0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bank_columns_match_per_chip_tester_exactly() {
-        let n_paths = 9;
-        let chips: Vec<ChipInstance> = (0..13)
-            .map(|c| {
-                let d = lcg_delays(1000 + c, n_paths);
-                ChipInstance::new(c, d, vec![None; n_paths])
-            })
-            .collect();
-        let mut bank = ChipBank::gather(&chips);
-        assert_eq!(bank.n_chips(), 13);
-        assert_eq!(bank.path_count(), n_paths);
-        let probes = [(0, 0.0), (3, 0.75), (8, -1.25), (3, -0.5)];
-        let mut bank_results = Vec::new();
-        for (step, &period) in [7.5, 4.25, 6.03125].iter().enumerate() {
-            bank.apply_batch_into(period, &probes, &mut bank_results);
-            assert_eq!(bank_results.len(), probes.len() * chips.len());
-            assert_eq!(bank.iterations(), step as u64 + 1);
-            assert_eq!(bank.scan_loads(), step as u64 + 1);
-            for (c, chip) in chips.iter().enumerate() {
-                let mut tester = VirtualTester::new(chip);
-                let solo = tester.apply_batch(period, &probes);
-                for (i, &expect) in solo.iter().enumerate() {
-                    assert_eq!(
-                        bank_results[i * chips.len() + c],
-                        expect,
-                        "probe {i} chip {c} period {period}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bank_counts_one_iteration_per_batch() {
-        let chips = vec![chip(&[1.0, 2.0]), chip(&[3.0, 4.0])];
-        let mut bank = ChipBank::gather(&chips);
-        let r = bank.apply_batch(5.0, &[(0, 0.0), (1, 0.0)]);
-        assert_eq!(r, vec![true, true, true, true]);
-        bank.apply_batch(0.5, &[(0, 0.0)]);
-        assert_eq!(bank.iterations(), 2);
-        assert_eq!(bank.scan_loads(), 2);
-        bank.reset_counters();
-        assert_eq!(bank.iterations(), 0);
-        assert_eq!(bank.scan_loads(), 0);
-    }
-
-    #[test]
-    fn bank_handles_empty_population_and_empty_probe_batches() {
-        let mut empty = ChipBank::gather(&[]);
-        assert_eq!(empty.n_chips(), 0);
-        assert_eq!(empty.path_count(), 0);
-        let mut results = vec![true; 3];
-        empty.apply_batch_into(1.0, &[], &mut results);
-        assert!(results.is_empty());
-        let mut bank = ChipBank::gather(&[chip(&[1.0])]);
-        assert!(bank.apply_batch(1.0, &[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bank_rejects_out_of_range_paths() {
-        let mut bank = ChipBank::gather(&[chip(&[1.0, 2.0])]);
-        bank.apply_batch(1.0, &[(2, 0.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "disagree on path count")]
-    fn bank_rejects_ragged_populations() {
-        ChipBank::gather(&[chip(&[1.0]), chip(&[1.0, 2.0])]);
     }
 }

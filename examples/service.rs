@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let td = model.nominal_period();
-    let outcomes = run_flow_population_batched(
+    let outcomes = run_flow_population(
         &flow,
         &plan,
         td,

@@ -61,8 +61,7 @@ pub mod prelude {
     pub use effitest_core::experiments::ExperimentConfig;
     pub use effitest_core::hostile::{HostileAxes, HostileReport, HostileSpec};
     pub use effitest_core::population::{
-        run_flow_population, run_flow_population_batched, run_population, run_population_scratch,
-        PopulationConfig,
+        run_flow_population, run_population, run_population_scratch, PopulationConfig,
     };
     pub use effitest_core::scenarios::{MatrixRun, ScenarioAxes, ScenarioReport, ScenarioSpec};
     pub use effitest_core::service::{
@@ -70,13 +69,12 @@ pub mod prelude {
         ServiceStats, TuningDecision,
     };
     pub use effitest_core::{
-        BatchPredictWorkspace, BatchPredictedRanges, ChipMatrix, ChipOutcome, EffiTestFlow,
-        FlowConfig, FlowPlan, FlowWorkspace, PredictWorkspace, Predictor,
+        ChipOutcome, EffiTestFlow, FlowConfig, FlowPlan, FlowWorkspace, PredictWorkspace, Predictor,
     };
     pub use effitest_ssta::{
         ChipInstance, DriftModel, TimingModel, VariationConfig, VariationProfile,
     };
     pub use effitest_tester::{
-        chip_passes, ChipBank, ContradictionPolicy, DelayBounds, TesterModel, VirtualTester,
+        chip_passes, ContradictionPolicy, DelayBounds, TesterModel, VirtualTester,
     };
 }

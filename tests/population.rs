@@ -8,11 +8,13 @@
 //! pin explicit thread counts so the guarantee also holds regardless of
 //! the environment.
 
+use std::collections::HashMap;
+
 use effitest::flow::experiments::{table1_row, ExperimentConfig, Table1Row};
 use effitest::flow::population::{
-    run_flow_population, run_flow_population_batched, run_population, run_population_scratch,
-    PopulationConfig,
+    run_flow_population, run_population, run_population_scratch, PopulationConfig,
 };
+use effitest::flow::ChipMatrix;
 use effitest::prelude::*;
 
 fn quick_config(threads: usize) -> ExperimentConfig {
@@ -170,11 +172,43 @@ fn outcome_key(o: &ChipOutcome) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// The batched prediction kernel, fed each outcome's measured bounds
+/// (the aligned-test bounds the per-chip engine predicted from), must
+/// reproduce every outcome's ranges bit for bit at `threads` workers.
+fn assert_batched_kernel_matches(plan: &FlowPlan<'_>, outcomes: &[ChipOutcome], threads: usize) {
+    let tested: Vec<HashMap<usize, DelayBounds>> = outcomes
+        .iter()
+        .map(|o| {
+            o.measured
+                .iter()
+                .enumerate()
+                .filter(|(_, &m)| m)
+                .map(|(p, _)| (p, o.ranges[p]))
+                .collect()
+        })
+        .collect();
+    let matrix = ChipMatrix::gather(&plan.predictor, &tested);
+    let batch = plan.predictor.predict_population(&matrix, threads);
+    assert_eq!(batch.n_chips(), outcomes.len());
+    for (k, o) in outcomes.iter().enumerate() {
+        let batched: Vec<(u64, u64)> = batch
+            .chip_lower(k)
+            .iter()
+            .zip(batch.chip_upper(k))
+            .map(|(l, u)| (l.to_bits(), u.to_bits()))
+            .collect();
+        let per_chip: Vec<(u64, u64)> =
+            o.ranges.iter().map(|b| (b.lower.to_bits(), b.upper.to_bits())).collect();
+        assert_eq!(batched, per_chip, "chip {k} drifted at {threads} threads");
+        assert_eq!(batch.measured(), o.measured.as_slice(), "chip {k} measured flags");
+    }
+}
+
 #[test]
 fn both_engines_survive_degenerate_population_shapes() {
     // n_chips == 0, n_chips == 1, and threads far above n_chips must not
-    // panic in either engine, and the batched engine must stay bitwise
-    // identical to the per-chip engine everywhere.
+    // panic in the per-chip engine or the batched prediction kernel, and
+    // the kernel must stay bitwise identical to the per-chip engine.
     let bench = GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(20), 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
     let flow = EffiTestFlow::new(FlowConfig::default());
@@ -182,22 +216,15 @@ fn both_engines_survive_degenerate_population_shapes() {
     let td = model.nominal_period();
     for n_chips in [0, 1, 3] {
         let serial = PopulationConfig { n_chips, base_seed: 4400, threads: 1 };
-        let reference: Vec<_> =
-            run_flow_population(&flow, &plan, td, &serial).iter().map(outcome_key).collect();
+        let outcomes = run_flow_population(&flow, &plan, td, &serial);
+        let reference: Vec<_> = outcomes.iter().map(outcome_key).collect();
         assert_eq!(reference.len(), n_chips);
         for threads in [1, 2, 16] {
             let pop = PopulationConfig { threads, ..serial };
             let per_chip: Vec<_> =
                 run_flow_population(&flow, &plan, td, &pop).iter().map(outcome_key).collect();
             assert_eq!(per_chip, reference, "per-chip engine drifted at {threads} threads");
-            let batched: Vec<_> = run_flow_population_batched(&flow, &plan, td, &pop)
-                .iter()
-                .map(outcome_key)
-                .collect();
-            assert_eq!(
-                batched, reference,
-                "batched engine drifted at {n_chips} chips, {threads} threads"
-            );
+            assert_batched_kernel_matches(&plan, &outcomes, threads);
         }
     }
 }
@@ -205,8 +232,9 @@ fn both_engines_survive_degenerate_population_shapes() {
 #[test]
 fn batched_engine_matches_per_chip_across_the_scenario_matrix() {
     // The full 24-cell smoke matrix (6 topologies x 4 variation profiles):
-    // on every cell the batched population engine must reproduce the
-    // per-chip engine bitwise, at 1 and 4 worker threads.
+    // on every cell the batched prediction kernel, fed the cell's aligned
+    // bounds, must reproduce the per-chip engine's ranges bitwise, at 1
+    // and 4 worker threads.
     let mut axes = ScenarioAxes::smoke(40);
     axes.chip_counts = vec![5];
     axes.flow.hold.samples = 32;
@@ -224,15 +252,9 @@ fn batched_engine_matches_per_chip_across_the_scenario_matrix() {
         let plan = flow.plan(&bench, &model).expect("plan");
         let td = model.nominal_period();
         let serial = PopulationConfig { n_chips: cell.n_chips, base_seed: cell.seed, threads: 1 };
-        let reference: Vec<_> =
-            run_flow_population(&flow, &plan, td, &serial).iter().map(outcome_key).collect();
+        let outcomes = run_flow_population(&flow, &plan, td, &serial);
         for threads in [1, 4] {
-            let pop = PopulationConfig { threads, ..serial };
-            let batched: Vec<_> = run_flow_population_batched(&flow, &plan, td, &pop)
-                .iter()
-                .map(outcome_key)
-                .collect();
-            assert_eq!(batched, reference, "cell {} drifted at {threads} threads", cell.id());
+            assert_batched_kernel_matches(&plan, &outcomes, threads);
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Streaming-ingestion conformance: per-chip tuning decisions must be
 //! **bitwise identical** no matter the event arrival order, the worker
 //! thread count, or how many concurrent circuit revisions share the
-//! engine — and identical to the in-order batched flow.
+//! engine — and identical to the in-order batch flow.
 
-use effitest::flow::population::run_flow_population_batched;
 use effitest::prelude::*;
 use effitest::testkit::parse_embedded_reports;
 
@@ -97,8 +96,8 @@ fn shuffled_arrival_matches_in_order_batch_processing_at_every_thread_count() {
     let td_b = model_b.nominal_period();
 
     let pop = |seed| PopulationConfig { n_chips: 5, base_seed: seed, threads: 1 };
-    let outcomes_a = run_flow_population_batched(&flow, &plan_a, td_a, &pop(41));
-    let outcomes_b = run_flow_population_batched(&flow, &plan_b, td_b, &pop(42));
+    let outcomes_a = run_flow_population(&flow, &plan_a, td_a, &pop(41));
+    let outcomes_b = run_flow_population(&flow, &plan_b, td_b, &pop(42));
 
     let mut in_order = revision_events(1, &outcomes_a);
     in_order.extend(revision_events(2, &outcomes_b));
@@ -148,7 +147,7 @@ fn interleaved_revisions_drain_in_deterministic_shard_order() {
     let flow = EffiTestFlow::new(FlowConfig::default());
     let plan = flow.plan(&bench, &model).expect("plan");
     let td = model.nominal_period();
-    let outcomes = run_flow_population_batched(
+    let outcomes = run_flow_population(
         &flow,
         &plan,
         td,
@@ -184,7 +183,7 @@ fn decision_log_round_trips_through_the_shared_report_parser() {
     let flow = EffiTestFlow::new(FlowConfig::default());
     let plan = flow.plan(&bench, &model).expect("plan");
     let td = model.nominal_period();
-    let outcomes = run_flow_population_batched(
+    let outcomes = run_flow_population(
         &flow,
         &plan,
         td,
