@@ -6,8 +6,8 @@
 //!   to the heuristic and cross-checks exactness in tests).
 //! * `micro/*` — scaling of the statistical kernels the flow leans on:
 //!   covariance assembly, group PCA, conditional Gaussian prediction,
-//!   Monte-Carlo chip sampling, simplex LP, lattice buffer configuration,
-//!   and the symmetric eigensolver.
+//!   Monte-Carlo chip and hold-bound sampling, simplex LP, lattice buffer
+//!   configuration, and the symmetric eigensolver.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
@@ -86,6 +86,18 @@ fn bench_statistics(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             black_box(model.sample_chip(seed).min_period_untuned())
+        })
+    });
+
+    // The hold-bound sampling of the plan: hold forms only, and only the
+    // normals they read.
+    let hold_paths: Vec<usize> =
+        (0..model.path_count()).filter(|&p| model.hold_form(p).is_some()).collect();
+    c.bench_function("micro/sample_hold/s13207", |b| {
+        let mut seed = 0;
+        b.iter(|| {
+            seed += 1;
+            black_box(model.sample_hold_bounds(seed, &hold_paths))
         })
     });
 }

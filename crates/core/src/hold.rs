@@ -102,7 +102,8 @@ impl HoldBounds {
 /// Computes hold bounds by sampling and greedy discard.
 ///
 /// Samples `M` realizations of every short path's hold bound
-/// `underline(d)_ij` (via the model's hold forms), then discards the
+/// `underline(d)_ij` (the model's hold forms on chip `seed + k`, without
+/// the setup forms and the normals only they read), then discards the
 /// allowed `floor((1 - Y) M)` worst samples greedily and sets
 /// `lambda_ij` to the per-path maximum over the kept samples.
 ///
@@ -119,16 +120,12 @@ pub fn compute_hold_bounds(model: &TimingModel, config: &HoldConfig, threads: us
     }
     let m = config.samples;
     let columns = effitest_parallel::par_map(threads, m, |k| {
-        let chip = model.sample_chip(config.seed.wrapping_add(k as u64));
-        hold_paths
-            .iter()
-            .map(|&p| chip.hold_bound(p).expect("hold form exists"))
-            .collect::<Vec<f64>>()
+        model.sample_hold_bounds(config.seed.wrapping_add(k as u64), &hold_paths)
     });
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(m); hold_paths.len()];
     for column in &columns {
-        for (pi, &v) in column.iter().enumerate() {
-            samples[pi].push(v);
+        for (pi, v) in column.iter().enumerate() {
+            samples[pi].push(v.expect("hold form exists"));
         }
     }
     let discards = allowed_discards(config.yield_target, m);

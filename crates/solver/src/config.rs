@@ -80,7 +80,9 @@ impl ConfigProblem {
     /// Returns `None` if no discrete buffer assignment satisfies the setup
     /// constraints even with fully conservative slack (`xi` large enough
     /// that `D' = l`), i.e. the chip cannot be configured to run at
-    /// `clock_period`.
+    /// `clock_period`. It also returns `None` for a malformed problem: a
+    /// buffer with no settings (`steps == 0`), or a path whose buffer index
+    /// is out of range.
     ///
     /// The lattice probes need one step size shared by every buffer (the
     /// EffiTest flow always uses uniform buffer specs, per the paper's
@@ -88,6 +90,9 @@ impl ConfigProblem {
     /// [`solve_exact_milp`](Self::solve_exact_milp) instead, which also
     /// returns `None` if branch and bound hits its node limit.
     pub fn solve(&self) -> Option<ConfigSolution> {
+        if !self.is_well_formed() {
+            return None;
+        }
         let Some(delta) = self.common_step() else {
             return self.solve_exact_milp();
         };
@@ -121,9 +126,12 @@ impl ConfigProblem {
     /// Exact MILP formulation (test oracle): variables `xi`, `D'_p`, and
     /// integer buffer steps.
     ///
-    /// Returns `None` if infeasible or the branch-and-bound node limit is
-    /// hit.
+    /// Returns `None` if infeasible, if the branch-and-bound node limit is
+    /// hit, or for a malformed problem (see [`solve`](Self::solve)).
     pub fn solve_exact_milp(&self) -> Option<ConfigSolution> {
+        if !self.is_well_formed() {
+            return None;
+        }
         let nb = self.buffers.len();
         let np = self.paths.len();
         // Layout: 0 = xi, 1..=nb = k_b, nb+1..=nb+np = D'_p.
@@ -201,9 +209,10 @@ impl ConfigProblem {
     }
 
     /// Verifies that a buffer assignment works for assumed delays at slack
-    /// `xi`: setup, hold, range, and grid membership.
+    /// `xi`: setup, hold, range, and grid membership. A malformed problem
+    /// (see [`solve`](Self::solve)) has no feasible assignment.
     pub fn is_feasible_config(&self, x: &[f64], xi: f64, tol: f64) -> bool {
-        if x.len() != self.buffers.len() {
+        if x.len() != self.buffers.len() || !self.is_well_formed() {
             return false;
         }
         for (buf, &v) in self.buffers.iter().zip(x) {
@@ -220,6 +229,16 @@ impl ConfigProblem {
             let hold = p.hold_lower_bound.is_none_or(|lambda| p.shift(x) >= lambda - tol);
             setup && hold
         })
+    }
+
+    /// `true` if every buffer has at least one setting and every path's
+    /// buffer indices are in range.
+    fn is_well_formed(&self) -> bool {
+        let nb = self.buffers.len();
+        self.buffers.iter().all(|b| b.steps > 0)
+            && self.paths.iter().all(|p| {
+                p.source_buffer.is_none_or(|b| b < nb) && p.sink_buffer.is_none_or(|b| b < nb)
+            })
     }
 
     /// Common buffer step size (1 without buffers), or `None` if the
@@ -497,5 +516,35 @@ mod tests {
         assert!(sol.xi < 1e-6);
         let shift = sol.buffer_values[0] - sol.buffer_values[1];
         assert!(shift <= -3.0 + 1e-9);
+    }
+
+    #[test]
+    fn buffer_without_settings_is_rejected() {
+        // `steps - 1` used to underflow: a panic in debug builds, and in
+        // release builds a setting of -1 for a buffer that has none.
+        let problem = ConfigProblem {
+            clock_period: 10.0,
+            paths: vec![cpath(8.0, 9.0, Some(0), None)],
+            buffers: vec![buf(-1.0, 1.0, 0)],
+        };
+        assert_eq!(problem.solve(), None);
+        assert_eq!(problem.solve_exact_milp(), None);
+        assert!(!problem.is_feasible_config(&[-1.0], 0.0, 1e-9));
+    }
+
+    #[test]
+    fn out_of_range_buffer_index_is_rejected() {
+        // Source and sink indices past the buffer list used to panic on
+        // indexing, in both the lattice and the MILP solve.
+        for (src, snk) in [(Some(1), None), (None, Some(5)), (Some(0), Some(1))] {
+            let problem = ConfigProblem {
+                clock_period: 10.0,
+                paths: vec![cpath(8.0, 9.0, src, snk)],
+                buffers: vec![buf(-1.0, 1.0, 5)],
+            };
+            assert_eq!(problem.solve(), None, "{src:?} {snk:?}");
+            assert_eq!(problem.solve_exact_milp(), None, "{src:?} {snk:?}");
+            assert!(!problem.is_feasible_config(&[0.0], 0.0, 1e-9));
+        }
     }
 }

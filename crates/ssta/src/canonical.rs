@@ -1,3 +1,5 @@
+use std::cmp::Ordering;
+
 /// A first-order canonical (linear Gaussian) delay form:
 ///
 /// ```text
@@ -11,14 +13,23 @@
 /// inflated-variation experiment (paper Fig. 7: sigmas grow, covariances do
 /// not).
 ///
+/// Both coefficient lists are sparse: a gate chain touches the global
+/// factors and the few grid cells it crosses, so most of a form's factor
+/// coefficients are zero, and only the nonzero ones are stored. Skipping
+/// the zero terms changes no bit of an evaluation or a covariance: every
+/// sum runs in index order and starts at `+0.0` or at the mean, and adding
+/// `±0.0` to a running sum that is not `-0.0` leaves it unchanged.
+///
 /// All second-order statistics are exact consequences of this form:
 /// variance, covariance, and correlation are plain dot products.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CanonicalDelay {
     /// Mean delay (ps).
     pub mean: f64,
-    /// Coefficients over the shared spatial factors.
-    pub coeffs: Vec<f64>,
+    /// Nonzero coefficients over the shared spatial factors, sorted
+    /// ascending by factor index: `(factor_index, coefficient)`. A factor
+    /// missing from the list has coefficient zero.
+    pub coeffs: Vec<(u32, f64)>,
     /// Per-gate independent components, sorted ascending by gate index:
     /// `(gate_index, coefficient)`.
     pub indep: Vec<(u32, f64)>,
@@ -28,13 +39,13 @@ pub struct CanonicalDelay {
 
 impl CanonicalDelay {
     /// A deterministic delay (no variation).
-    pub fn constant(mean: f64, n_factors: usize) -> Self {
-        CanonicalDelay { mean, coeffs: vec![0.0; n_factors], indep: Vec::new(), extra: 0.0 }
+    pub fn constant(mean: f64) -> Self {
+        CanonicalDelay { mean, coeffs: Vec::new(), indep: Vec::new(), extra: 0.0 }
     }
 
     /// Variance of the form.
     pub fn variance(&self) -> f64 {
-        let shared: f64 = self.coeffs.iter().map(|c| c * c).sum();
+        let shared = self.coeffs.iter().fold(0.0, |s, &(_, c)| s + c * c);
         let indep: f64 = self.indep.iter().map(|(_, c)| c * c).sum();
         shared + indep + self.extra * self.extra
     }
@@ -46,30 +57,12 @@ impl CanonicalDelay {
 
     /// Covariance with another form over the same factor space.
     ///
-    /// Shared-factor coefficients contribute a dense dot product; per-gate
-    /// independent parts contribute only where both forms contain the same
-    /// gate. The per-path `extra` components never co-vary.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the factor-space dimensions differ.
+    /// Shared factors and per-gate independent parts contribute only where
+    /// both forms have a coefficient, summed in index order. The per-path
+    /// `extra` components never co-vary.
     pub fn covariance(&self, other: &CanonicalDelay) -> f64 {
-        debug_assert_eq!(self.coeffs.len(), other.coeffs.len(), "factor spaces differ");
-        let mut cov: f64 = self.coeffs.iter().zip(&other.coeffs).map(|(&a, &b)| a * b).sum();
-        // Sorted-merge intersection of the per-gate independent parts.
-        let (mut i, mut j) = (0, 0);
-        while i < self.indep.len() && j < other.indep.len() {
-            match self.indep[i].0.cmp(&other.indep[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    cov += self.indep[i].1 * other.indep[j].1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        cov
+        let shared = sorted_dot(0.0, &self.coeffs, &other.coeffs);
+        sorted_dot(shared, &self.indep, &other.indep)
     }
 
     /// Correlation with another form (0 if either is deterministic).
@@ -84,14 +77,18 @@ impl CanonicalDelay {
 
     /// Evaluates the form for a concrete factor realization.
     ///
-    /// `z` must cover the shared factor space; `gate_eps` maps gate index to
-    /// its independent standard normal; `path_eps` realizes the per-path
-    /// `extra` component.
+    /// `z` maps factor index to its standard normal; `gate_eps` maps gate
+    /// index to its independent standard normal; `path_eps` realizes the
+    /// per-path `extra` component. Only the entries the form has
+    /// coefficients on are read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `z` or `gate_eps` is too short for an index in the form.
     pub fn evaluate(&self, z: &[f64], gate_eps: &[f64], path_eps: f64) -> f64 {
-        debug_assert_eq!(z.len(), self.coeffs.len());
         let mut d = self.mean;
-        for (c, zv) in self.coeffs.iter().zip(z) {
-            d += c * zv;
+        for &(k, c) in &self.coeffs {
+            d += c * z[k as usize];
         }
         for &(g, c) in &self.indep {
             d += c * gate_eps[g as usize];
@@ -116,12 +113,37 @@ impl CanonicalDelay {
     }
 }
 
+/// `acc` plus the products of the entries two index-sorted
+/// `(index, coefficient)` lists share, added in index order.
+fn sorted_dot(mut acc: f64, a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                acc += a[i].1 * b[j].1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A form from dense factor coefficients (zeros dropped).
     fn form(mean: f64, coeffs: &[f64], indep: &[(u32, f64)]) -> CanonicalDelay {
-        CanonicalDelay { mean, coeffs: coeffs.to_vec(), indep: indep.to_vec(), extra: 0.0 }
+        let coeffs = coeffs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0.0)
+            .map(|(k, &c)| (k as u32, c))
+            .collect();
+        CanonicalDelay { mean, coeffs, indep: indep.to_vec(), extra: 0.0 }
     }
 
     #[test]
@@ -154,7 +176,7 @@ mod tests {
 
     #[test]
     fn deterministic_form_is_safe() {
-        let c = CanonicalDelay::constant(7.0, 4);
+        let c = CanonicalDelay::constant(7.0);
         assert_eq!(c.variance(), 0.0);
         let other = form(0.0, &[1.0, 0.0, 0.0, 0.0], &[]);
         assert_eq!(c.correlation(&other), 0.0);

@@ -13,15 +13,20 @@
 //! * [`FactorSpace`] — the global + per-grid-cell standard-normal factors
 //!   that realize those correlations.
 //! * [`CanonicalDelay`] — first-order canonical delay forms
-//!   `D = mu + a^T Z + (independent parts)`; covariances between paths are
-//!   exact dot products (plus shared-gate independent terms).
+//!   `D = mu + a^T Z + (independent parts)`, with only the nonzero factor
+//!   coefficients stored; covariances between paths are exact sparse dot
+//!   products (plus shared-gate independent terms).
 //! * [`TimingModel`] — builds canonical forms for every max/min path of a
 //!   generated benchmark, derives the nominal clock period and the tunable
 //!   buffer ranges (1/8 of it, 20 steps, as in the paper), assembles
-//!   covariance/correlation matrices, and samples [`ChipInstance`]s.
+//!   covariance/correlation matrices, and samples [`ChipInstance`]s. A
+//!   chip's normals are drawn in Box–Muller pairs, and only the pairs some
+//!   form reads are computed; hold-bound sampling evaluates only the hold
+//!   forms and computes only the pairs they read.
 //! * [`ChipInstance`] — one manufactured chip: frozen max/min delays for
 //!   every path; the virtual tester measures these.
-//! * [`NormalSampler`] — Box–Muller standard-normal sampling over `rand`;
+//! * [`NormalSampler`] — Box–Muller standard-normal sampling over `rand`,
+//!   computing only the pairs a mask marks;
 //!   [`hash_normal`]/[`mix_stream`] are the stateless counterpart used for
 //!   order-independent injected randomness.
 //! * [`DriftModel`] — deterministic aging: time-indexed multiplicative

@@ -15,7 +15,8 @@ use crate::{CanonicalDelay, ChipInstance, FactorSpace, NormalSampler, VariationC
 /// * joint Gaussians over arbitrary path subsets (for the conditional
 ///   prediction of paper eqs. 4–5);
 /// * Monte-Carlo [`ChipInstance`]s — the "manufactured chips" the virtual
-///   tester measures;
+///   tester measures — and, for the hold-bound sampling of paper §3.5, the
+///   hold bounds alone;
 /// * the nominal clock period and the derived tunable-buffer range (1/8 of
 ///   the period, 20 discrete steps, after Tam et al. \[19\] as cited by the
 ///   paper).
@@ -52,6 +53,11 @@ pub struct TimingModel {
     nominal_period: f64,
     /// Uniform buffer range derived from the nominal period.
     buffer_spec: TuningBufferSpec,
+    /// The Box–Muller pairs of a chip's normal stream that some form reads
+    /// (see [`sample_chip`](Self::sample_chip)).
+    read_pairs: Vec<bool>,
+    /// The pairs that some hold form reads.
+    hold_pairs: Vec<bool>,
 }
 
 impl TimingModel {
@@ -161,7 +167,7 @@ impl TimingModel {
         let width = nominal_period * range_fraction;
         let buffer_spec = TuningBufferSpec::centered(width, steps);
 
-        TimingModel {
+        let mut model = TimingModel {
             factor_space,
             config: config.clone(),
             setup_forms,
@@ -171,7 +177,11 @@ impl TimingModel {
             gate_count: bench.netlist.gate_count(),
             nominal_period,
             buffer_spec,
-        }
+            read_pairs: Vec::new(),
+            hold_pairs: Vec::new(),
+        };
+        model.mark_read_pairs();
+        model
     }
 
     /// Number of required paths.
@@ -286,30 +296,94 @@ impl TimingModel {
     /// paths on the same chip share the spatial factors and any shared
     /// gates' independent components, so measured delays exhibit exactly
     /// the correlations the model predicts.
+    ///
+    /// A chip is one [`NormalSampler`] stream: a normal per shared factor,
+    /// then one per gate, then one `E_path` per path, which drives the
+    /// `extra` term of both of that path's forms (they describe the same
+    /// physical cone). Only the Box–Muller pairs some form reads are
+    /// computed; most gates lie on no required or short path.
     pub fn sample_chip(&self, seed: u64) -> ChipInstance {
-        let mut sampler = NormalSampler::seeded(seed.wrapping_mul(0x9E3779B97F4A7C15));
-        let mut z = vec![0.0; self.factor_space.len()];
-        sampler.fill(&mut z);
-        let mut gate_eps = vec![0.0; self.gate_count];
-        sampler.fill(&mut gate_eps);
-
-        let n = self.path_count();
-        let mut setup = Vec::with_capacity(n);
-        let mut hold = Vec::with_capacity(n);
-        for i in 0..n {
-            // One per-path epsilon drives the `extra` component of both the
-            // setup and hold forms of the same path (they describe the same
-            // physical cone).
-            let path_eps = sampler.next_normal();
-            setup.push(self.setup_forms[i].evaluate(&z, &gate_eps, path_eps));
-            hold.push(self.hold_forms[i].as_ref().map(|f| f.evaluate(&z, &gate_eps, path_eps)));
-        }
-        ChipInstance::new(seed, setup, hold)
+        self.with_normals(seed, &self.read_pairs, |z, gate_eps, path_eps| {
+            let setup = self
+                .setup_forms
+                .iter()
+                .zip(path_eps)
+                .map(|(f, &e)| f.evaluate(z, gate_eps, e))
+                .collect();
+            let hold = self
+                .hold_forms
+                .iter()
+                .zip(path_eps)
+                .map(|(h, &e)| h.as_ref().map(|f| f.evaluate(z, gate_eps, e)))
+                .collect();
+            ChipInstance::new(seed, setup, hold)
+        })
     }
 
-    /// Samples `count` chips with seeds `base_seed..base_seed + count`.
-    pub fn sample_chips(&self, base_seed: u64, count: usize) -> Vec<ChipInstance> {
-        (0..count as u64).map(|k| self.sample_chip(base_seed + k)).collect()
+    /// The hold bounds of the listed paths on the chip
+    /// [`sample_chip(seed)`](Self::sample_chip) gives, bit for bit, and
+    /// `None` for a path without a short path. Only the hold forms and the
+    /// normals they read are computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn sample_hold_bounds(&self, seed: u64, paths: &[usize]) -> Vec<Option<f64>> {
+        self.with_normals(seed, &self.hold_pairs, |z, gate_eps, path_eps| {
+            paths
+                .iter()
+                .map(|&p| self.hold_forms[p].as_ref().map(|f| f.evaluate(z, gate_eps, path_eps[p])))
+                .collect()
+        })
+    }
+
+    /// Draws chip `seed`'s normal stream, computing the pairs `read` marks
+    /// (the other entries stay zero), and hands its factor, gate and path
+    /// parts to `f`.
+    fn with_normals<T>(
+        &self,
+        seed: u64,
+        read: &[bool],
+        f: impl FnOnce(&[f64], &[f64], &[f64]) -> T,
+    ) -> T {
+        let (nf, ng) = (self.factor_space.len(), self.gate_count);
+        let mut normals = vec![0.0; nf + ng + self.path_count()];
+        NormalSampler::seeded(seed.wrapping_mul(0x9E3779B97F4A7C15)).fill(&mut normals, read);
+        let (z, rest) = normals.split_at(nf);
+        let (gate_eps, path_eps) = rest.split_at(ng);
+        f(z, gate_eps, path_eps)
+    }
+
+    /// Sets the read masks from the forms. A factor is read if a form has
+    /// a coefficient on it, a gate if it is in a form's `indep`, and a
+    /// path's `E_path` if one of its forms has a nonzero `extra`.
+    fn mark_read_pairs(&mut self) {
+        let nf = self.factor_space.len();
+        let eps = nf + self.gate_count;
+        let pairs = (eps + self.path_count()).div_ceil(2);
+        let mark = |read: &mut [bool], path: usize, form: &CanonicalDelay| {
+            for &(k, _) in &form.coeffs {
+                read[k as usize / 2] = true;
+            }
+            for &(g, _) in &form.indep {
+                read[(nf + g as usize) / 2] = true;
+            }
+            if form.extra != 0.0 {
+                read[(eps + path) / 2] = true;
+            }
+        };
+        let mut hold_pairs = vec![false; pairs];
+        for (p, form) in self.hold_forms.iter().enumerate() {
+            if let Some(form) = form {
+                mark(&mut hold_pairs, p, form);
+            }
+        }
+        let mut read_pairs = hold_pairs.clone();
+        for (p, form) in self.setup_forms.iter().enumerate() {
+            mark(&mut read_pairs, p, form);
+        }
+        self.read_pairs = read_pairs;
+        self.hold_pairs = hold_pairs;
     }
 
     /// A copy of the model with every path sigma inflated by `factor`
@@ -327,6 +401,7 @@ impl TimingModel {
             .iter()
             .map(|h| h.as_ref().map(|f| f.with_inflated_sigma(factor)))
             .collect();
+        out.mark_read_pairs();
         out
     }
 }
@@ -346,7 +421,8 @@ fn chain_form(
     let w_cell = (1.0 - rho).sqrt();
 
     let mut mean = 0.0;
-    let mut coeffs = vec![0.0; fs.len()];
+    // Accumulate densely, then keep the nonzero coefficients.
+    let mut dense = vec![0.0; fs.len()];
     let mut indep: Vec<(u32, f64)> = Vec::with_capacity(gates.len());
 
     for &gid in gates {
@@ -358,18 +434,23 @@ fn chain_form(
         let cell = fs.cell_of(&gate.location);
         for (p, (&sigma, &s)) in sigmas.iter().zip(&sens_arr).enumerate() {
             let amp = sign * d * s * sigma;
-            coeffs[fs.global_factor(p)] += amp * w_global;
-            coeffs[fs.cell_factor(p, cell)] += amp * w_cell;
+            dense[fs.global_factor(p)] += amp * w_global;
+            dense[fs.cell_factor(p, cell)] += amp * w_cell;
         }
         indep.push((gid.index() as u32, sign * d * config.local_sigma));
     }
     indep.sort_unstable_by_key(|&(g, _)| g);
+    let mut coeffs = Vec::with_capacity(dense.iter().filter(|&&c| c != 0.0).count());
+    coeffs
+        .extend(dense.iter().enumerate().filter(|&(_, &c)| c != 0.0).map(|(k, &c)| (k as u32, c)));
     CanonicalDelay { mean, coeffs, indep, extra: 0.0 }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::dense::check_against_dense;
     use super::*;
+    use crate::VariationProfile;
     use effitest_circuit::BenchmarkSpec;
 
     fn small_model() -> (GeneratedBenchmark, TimingModel) {
@@ -397,6 +478,57 @@ mod tests {
         let reference = build(1);
         for threads in [4, 8] {
             assert_eq!(build(threads), reference, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn sparse_sampling_matches_the_dense_oracle_on_full_size_circuits() {
+        // The seeds wrap past u64::MAX, as population seeds may.
+        let seeds = || (0..300_u64).map(|k| (u64::MAX - 150).wrapping_add(k));
+        for spec in [
+            BenchmarkSpec::iscas89_s13207(),
+            BenchmarkSpec::tau13_ac97_ctrl(),
+            BenchmarkSpec::iscas89_s38584(),
+        ] {
+            let bench = GeneratedBenchmark::generate(&spec, 1);
+            let model = TimingModel::build(&bench, &VariationConfig::paper());
+            let gates = bench.netlist.gate_count();
+            assert_eq!(check_against_dense(&model, gates, seeds()), Ok(()), "{}", spec.name);
+            // The masks really skip work: some gates lie on no path, and
+            // the hold forms read fewer pairs than all forms do.
+            let count = |mask: &[bool]| mask.iter().filter(|&&r| r).count();
+            let (read, hold) = (count(&model.read_pairs), count(&model.hold_pairs));
+            assert!(0 < hold && hold < read && read < model.read_pairs.len(), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn sparse_sampling_matches_the_dense_oracle_on_every_profile() {
+        let bench =
+            GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);
+        let gates = bench.netlist.gate_count();
+        // The first pair made only of path epsilons.
+        let eps = |m: &TimingModel| (m.factor_space.len() + gates).div_ceil(2);
+        for profile in VariationProfile::all() {
+            for grid_dim in [profile.config().grid_dim, 1] {
+                let config = VariationConfig { grid_dim, ..profile.config() };
+                let model = TimingModel::build(&bench, &config);
+                assert_eq!(
+                    check_against_dense(&model, gates, 0..64),
+                    Ok(()),
+                    "{profile} {grid_dim}"
+                );
+                assert!(model.read_pairs[eps(&model)..].iter().all(|&r| !r), "no extra term");
+                // Inflation adds an `extra` term to every form, so every
+                // path's epsilon is read.
+                let inflated = model.with_inflated_sigma(1.1);
+                assert_eq!(
+                    check_against_dense(&inflated, gates, 0..64),
+                    Ok(()),
+                    "{profile} {grid_dim} inflated"
+                );
+                assert!(inflated.read_pairs[eps(&model)..].iter().all(|&r| r));
+            }
         }
     }
 
@@ -497,7 +629,8 @@ mod tests {
     fn sampled_moments_match_model() {
         let (_, model) = small_model();
         let n_chips = 4000;
-        let chips = model.sample_chips(100, n_chips);
+        let chips: Vec<ChipInstance> =
+            (0..n_chips as u64).map(|k| model.sample_chip(100_u64.wrapping_add(k))).collect();
         let idx = 0;
         let samples: Vec<f64> = chips.iter().map(|c| c.setup_delay(idx)).collect();
         let mean = effitest_linalg::stats::mean(&samples);
@@ -518,7 +651,8 @@ mod tests {
     #[test]
     fn sampled_correlation_matches_model() {
         let (_, model) = small_model();
-        let chips = model.sample_chips(7, 3000);
+        let chips: Vec<ChipInstance> =
+            (0..3000).map(|k| model.sample_chip(7_u64.wrapping_add(k))).collect();
         let a: Vec<f64> = chips.iter().map(|c| c.setup_delay(0)).collect();
         let b: Vec<f64> = chips.iter().map(|c| c.setup_delay(1)).collect();
         let emp = effitest_linalg::stats::correlation(&a, &b);
@@ -588,3 +722,7 @@ mod tests {
         assert!(min_corr < 0.6, "expected some weakly correlated pair, min={min_corr}");
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/dense.rs"]
+mod dense;

@@ -52,51 +52,65 @@ pub fn hash_normal(stream: u64) -> f64 {
 /// Hand-rolled rather than pulling in `rand_distr`: the reproduction brief
 /// limits external dependencies, and Box–Muller is exact.
 ///
+/// The sampler hands out a stream of normals in Box–Muller pairs: pair `k`
+/// turns its two uniforms (drawn again while the first is too small for
+/// its logarithm) into normals `2k` and `2k + 1`. A reader that needs only
+/// some of the normals says which pairs in a mask. The other pairs still
+/// draw their uniforms, so the stream does not depend on the mask, but
+/// skip the `ln`, `sqrt`, `sin` and `cos`.
+///
 /// # Example
 ///
 /// ```
 /// use effitest_ssta::NormalSampler;
 ///
-/// let mut s = NormalSampler::seeded(7);
-/// let xs: Vec<f64> = (0..1000).map(|_| s.next_normal()).collect();
+/// let mut xs = vec![0.0; 1000];
+/// NormalSampler::seeded(7).fill(&mut xs, &[true; 500]);
 /// let mean = xs.iter().sum::<f64>() / xs.len() as f64;
 /// assert!(mean.abs() < 0.2);
+///
+/// // Computing only the first pair leaves the rest untouched.
+/// let mut first = vec![0.0; 1000];
+/// NormalSampler::seeded(7).fill(&mut first, &[true]);
+/// assert_eq!(first[..2], xs[..2]);
+/// assert!(first[2..].iter().all(|&x| x == 0.0));
 /// ```
 #[derive(Debug)]
 pub struct NormalSampler {
     rng: StdRng,
-    cached: Option<f64>,
 }
 
 impl NormalSampler {
     /// Creates a sampler from a seed.
     pub fn seeded(seed: u64) -> Self {
-        NormalSampler { rng: StdRng::seed_from_u64(seed), cached: None }
+        NormalSampler { rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// Draws one standard-normal value.
-    pub fn next_normal(&mut self) -> f64 {
-        if let Some(v) = self.cached.take() {
-            return v;
-        }
-        // Box–Muller: two uniforms -> two independent normals.
-        loop {
-            let u1: f64 = self.rng.random();
-            let u2: f64 = self.rng.random();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
+    /// Fills `out` with the next `out.len()` normals of the stream,
+    /// computing only the Box–Muller pairs that `read` marks.
+    ///
+    /// `read[k]` covers `out[2k]` and `out[2k + 1]`; a pair past the end of
+    /// `read` is not computed. The entries of a pair that is not computed
+    /// keep their old values. Every pair draws its uniforms either way, so
+    /// a computed entry equals the one an all-`true` mask gives. An
+    /// odd-length fill uses only the first normal of its last pair.
+    pub fn fill(&mut self, out: &mut [f64], read: &[bool]) {
+        for (k, pair) in out.chunks_mut(2).enumerate() {
+            let (u1, u2) = loop {
+                let u1: f64 = self.rng.random();
+                let u2: f64 = self.rng.random();
+                if u1 > f64::MIN_POSITIVE {
+                    break (u1, u2);
+                }
+            };
+            if read.get(k) == Some(&true) {
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f64::consts::PI * u2;
+                pair[0] = r * theta.cos();
+                if let Some(second) = pair.get_mut(1) {
+                    *second = r * theta.sin();
+                }
             }
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            self.cached = Some(r * theta.sin());
-            return r * theta.cos();
-        }
-    }
-
-    /// Fills a vector with standard-normal draws.
-    pub fn fill(&mut self, out: &mut [f64]) {
-        for v in out {
-            *v = self.next_normal();
         }
     }
 
@@ -110,40 +124,25 @@ impl NormalSampler {
 mod tests {
     use super::*;
 
+    fn normals(seed: u64, n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n];
+        NormalSampler::seeded(seed).fill(&mut out, &vec![true; n.div_ceil(2)]);
+        out
+    }
+
     #[test]
     fn deterministic_for_fixed_seed() {
-        let a: Vec<f64> = {
-            let mut s = NormalSampler::seeded(11);
-            (0..10).map(|_| s.next_normal()).collect()
-        };
-        let b: Vec<f64> = {
-            let mut s = NormalSampler::seeded(11);
-            (0..10).map(|_| s.next_normal()).collect()
-        };
-        assert_eq!(a, b);
-        let c: Vec<f64> = {
-            let mut s = NormalSampler::seeded(12);
-            (0..10).map(|_| s.next_normal()).collect()
-        };
-        assert_ne!(a, c);
+        assert_eq!(normals(11, 10), normals(11, 10));
+        assert_ne!(normals(11, 10), normals(12, 10));
     }
 
     #[test]
     fn moments_are_standard_normal() {
-        let mut s = NormalSampler::seeded(1);
-        let n = 200_000;
-        let mut sum = 0.0;
-        let mut sum2 = 0.0;
-        let mut sum4 = 0.0;
-        for _ in 0..n {
-            let x = s.next_normal();
-            sum += x;
-            sum2 += x * x;
-            sum4 += x * x * x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sum2 / n as f64 - mean * mean;
-        let kurt = sum4 / n as f64 / (var * var);
+        let xs = normals(1, 200_000);
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| x * x).sum::<f64>() / n - mean * mean;
+        let kurt = xs.iter().map(|x| x.powi(4)).sum::<f64>() / n / (var * var);
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "variance {var}");
         assert!((kurt - 3.0).abs() < 0.1, "kurtosis {kurt}");
@@ -151,11 +150,37 @@ mod tests {
 
     #[test]
     fn fill_populates_all_entries() {
-        let mut s = NormalSampler::seeded(3);
-        let mut v = vec![0.0; 64];
-        s.fill(&mut v);
         // Statistically impossible for any entry to remain exactly 0.
-        assert!(v.iter().all(|&x| x != 0.0));
+        assert!(normals(3, 64).iter().all(|&x| x != 0.0));
+    }
+
+    #[test]
+    fn masked_fill_computes_exactly_the_marked_pairs() {
+        let n = 301;
+        let full = normals(5, n);
+        // Every third pair, plus the half-used last pair; a short mask
+        // leaves the pairs past its end out.
+        let read: Vec<bool> = (0..n.div_ceil(2)).map(|k| k % 3 == 0 || k == n / 2).collect();
+        for mask in [&read[..], &read[..40]] {
+            let mut sampler = NormalSampler::seeded(5);
+            let mut out = vec![f64::NAN; n];
+            sampler.fill(&mut out, mask);
+            for (i, (&got, &want)) in out.iter().zip(&full).enumerate() {
+                if mask.get(i / 2) == Some(&true) {
+                    assert_eq!(got.to_bits(), want.to_bits(), "normal {i}");
+                } else {
+                    assert!(got.is_nan(), "normal {i} was written");
+                }
+            }
+            // The mask does not move the stream: the next normals match.
+            let mut next = vec![0.0; 4];
+            sampler.fill(&mut next, &[true; 2]);
+            let mut reference = NormalSampler::seeded(5);
+            reference.fill(&mut vec![0.0; n], &[]);
+            let mut want = vec![0.0; 4];
+            reference.fill(&mut want, &[true; 2]);
+            assert_eq!(next, want);
+        }
     }
 
     #[test]

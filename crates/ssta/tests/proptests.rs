@@ -1,10 +1,15 @@
 //! Property-based tests for the SSTA substrate: canonical-form statistics
-//! against Monte-Carlo ground truth under random benchmarks.
+//! against Monte-Carlo ground truth under random benchmarks, and the sparse
+//! forms and masked draws against their dense oracle.
 
-use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
+use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
 use effitest_linalg::stats;
-use effitest_ssta::{TimingModel, VariationConfig};
+use effitest_ssta::{CanonicalDelay, ChipInstance, TimingModel, VariationConfig};
 use proptest::prelude::*;
+
+#[path = "support/dense.rs"]
+mod dense;
+use dense::check_against_dense;
 
 fn model_strategy() -> impl Strategy<Value = (TimingModel, u64)> {
     (10..28_usize, 0..200_u64).prop_map(|(scale, seed)| {
@@ -12,6 +17,66 @@ fn model_strategy() -> impl Strategy<Value = (TimingModel, u64)> {
         let bench = GeneratedBenchmark::generate(&spec, seed);
         (TimingModel::build(&bench, &VariationConfig::paper()), seed)
     })
+}
+
+/// Strategy: a variation configuration with a grid of 1 to 16 cells per
+/// edge, a die-wide correlation that is sometimes exactly 0 or 1, a local
+/// sigma that is sometimes exactly 0, and the paper's parameter sigmas
+/// scaled by 0 to 2.
+fn variation_strategy() -> impl Strategy<Value = VariationConfig> {
+    (1..=16_usize, 0_u8..4, 0.0..=1.0_f64, 0_u8..3, 0.0..0.4_f64, 0.0..=2.0_f64).prop_map(
+        |(grid_dim, rho_kind, rho, local_kind, local, scale)| {
+            let paper = VariationConfig::paper();
+            VariationConfig {
+                sigma_length: paper.sigma_length * scale,
+                sigma_oxide: paper.sigma_oxide * scale,
+                sigma_vth: paper.sigma_vth * scale,
+                global_correlation: match rho_kind {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rho,
+                },
+                grid_dim,
+                local_sigma: if local_kind == 0 { 0.0 } else { local },
+            }
+        },
+    )
+}
+
+/// Strategy: a scaled-down paper circuit in one of the generator's
+/// topologies, and its generator seed.
+fn circuit_strategy() -> impl Strategy<Value = (BenchmarkSpec, u64)> {
+    (0..3_usize, 0..Topology::all().len(), 10..40_usize, 0..100_u64).prop_map(
+        |(circuit, topology, scale, seed)| {
+            let spec = [
+                BenchmarkSpec::iscas89_s9234(),
+                BenchmarkSpec::iscas89_s13207(),
+                BenchmarkSpec::tau13_ac97_ctrl(),
+            ][circuit]
+                .scaled_down(scale)
+                .with_topology(Topology::all()[topology]);
+            (spec, seed)
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn sparse_forms_and_masked_draws_match_the_dense_oracle(
+        config in variation_strategy(),
+        (spec, seed) in circuit_strategy(),
+        inflation in proptest::option::of(1.0..1.5_f64),
+    ) {
+        let bench = GeneratedBenchmark::generate(&spec, seed);
+        let mut model = TimingModel::build(&bench, &config);
+        if let Some(factor) = inflation {
+            model = model.with_inflated_sigma(factor);
+        }
+        let chips = (0..6).map(|k| seed.wrapping_mul(0x9E37).wrapping_add(k));
+        prop_assert_eq!(check_against_dense(&model, bench.netlist.gate_count(), chips), Ok(()));
+    }
 }
 
 proptest! {
