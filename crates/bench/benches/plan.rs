@@ -8,11 +8,12 @@
 //! `EffiTestFlow::plan_threaded(.., 1)` is the serial plan. This bench
 //! records that serial plan against the same code at `EFFITEST_THREADS`
 //! workers on the large H-tree tier at 10k and 100k paths: the fastest of
-//! N builds per side, with that build's per-stage split, and the host's
-//! `nproc`. It also records the one-thread plan of full-size s13207, built
-//! cold (no plan cache) the way a test floor meets a new circuit: its
-//! 470-path correlation group makes Procedure 1's PCA the dominant stage
-//! there, which the large tier's small groups never show.
+//! N builds per side, each stage's fastest time over the same N builds,
+//! and the host's `nproc`. It also records the one-thread plan of
+//! full-size s13207, built cold (no plan cache) the way a test floor meets
+//! a new circuit: its 470-path correlation group makes Procedure 1's PCA
+//! the dominant stage there, which the large tier's small groups never
+//! show.
 //!
 //! A quality guard runs **before** anything is timed: on a reduced
 //! 2,000-path circuit the plan fingerprint must equal a golden constant
@@ -24,6 +25,7 @@
 //! the JSON as an artifact.
 
 use std::hint::black_box;
+use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
@@ -103,9 +105,10 @@ impl SizePoint {
 }
 
 /// The fastest of `samples` plan builds at `threads` workers, after one
-/// warm-up build: its `prep_time` is the recorded total and its
-/// `stage_times` the recorded split, so the split always sums to (just
-/// under) the total it belongs to.
+/// warm-up build, and each stage's fastest time over the same builds.
+/// Each stage is timed on its own minimum so that load on the host during
+/// another stage of the same build cannot move it; the stage minima may
+/// come from different builds and sum to less than the fastest total.
 fn fastest_plan(
     flow: &EffiTestFlow,
     bench: &GeneratedBenchmark,
@@ -114,13 +117,25 @@ fn fastest_plan(
     samples: usize,
 ) -> (u64, PlanStageTimes) {
     black_box(flow.plan_threaded(bench, model, threads).expect("plan"));
-    (0..samples)
-        .map(|_| {
-            let plan = flow.plan_threaded(bench, model, threads).expect("plan");
-            (plan.prep_time.as_nanos() as u64, plan.stage_times)
-        })
-        .min_by_key(|&(ns, _)| ns)
-        .expect("at least one sample")
+    let mut total = u64::MAX;
+    let mut stages = PlanStageTimes {
+        select: Duration::MAX,
+        oracle: Duration::MAX,
+        batch: Duration::MAX,
+        hold: Duration::MAX,
+        predictor: Duration::MAX,
+    };
+    for _ in 0..samples {
+        let plan = flow.plan_threaded(bench, model, threads).expect("plan");
+        let st = plan.stage_times;
+        total = total.min(plan.prep_time.as_nanos() as u64);
+        stages.select = stages.select.min(st.select);
+        stages.oracle = stages.oracle.min(st.oracle);
+        stages.batch = stages.batch.min(st.batch);
+        stages.hold = stages.hold.min(st.hold);
+        stages.predictor = stages.predictor.min(st.predictor);
+    }
+    (total, stages)
 }
 
 fn measure_size(np: usize, samples: usize, threads: usize) -> SizePoint {
@@ -225,7 +240,9 @@ fn measure_and_record() {
             "  \"description\": \"chip-independent plan construction on the large H-tree tier: ",
             "plan_threaded at 1 thread (every stage inline) vs at EFFITEST_THREADS workers; ",
             "a golden-fingerprint quality guard at threads 1/4/8 runs before any timing; ",
-            "paper_s13207 is the cold one-thread plan of the full-size paper circuit\",\n",
+            "paper_s13207 is the cold one-thread plan of the full-size paper circuit; ",
+            "each *_ns total is the fastest build and each stage the fastest over the same ",
+            "builds\",\n",
             "  \"samples\": {},\n",
             "  \"threads\": {},\n",
             "  \"nproc\": {},\n",

@@ -194,7 +194,7 @@ pub fn decode_plan<'a>(
         groups.push(PathGroup { members, selected, threshold, n_pcs });
     }
     let batches = crate::batch::Batches::decode(&mut r, n_paths)?;
-    let lambda = HoldBounds::decode(&mut r)?;
+    let lambda = HoldBounds::decode(&mut r, n_paths)?;
     let oracle = crate::batch::ConflictOracle::decode(bench, &mut r)?;
     let n_sigmas = r.get_usize()?;
     let mut predicted_sigmas = Vec::with_capacity(n_sigmas.min(1 << 20));

@@ -14,8 +14,6 @@
 //! For small instances, an exhaustive oracle validates the greedy choice
 //! in tests.
 
-use std::collections::HashMap;
-
 use effitest_ssta::TimingModel;
 
 /// Configuration of the hold-bound computation.
@@ -40,59 +38,64 @@ impl Default for HoldConfig {
 /// `x_i - x_j`.
 #[derive(Debug, Clone, Default)]
 pub struct HoldBounds {
-    lambda: HashMap<usize, f64>,
+    /// Indexed by path, up to the last bounded one.
+    lambda: Vec<Option<f64>>,
 }
 
 impl HoldBounds {
     /// The bound for a path, if its pair has short paths.
     pub fn lambda(&self, path: usize) -> Option<f64> {
-        self.lambda.get(&path).copied()
+        self.lambda.get(path).copied().flatten()
     }
 
     /// Number of bounded paths.
     pub fn len(&self) -> usize {
-        self.lambda.len()
+        self.lambda.iter().flatten().count()
     }
 
     /// `true` if no bounds were derived.
     pub fn is_empty(&self) -> bool {
-        self.lambda.is_empty()
+        self.lambda.iter().all(Option::is_none)
     }
 
-    /// Sum of all bounds (the objective the greedy minimizes).
+    /// Sum of all bounds in path order (the objective the greedy minimizes).
     pub fn total(&self) -> f64 {
-        self.lambda.values().sum()
+        self.iter().map(|(_, l)| l).sum()
     }
 
-    /// Iterates over `(path index, lambda)`.
+    /// Iterates over `(path index, lambda)` in path order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.lambda.iter().map(|(&p, &l)| (p, l))
+        self.lambda.iter().enumerate().filter_map(|(p, l)| l.map(|l| (p, l)))
     }
 
-    /// Serializes the bounds as a canonical (path-sorted) pair list — the
-    /// sort makes the byte image independent of hash-map iteration order,
-    /// which the plan fingerprint relies on.
+    /// Serializes the bounds as a path-ordered pair list.
     pub(crate) fn encode(&self, w: &mut crate::codec::Writer) {
-        let mut pairs: Vec<(usize, f64)> = self.iter().collect();
-        pairs.sort_unstable_by_key(|&(p, _)| p);
-        w.put_usize(pairs.len());
-        for (p, l) in pairs {
+        w.put_usize(self.len());
+        for (p, l) in self.iter() {
             w.put_usize(p);
             w.put_f64(l);
         }
     }
 
-    /// Inverse of [`encode`](Self::encode).
+    /// Inverse of [`encode`](Self::encode), for a model of `n_paths` paths.
     pub(crate) fn decode(
         r: &mut crate::codec::Reader<'_>,
+        n_paths: usize,
     ) -> Result<Self, crate::codec::CodecError> {
+        use crate::codec::CodecError::Invalid;
         let n = r.get_usize()?;
-        let mut lambda = HashMap::with_capacity(n.min(1 << 20));
+        let mut lambda = Vec::new();
         for _ in 0..n {
             let p = r.get_usize()?;
             let l = r.get_f64()?;
-            if lambda.insert(p, l).is_some() {
-                return Err(crate::codec::CodecError::Invalid("duplicate hold-bound path"));
+            if p >= n_paths {
+                return Err(Invalid("hold-bound path index out of range"));
+            }
+            if lambda.len() <= p {
+                lambda.resize(p + 1, None);
+            }
+            if lambda[p].replace(l).is_some() {
+                return Err(Invalid("duplicate hold-bound path"));
             }
         }
         Ok(HoldBounds { lambda })
@@ -131,7 +134,7 @@ pub fn compute_hold_bounds(model: &TimingModel, config: &HoldConfig, threads: us
     let discards = allowed_discards(config.yield_target, m);
     let kept = greedy_discard(&samples, discards);
 
-    let mut lambda = HashMap::new();
+    let mut lambda = vec![None; hold_paths.last().map_or(0, |&p| p + 1)];
     for (pi, &p) in hold_paths.iter().enumerate() {
         let lam = samples[pi]
             .iter()
@@ -139,7 +142,7 @@ pub fn compute_hold_bounds(model: &TimingModel, config: &HoldConfig, threads: us
             .filter(|(k, _)| kept[*k])
             .map(|(_, &v)| v)
             .fold(f64::NEG_INFINITY, f64::max);
-        lambda.insert(p, lam);
+        lambda[p] = Some(lam);
     }
     HoldBounds { lambda }
 }
@@ -368,6 +371,47 @@ mod tests {
                 threaded.iter().map(|(p, l)| (p, l.to_bits())).collect();
             got.sort_unstable();
             assert_eq!(got, expect, "hold bounds diverged at {threads} threads");
+        }
+    }
+
+    /// `total` adds the bounds in path order, so its bits do not depend on
+    /// how the bounds are stored; `iter` visits them in that order.
+    #[test]
+    fn total_is_the_path_order_sum_on_full_size_s13207() {
+        let bench = GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s13207(), 1);
+        let model = TimingModel::build(&bench, &VariationConfig::paper());
+        let bounds = compute_hold_bounds(&model, &HoldConfig::default(), 2);
+        let in_order: f64 = (0..model.path_count()).filter_map(|p| bounds.lambda(p)).sum();
+        assert!(bounds.len() > 100, "s13207 has {} hold bounds", bounds.len());
+        assert_eq!(bounds.total().to_bits(), in_order.to_bits());
+        let paths: Vec<usize> = bounds.iter().map(|(p, _)| p).collect();
+        assert!(paths.windows(2).all(|w| w[0] < w[1]), "iter is not in path order");
+    }
+
+    /// Decoding keeps path order and refuses a path outside the model
+    /// (the bounds are indexed by path) or a path given twice.
+    #[test]
+    fn decode_round_trips_and_rejects_bad_paths() {
+        use crate::codec::{CodecError, Reader, Writer};
+        let encoded = |pairs: &[(usize, f64)]| {
+            let mut w = Writer::new();
+            w.put_usize(pairs.len());
+            for &(p, l) in pairs {
+                w.put_usize(p);
+                w.put_f64(l);
+            }
+            w.into_bytes()
+        };
+        let bytes = encoded(&[(1, -2.0), (4, 0.5)]);
+        let bounds = HoldBounds::decode(&mut Reader::new(&bytes), 5).expect("valid bounds");
+        assert_eq!(bounds.iter().collect::<Vec<_>>(), [(1, -2.0), (4, 0.5)]);
+        assert_eq!((bounds.lambda(0), bounds.lambda(4), bounds.lambda(9)), (None, Some(0.5), None));
+        let mut w = Writer::new();
+        bounds.encode(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+        for bad in [&[(5, 0.0)][..], &[(usize::MAX, 0.0)], &[(2, 0.0), (2, 1.0)]] {
+            let decoded = HoldBounds::decode(&mut Reader::new(&encoded(bad)), 5);
+            assert!(matches!(decoded, Err(CodecError::Invalid(_))), "{bad:?} decoded");
         }
     }
 

@@ -19,8 +19,9 @@
 //! * [`AlignmentProblem::solve_coordinate_descent`] — alternating weighted
 //!   medians: the optimal `T` for fixed buffers is a weighted median, and
 //!   the optimal single buffer for fixed everything-else is found by
-//!   scanning its (at most 20) discrete values. Converges in a handful of
-//!   rounds and matches the exact optimum on practical instances.
+//!   scanning its discrete values, outward from the current one until no
+//!   further value can win. Converges in a handful of rounds and matches
+//!   the exact optimum on practical instances.
 //! * [`AlignmentProblem::solve_exact`] — the exact MILP (standard
 //!   `eta >= +-(...)` linearization, no big-M needed under minimization)
 //!   on the crate's branch-and-bound solver; used as the oracle in tests
@@ -67,6 +68,79 @@
 //! order is unspecified. The order can only matter for non-integer tied
 //! weights, and the flow's sorted-center weights are integers, whose
 //! partial sums are exact.
+//!
+//! # Convexity-pruned walk
+//!
+//! With every other buffer fixed, the best objective over the period as a
+//! function of the scanned buffer's value `v`,
+//!
+//! ```text
+//! G(v) = min_T  sum_p  w_p * | T - a_p - s_p * v |,    s_p in {-1, 0, +1},
+//! ```
+//!
+//! is convex when every `w_p >= 0`: it is the partial minimum over `T` of
+//! a jointly convex function. Each incident hold bound is monotone in `v`
+//! (a source bound holds from some value up, a sink bound up to some
+//! value), and lattice values are monotone in their index. So a scan
+//! walks outward from the current value `v_0`, whose objective is `S`:
+//!
+//! * a direction stops at its first hold-infeasible value, as every value
+//!   beyond it violates the same bound;
+//! * a direction stops at a value whose computed objective exceeds both
+//!   its predecessor's (the previous value walked, or `S`) and `S` by the
+//!   error margin below. Then `G` rose there, so by convexity it never
+//!   falls below that value's `G` further out, and every value beyond
+//!   scores at least `S`. An acceptance needs less than `best - 1e-12`,
+//!   and `best <= S` throughout, so no value beyond can be accepted.
+//!
+//! Skipping values that can never be accepted leaves the result alone,
+//! provided acceptance (`obj < best - 1e-12`, the first strictly best value
+//! in lattice order) still sees the others in lattice order. The downward
+//! walk therefore only finds where to start, keeping its first eight
+//! scores; the scan then scores the values below `v_0` in ascending order
+//! and walks upward. Period, objective and buffer values are bit-identical
+//! to a full scan of the lattice.
+//!
+//! A scan prunes only when it can observe that the argument holds: every
+//! weight a non-negative integer, summing below `2^53`, so the median's
+//! partial weight sums are exact and its period minimizes the objective
+//! over the computed centers exactly (the flow's sorted-center weights
+//! always qualify); the current value on the lattice and within the
+//! incident hold bounds; and a finite objective. Otherwise it runs the same
+//! walk with both stop rules off.
+//!
+//! ## The error margin
+//!
+//! Let `u = 2^-53` (`f64::EPSILON / 2`), `n` the number of paths, and `r`
+//! the larger of `|value(0)|` and `|value(steps - 1)|`, which bounds every
+//! lattice value. A computed objective differs from `G` in two ways.
+//!
+//! * *Centers.* A moved path's center is `fl(c + fl(±(v - y)))`, `y` the
+//!   value at its other end (or 0), against the exact `c ± (v - y)`: two
+//!   roundings, at most `2u(1+u)^2 m_p` apart, with `m_p = |c| + r + |y|`.
+//!   `G` moves by at most `w_p` per unit of a center, so the exact minimum
+//!   `F(v)` of the objective over the computed centers is within `D` of
+//!   `G(v)`, where `D = 2u(1+u)^2 sum w_p m_p` over the moved paths. The
+//!   computed sum `d` of `w_p m_p` is at most `n + 2` roundings of
+//!   non-negative terms low, so `D <= 1.1 ε d` (for fewer than `2^40`
+//!   paths).
+//! * *Summation.* The median `t` is exact, so `F(v) = sum w_p |t - c_p|`.
+//!   The computed objective rounds each difference, each product and
+//!   `n - 1` additions of non-negative terms, so it lies within a factor
+//!   `1 ± γ` of `F`, `γ = (n+1)u / (1 - (n+1)u) <= 1.01 (n+1) u`. Results
+//!   below `2^-1022` are exact here (integer multiples of subnormals), so
+//!   underflow adds nothing.
+//!
+//! For a computed objective `o` and a reference `R` (the predecessor's or
+//! `S`, computed the same way), `o - R > 2D + 2γ(o + R)` gives
+//! `G(v) >= o(1-γ) - D > R(1+2γ) + D >= G(v_R)`, so `G` rose; and, with
+//! `R = S`, every value `v'` further out scores at least
+//! `(1-γ)(G(v') - D) >= (1-γ)(o(1-γ) - 2D) > (1-γ)(1+2γ)S >= S`. The scan
+//! tests `o - R > 8ε d + 4ε(n+1)(o + R)` in floating point: twice the
+//! bound, which absorbs the test's own four roundings, with `8ε d` kept at
+//! least `f64::MIN_POSITIVE`. Only a finite objective can pass the test,
+//! and one that overflows further out scores `inf` or NaN, which is never
+//! accepted either.
 
 use crate::milp::DEFAULT_NODE_LIMIT;
 use crate::{
@@ -95,7 +169,12 @@ impl BufferVar {
 
     /// Value of discrete setting `k`.
     pub fn value(&self, k: u32) -> f64 {
-        self.min + self.step_size() * k as f64
+        self.value_at(self.step_size(), k)
+    }
+
+    /// [`value`](Self::value) with the step size computed once by the caller.
+    fn value_at(&self, step: f64, k: u32) -> f64 {
+        self.min + step * k as f64
     }
 
     /// Nearest discrete setting to `x` (clamped into range).
@@ -476,6 +555,66 @@ fn touches(path: &AlignPath, b: usize) -> bool {
     path.source_buffer == Some(b) || path.sink_buffer == Some(b)
 }
 
+/// The stop rules of a pruned buffer scan (see the module docs): the
+/// lattice index of the scan's starting value and the error margin.
+#[derive(Debug, Clone, Copy)]
+struct StopRule {
+    /// The index whose value is the buffer's current value.
+    start: u32,
+    /// Absolute margin `8ε d`, at least `f64::MIN_POSITIVE`.
+    abs: f64,
+    /// Relative margin `4ε(n + 1)`.
+    rel: f64,
+}
+
+impl StopRule {
+    /// The rule for scanning buffer `b` from `x`, or `None` when the scan
+    /// cannot observe that the convexity argument holds: weights not
+    /// `exact`, a non-finite `objective` or margin, a current value off
+    /// the lattice, or an incident hold bound violated at it.
+    fn new(
+        problem: &AlignmentProblem,
+        b: usize,
+        inc: &[usize],
+        x: &[f64],
+        objective: f64,
+        exact: bool,
+    ) -> Option<StopRule> {
+        let lattice = &problem.buffers[b];
+        let ordered = lattice.min <= lattice.max; // `nearest` panics otherwise
+        if !exact || !objective.is_finite() || lattice.steps == 0 || !ordered {
+            return None;
+        }
+        let start = lattice.nearest(x[b]);
+        if lattice.value(start) != x[b] || !inc.iter().all(|&p| problem.paths[p].hold_ok(x)) {
+            return None;
+        }
+        // Lattice values are monotone in k, so none is further from 0 than
+        // an end of the lattice.
+        let reach = lattice.value(0).abs().max(lattice.value(lattice.steps - 1).abs());
+        let mut d = 0.0;
+        for &p in inc {
+            let path = &problem.paths[p];
+            let other = match (path.source_buffer == Some(b), path.sink_buffer == Some(b)) {
+                (true, true) => continue, // its shift is exactly zero
+                (true, false) => path.sink_buffer,
+                (false, _) => path.source_buffer,
+            };
+            d += path.weight * (path.center.abs() + reach + other.map_or(0.0, |o| x[o].abs()));
+        }
+        let abs = (8.0 * f64::EPSILON * d).max(f64::MIN_POSITIVE);
+        let rel = 4.0 * f64::EPSILON * (problem.paths.len() + 1) as f64;
+        abs.is_finite().then_some(StopRule { start, abs, rel })
+    }
+
+    /// `true` if `obj` exceeds both `prev` and `start` by the margin, so no
+    /// value further along the walk can be accepted.
+    fn rises(&self, obj: f64, prev: f64, start: f64) -> bool {
+        let above = |r: f64| obj - r > self.abs + self.rel * (obj + r);
+        above(prev) && above(start)
+    }
+}
+
 /// Scratch of the incremental coordinate descent (see [`Descent::descend`]).
 #[derive(Debug, Default)]
 struct Descent {
@@ -484,6 +623,10 @@ struct Descent {
     incident: Vec<usize>,
     /// `sum_p max(weight_p, 0)` in path order.
     total: f64,
+    /// Every weight is a non-negative integer and `total < 2^53`: partial
+    /// weight sums are exact, so the median minimizes the objective and
+    /// scans may stop early (see [`StopRule`]).
+    exact: bool,
     /// `center + shift(x)` of every path at the descent's current `x`.
     shifted: Vec<f64>,
     /// Every path's point, in median order.
@@ -492,6 +635,12 @@ struct Descent {
     fixed: Vec<MedianPoint>,
     /// The scanned buffer's incident paths at one candidate value, sorted.
     moved: Vec<MedianPoint>,
+    /// Scans walked with the stop rules off (`[0]`) and on (`[1]`), and
+    /// candidates evaluated; counted for the tests.
+    #[cfg(test)]
+    walks: [usize; 2],
+    #[cfg(test)]
+    evaluated: usize,
 }
 
 impl Descent {
@@ -524,18 +673,21 @@ impl Descent {
         }
         self.starts.pop();
         self.total = problem.paths.iter().map(|p| p.weight.max(0.0)).sum();
+        self.exact = self.total < 9_007_199_254_740_992.0
+            && problem.paths.iter().all(|p| p.weight >= 0.0 && p.weight.fract() == 0.0);
     }
 
     /// Coordinate descent from the grid-snapped seed in `x`, moving it to
     /// a local optimum; returns `(period, objective)`.
     ///
-    /// Each buffer tries every lattice value with the period re-optimized
-    /// per candidate (a joint move). Only the buffer's incident paths move,
-    /// so a candidate re-checks just their hold bounds and merges just
-    /// their shifted centers into the sorted rest. Every value is computed
-    /// by the same expression, in the same order, as a full rescan of all
-    /// paths would, so the result is bit-identical to one (see the module
-    /// docs for how tied centers are ordered).
+    /// Each buffer tries the lattice values that can win (see
+    /// [`scan`](Self::scan)) with the period re-optimized per candidate (a
+    /// joint move). Only the buffer's incident paths move, so a candidate
+    /// re-checks just their hold bounds and merges just their shifted
+    /// centers into the sorted rest. Every value is computed by the same
+    /// expression, in the same order, as a full rescan of all paths would,
+    /// so the result is bit-identical to one (see the module docs for how
+    /// tied centers are ordered).
     fn descend(&mut self, problem: &AlignmentProblem, x: &mut [f64]) -> (f64, f64) {
         problem.repair_hold(x);
         let paths = &problem.paths;
@@ -553,12 +705,18 @@ impl Descent {
 
         let mut period = median_of(self.sorted.iter(), self.total);
         let mut objective = objective_at(paths, &self.shifted, period);
+        let mut last_move = usize::MAX;
         for _round in 0..50 {
             if objective == 0.0 {
                 break; // perfect alignment: no candidate can improve on zero
             }
             let mut changed = false;
             for b in 0..problem.buffers.len() {
+                if !changed && last_move < b {
+                    // Scanned from this very state after the last move, it
+                    // found nothing, and so would every later buffer.
+                    return (period, objective);
+                }
                 let Some((v, t, obj)) = self.scan(problem, b, x, objective) else {
                     continue;
                 };
@@ -567,6 +725,7 @@ impl Descent {
                     period = t;
                     objective = obj;
                     changed = true;
+                    last_move = b;
                     self.accept(problem, b, x);
                 }
             }
@@ -579,8 +738,18 @@ impl Descent {
 
     /// Scans buffer `b`'s lattice from the descent's current `objective`;
     /// returns the first strictly best candidate `(value, period,
-    /// objective)`, if any. Leaves `x` and `shifted` as it found them and
-    /// `fixed` holding the paths `b` does not move.
+    /// objective)` in lattice order, if any. Leaves `x` and `shifted` as it
+    /// found them and `fixed` holding the paths `b` does not move.
+    ///
+    /// The scan walks outward from the current value. Under a [`StopRule`]
+    /// each direction stops at its first hold-infeasible value or once an
+    /// objective rises past its predecessor and the starting objective by
+    /// the error margin: no value beyond can be accepted (see the module
+    /// docs). The downward walk only finds where to start; the candidates
+    /// it passed are then accepted or not in ascending order (scored again
+    /// beyond the eight it keeps), followed by the upward walk, so
+    /// acceptance sees them in lattice order as a full scan would. Without
+    /// a rule the walk covers the whole lattice.
     fn scan(
         &mut self,
         problem: &AlignmentProblem,
@@ -588,7 +757,7 @@ impl Descent {
         x: &mut [f64],
         objective: f64,
     ) -> Option<(f64, f64, f64)> {
-        let Descent { starts, incident, total, shifted, sorted, fixed, moved } = self;
+        let Descent { starts, incident, total, exact, shifted, sorted, fixed, moved, .. } = self;
         let paths = &problem.paths;
         let inc = &incident[starts[b]..starts[b + 1]];
         if inc.is_empty() {
@@ -604,27 +773,82 @@ impl Descent {
                 fixed.push(*pt);
             }
         }
+        let lattice = &problem.buffers[b];
+        let step = lattice.step_size();
         let current = x[b];
-        let mut best = None;
-        let mut best_obj = objective;
-        for v in problem.buffers[b].values() {
-            if (v - current).abs() < 1e-15 {
-                continue;
-            }
-            x[b] = v;
+        let rule = StopRule::new(problem, b, inc, x, objective, *exact);
+        #[cfg(test)]
+        let mut evaluated = 0;
+        // `None` for a hold-infeasible candidate, else `(period, objective)`.
+        let mut score = |k: u32, x: &mut [f64]| {
+            x[b] = lattice.value_at(step, k);
             if !inc.iter().all(|&p| paths[p].hold_ok(x)) {
-                continue;
+                return None;
+            }
+            #[cfg(test)]
+            {
+                evaluated += 1;
             }
             place(paths, inc, x, shifted, moved);
             let t = median_of(merged(fixed, moved), *total);
-            let obj = objective_at(paths, shifted, t);
+            Some((t, objective_at(paths, shifted, t)))
+        };
+        let skip = |k: u32| (lattice.value_at(step, k) - current).abs() < 1e-15;
+
+        let k0 = rule.map_or(0, |r| r.start);
+        let mut lo = k0;
+        // The scores of k0 - 1, k0 - 2, ... as far as they fit.
+        let mut below = [(0.0, 0.0); 8];
+        if let Some(rule) = rule {
+            let mut prev = objective;
+            while lo > 0 {
+                if !skip(lo - 1) {
+                    match score(lo - 1, x) {
+                        Some((t, obj)) if !rule.rises(obj, prev, objective) => {
+                            prev = obj;
+                            if let Some(slot) = below.get_mut((k0 - lo) as usize) {
+                                *slot = (t, obj);
+                            }
+                        }
+                        _ => break,
+                    }
+                }
+                lo -= 1;
+            }
+        }
+        let mut best = None;
+        let mut best_obj = objective;
+        let mut prev = objective;
+        for k in lo..lattice.steps {
+            if skip(k) {
+                continue;
+            }
+            let upward = rule.filter(|_| k >= k0);
+            let kept = if k < k0 { below.get((k0 - 1 - k) as usize).copied() } else { None };
+            let Some((t, obj)) = kept.or_else(|| score(k, x)) else {
+                if upward.is_some() {
+                    break;
+                }
+                continue;
+            };
+            if let Some(rule) = upward {
+                if rule.rises(obj, prev, objective) {
+                    break;
+                }
+                prev = obj;
+            }
             if obj < best_obj - 1e-12 {
                 best_obj = obj;
-                best = Some((v, t, obj));
+                best = Some((lattice.value_at(step, k), t, obj));
             }
         }
         x[b] = current;
         place(paths, inc, x, shifted, moved);
+        #[cfg(test)]
+        {
+            self.walks[usize::from(rule.is_some())] += 1;
+            self.evaluated += evaluated;
+        }
         best
     }
 
@@ -1263,11 +1487,194 @@ mod tests {
             }
         }
         // Every structural case the scan special-cases was exercised.
+        let walks = [0, 1].map(|i| descent.walks[i] + engine.descent.walks[i]);
+        assert!(walks[1] > 500, "walks with stop rules: {}", walks[1]);
+        assert!(walks[0] > 500, "walks without stop rules: {}", walks[0]);
         assert!(stuck_holds > 500, "unrepairable hold bounds: {stuck_holds}");
         assert!(same_buffer > 500, "same-buffer paths: {same_buffer}");
         assert!(bufferless > 500, "bufferless paths: {bufferless}");
         assert!(unused_buffers > 500, "buffers without paths: {unused_buffers}");
         assert!(fractional_ties > 500, "tied centers, non-integer weights: {fractional_ties}");
+    }
+
+    /// Descends from `seed` with the incremental descent and, multi-started
+    /// from it, the engine, and asserts both equal their full-rescan
+    /// oracles bit for bit. Returns the descent's buffer values and its
+    /// walk counters `([without, with] stop rules, candidates evaluated)`.
+    fn assert_matches_oracle(
+        problem: &AlignmentProblem,
+        seed: &[f64],
+    ) -> (Vec<f64>, [usize; 2], usize) {
+        let mut descent = Descent::default();
+        descent.prepare(problem);
+        let (mut fast_x, mut slow_x) = (seed.to_vec(), seed.to_vec());
+        let fast = descent.descend(problem, &mut fast_x);
+        let slow = descend_in(problem, &mut slow_x, &mut Vec::new(), &mut Vec::new());
+        assert_eq!(fast.0.to_bits(), slow.0.to_bits(), "period");
+        assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "objective");
+        assert_eq!(bits(&fast_x), bits(&slow_x), "buffer values");
+
+        let mut engine = AlignmentEngine::new();
+        engine.begin_batch(&problem.buffers);
+        engine.paths_mut().extend_from_slice(&problem.paths);
+        engine.seed(seed);
+        let fast = engine.solve().clone();
+        let slow = oracle_solve(problem, seed, true);
+        assert_eq!(fast.period.to_bits(), slow.period.to_bits(), "engine period");
+        assert_eq!(fast.objective.to_bits(), slow.objective.to_bits(), "engine objective");
+        assert_eq!(bits(&fast.buffer_values), bits(&slow.buffer_values), "engine values");
+        (fast_x, descent.walks, descent.evaluated)
+    }
+
+    /// The objective is `1 + |v - 8h|` on the lattice `v = k h`, `h =
+    /// 2^-42`, `k < 20`: a step changes it by about 0.23 of the 1e-12
+    /// acceptance tolerance, so the first strictly best value in lattice
+    /// order wins, not the minimum. From the top, a walk that stopped at
+    /// the first rise past its predecessor (k = 7) would never score k = 0
+    /// to 6, which the full scan accepts first, and would land on k = 8.
+    #[test]
+    fn pruned_walk_keeps_the_first_best_value_on_a_plateau() {
+        let h = 2f64.powi(-42);
+        let problem = AlignmentProblem {
+            paths: vec![
+                AlignPath { weight: 3.0, ..path(0.0, None, None) },
+                path(1.0, None, None),
+                path(-8.0 * h, Some(0), None),
+            ],
+            buffers: vec![buf(0.0, 19.0 * h, 20)],
+        };
+        for (seed, lands) in [(19.0 * h, 7.0 * h), (0.0, 5.0 * h)] {
+            let (x, walks, _) = assert_matches_oracle(&problem, &[seed]);
+            assert_eq!(x, [lands], "seed {seed:e}");
+            assert!(walks[1] > 0, "the plateau must be walked with stop rules");
+        }
+    }
+
+    /// Centers near 1e12 are 2^-13 apart, and the buffer steps 2^-15, so
+    /// shifted centers round in steps: at k = 2 the sink path rounds away
+    /// from the period before the source path rounds toward it, and the
+    /// objective rises by 2^-12 although it falls on the whole. The error
+    /// margin (about 9e-3 here) keeps the walk going to the optimum near
+    /// v = 0.02; a walk stopping at the first computed rise would stay at 0.
+    #[test]
+    fn pruned_walk_does_not_stop_on_rounding_noise() {
+        let u = 2f64.powi(-13);
+        let problem = AlignmentProblem {
+            paths: vec![
+                AlignPath { weight: 10.0, ..path(1e12, None, None) },
+                AlignPath { weight: 3.0, ..path(1e12 - 0.02, Some(0), None) },
+                AlignPath { weight: 2.0, ..path(1e12 - u, None, Some(0)) },
+            ],
+            buffers: vec![buf(0.0, 250.0 * u, 1001)],
+        };
+        let (x, walks, _) = assert_matches_oracle(&problem, &[0.0]);
+        assert!(x[0] > 0.019, "the descent should reach the optimum, got {}", x[0]);
+        assert!(walks[1] > 0 && walks[0] == 0, "walks {walks:?}");
+    }
+
+    /// Scans that cannot observe the convexity argument walk the whole
+    /// lattice: an incident hold bound violated at the current value (a
+    /// seed greedy repair leaves infeasible), and negative or non-integer
+    /// weights.
+    #[test]
+    fn walks_without_stop_rules_score_every_feasible_value() {
+        // Repair rounds x0 + 0.2 to 0 and gives up, although 0.5 and 1
+        // satisfy the hold bound; the first scan walks everything.
+        let mut repairable = path(2.0, Some(0), None);
+        repairable.hold_lower_bound = Some(0.2);
+        let problem = AlignmentProblem {
+            paths: vec![repairable, path(2.4, None, None), path(2.6, None, None)],
+            buffers: vec![buf(0.0, 1.0, 3)],
+        };
+        let (x, walks, _) = assert_matches_oracle(&problem, &[0.0]);
+        assert_eq!(x, [0.5]);
+        assert!(walks[0] > 0 && walks[1] > 0, "walks {walks:?}");
+
+        // A hold bound no value can meet: every walk is a full one, and
+        // nothing moves.
+        let mut hopeless = path(3.0, Some(0), Some(1));
+        hopeless.hold_lower_bound = Some(5.0);
+        let problem = AlignmentProblem {
+            paths: vec![hopeless, path(3.0, Some(2), None), path(5.0, None, Some(2))],
+            buffers: vec![buf(-2.0, 2.0, 5); 3],
+        };
+        let (x, walks, _) = assert_matches_oracle(&problem, &[-2.0, 2.0, 0.0]);
+        assert_eq!(x, [2.0, -2.0, 0.0]);
+        assert_eq!(walks[1], 0);
+
+        for weights in [[0.5, 1.7, 2.0, 1.0], [1.0, -0.3, 2.0, 1.0]] {
+            let paths = [
+                (3.0, Some(0), None),
+                (4.5, None, Some(0)),
+                (5.0, Some(1), None),
+                (4.0, None, None),
+            ]
+            .iter()
+            .zip(weights)
+            .map(|(&(c, s, k), weight)| AlignPath { weight, ..path(c, s, k) })
+            .collect();
+            let problem = AlignmentProblem { paths, buffers: vec![buf(-2.0, 2.0, 17); 2] };
+            let (_, walks, evaluated) = assert_matches_oracle(&problem, &[-2.0, 2.0]);
+            assert!(walks[0] > 0 && walks[1] == 0, "weights {weights:?}: walks {walks:?}");
+            assert_eq!(evaluated, 16 * walks[0], "a full walk scores every other value");
+        }
+    }
+
+    /// One value (nothing to scan), two values, and 10,000 values, where a
+    /// warm solve scores a handful of them per buffer. (Each buffer moves
+    /// one path: two paths of equal weight on either side of the period
+    /// would make the objective exactly flat, and a plateau is walked to
+    /// its end.)
+    #[test]
+    fn pruned_walk_handles_one_two_and_ten_thousand_steps() {
+        for steps in [1, 2] {
+            let problem = AlignmentProblem {
+                paths: vec![
+                    path(1.0, Some(0), None),
+                    path(2.0, None, Some(1)),
+                    path(3.0, None, None),
+                ],
+                buffers: vec![buf(-0.5, 0.5, steps), buf(0.0, 1.0, 2)],
+            };
+            for seed in [[-0.5, 0.0], [0.5, 1.0]] {
+                assert_matches_oracle(&problem, &seed);
+            }
+        }
+
+        let centers = [3.1, 4.7, 5.2, 5.9, 7.4];
+        let weights = sorted_center_weights(&centers, 1000.0, 1.0);
+        let mut problem = AlignmentProblem {
+            paths: centers
+                .iter()
+                .zip(&weights)
+                .enumerate()
+                .map(|(i, (&c, &weight))| {
+                    let (src, snk) = [(Some(0), None), (None, None), (None, None), (None, Some(1))]
+                        .get(i)
+                        .copied()
+                        .unwrap_or_default();
+                    AlignPath { weight, ..path(c, src, snk) }
+                })
+                .collect(),
+            buffers: vec![buf(-5.0, 5.0, 10_000); 2],
+        };
+        assert_matches_oracle(&problem, &[0.0, 0.0]);
+        let mut engine = AlignmentEngine::new();
+        engine.begin_batch(&problem.buffers);
+        engine.paths_mut().extend_from_slice(&problem.paths);
+        let warm = engine.solve().buffer_values.clone();
+        for p in &mut problem.paths {
+            p.center += 0.01;
+        }
+        engine.paths_mut().clear();
+        engine.paths_mut().extend_from_slice(&problem.paths);
+        let before = engine.descent.evaluated;
+        let fast = engine.solve().clone();
+        let slow = oracle_solve(&problem, &warm, false);
+        assert_eq!(bits(&fast.buffer_values), bits(&slow.buffer_values));
+        assert_eq!(fast.objective.to_bits(), slow.objective.to_bits());
+        let evaluated = engine.descent.evaluated - before;
+        assert!(evaluated <= 8, "a warm solve scored {evaluated} of 2 x 10,000 values");
     }
 
     #[test]
