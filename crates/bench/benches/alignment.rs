@@ -126,7 +126,7 @@ fn run_cold(buffers: &[BufferVar], trace: &[Vec<AlignPath>]) -> f64 {
     let mut acc = 0.0;
     for paths in trace {
         let problem = AlignmentProblem { paths: paths.clone(), buffers: buffers.to_vec() };
-        let sol = problem.solve_coordinate_descent(&warm);
+        let sol = problem.solve_coordinate_descent(&warm).expect("well-formed buffers");
         warm.clone_from(&sol.buffer_values);
         acc += sol.objective;
     }
@@ -136,7 +136,7 @@ fn run_cold(buffers: &[BufferVar], trace: &[Vec<AlignPath>]) -> f64 {
 /// The workspace inner loop: one engine per batch, paths mutated in place,
 /// warm start carried internally.
 fn run_warm(engine: &mut AlignmentEngine, buffers: &[BufferVar], trace: &[Vec<AlignPath>]) -> f64 {
-    engine.begin_batch(buffers);
+    engine.begin_batch(buffers).expect("well-formed buffers");
     let mut acc = 0.0;
     for paths in trace {
         let p = engine.paths_mut();

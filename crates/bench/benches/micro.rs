@@ -7,10 +7,12 @@
 //! * `micro/*` — scaling of the statistical kernels the flow leans on:
 //!   covariance assembly, group PCA, conditional Gaussian prediction,
 //!   Monte-Carlo chip and hold-bound sampling, simplex LP, lattice buffer
-//!   configuration, and the symmetric eigensolver.
+//!   configuration, the symmetric eigensolver, and the PCA of full-size
+//!   s13207's largest correlation group.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
+use effitest_core::select::SelectConfig;
 use effitest_linalg::{Matrix, Pca};
 use effitest_solver::align::{AlignPath, AlignmentProblem, BufferVar};
 use effitest_solver::config::{ConfigPath, ConfigProblem};
@@ -47,7 +49,11 @@ fn bench_ablation_alignment(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("coordinate_descent", format!("{np}p{nb}b")),
             &problem,
-            |b, p| b.iter(|| black_box(p.solve_coordinate_descent(&init).objective)),
+            |b, p| {
+                b.iter(|| {
+                    black_box(p.solve_coordinate_descent(&init).expect("well formed").objective)
+                })
+            },
         );
         group.bench_with_input(
             BenchmarkId::new("exact_milp", format!("{np}p{nb}b")),
@@ -68,9 +74,7 @@ fn bench_statistics(c: &mut Criterion) {
         });
         let cov = model.covariance_matrix(&idx);
         group.bench_with_input(BenchmarkId::new("pca", n), &cov, |b, cov| {
-            b.iter(|| {
-                black_box(Pca::from_covariance(cov).expect("psd").components_for_energy(0.95))
-            })
+            b.iter(|| black_box(Pca::from_covariance(cov, 0.95).expect("psd").components().len()))
         });
         let gauss = model.gaussian(&idx);
         let observed: Vec<usize> = (0..idx.len() / 4).collect();
@@ -167,15 +171,28 @@ fn bench_linalg(c: &mut Criterion) {
             })
         });
     }
-    // 470 is the largest correlation group of full-size s13207, the
-    // biggest PCA Procedure 1 runs on the paper's circuits.
-    for n in [32_usize, 96, 470] {
+    for n in [32_usize, 96] {
         group.bench_with_input(BenchmarkId::new("symmetric_eigen", n), &spd_matrix(n), |b, a| {
             b.iter(|| {
                 black_box(effitest_linalg::SymmetricEigen::new(a).expect("sym").eigenvalues()[0])
             })
         });
     }
+    // The biggest PCA Procedure 1 runs on the paper's circuits: full-size
+    // s13207's largest correlation group (path 0 and the 469 paths
+    // correlated with it at 0.95 or more) at the default energy, which
+    // retains one of its 470 components.
+    let (_, model) = fixture();
+    let members: Vec<usize> =
+        (0..model.path_count()).filter(|&p| p == 0 || model.correlation(0, p) >= 0.95).collect();
+    let energy = SelectConfig::default().pca_energy;
+    group.bench_with_input(
+        BenchmarkId::new("pca_s13207_group", members.len()),
+        &model.covariance_matrix(&members),
+        |b, cov| {
+            b.iter(|| black_box(Pca::from_covariance(cov, energy).expect("psd").components().len()))
+        },
+    );
     group.finish();
 }
 

@@ -352,7 +352,9 @@ fn test_one_batch_incremental(
     ws.zeros.clear();
     ws.zeros.resize(ws.buffers.len(), 0.0);
     ws.engine.set_node_limit(config.exact_node_limit);
-    ws.engine.begin_batch(&ws.buffers);
+    ws.engine
+        .begin_batch(&ws.buffers)
+        .expect("the model's buffer spec is finite with two or more steps");
 
     // Resolve per-slot constants once per batch: initial bounds, buffer
     // hookups, hold bounds. The reference loop re-derives all of these
@@ -519,7 +521,9 @@ fn test_one_batch_reference(
     // The engine resets its warm start here: nothing carries over from
     // the previous batch (or chip), by construction.
     ws.engine.set_node_limit(config.exact_node_limit);
-    ws.engine.begin_batch(&ws.buffers);
+    ws.engine
+        .begin_batch(&ws.buffers)
+        .expect("the model's buffer spec is finite with two or more steps");
 
     ws.bounds.clear();
     ws.bounds.extend(batch.iter().map(|&p| {

@@ -892,7 +892,8 @@ mod tests {
     fn invalid_select_configs_are_rejected_before_planning() {
         // Regression: the first three used to hang `plan()` (every seed
         // deferred as a singleton while the threshold never moved or was
-        // never finite), the last three used to panic inside selection.
+        // never finite), the next three used to panic inside selection,
+        // and the last two were clamped or retained every component.
         // Each runs on its own thread so a hang fails the test instead of
         // stalling the suite (a hung thread cannot be joined; it is left
         // behind when the test fails).
@@ -903,7 +904,9 @@ mod tests {
             SelectConfig { threshold_step: 1e-300, ..base.clone() },
             SelectConfig { threshold_step: 0.0, ..base.clone() },
             SelectConfig { criticality_fraction: Some(1.5), ..base.clone() },
-            SelectConfig { criticality_fraction: Some(f64::NAN), ..base },
+            SelectConfig { criticality_fraction: Some(f64::NAN), ..base.clone() },
+            SelectConfig { pca_energy: f64::NAN, ..base.clone() },
+            SelectConfig { pca_energy: 1.5, ..base },
         ];
         for select in cases {
             let label = format!("{select:?}");

@@ -33,12 +33,14 @@ pub struct SelectConfig {
     pub threshold_step: f64,
     /// Threshold below which singleton groups are accepted.
     pub threshold_floor: f64,
-    /// Cumulative-variance fraction a group's retained PCs must reach.
+    /// Cumulative-variance fraction in `[0, 1]` a group's retained PCs
+    /// must reach. Only the retained components' directions are computed.
     pub pca_energy: f64,
     /// Oversized groups are chunked to at most this many members before
-    /// PCA. The eigendecomposition is O(n^3), about 0.2 s at 470 members
-    /// (s13207's largest group) on one core of a 2-vCPU host. Chunking a
-    /// high-correlation group costs at most a few extra representatives.
+    /// PCA. The PCA is O(n^3), about 55 ms at 470 members (s13207's
+    /// largest group) on one core of a 2-vCPU host, nearly all of it the
+    /// Householder reduction. Chunking a high-correlation group costs at
+    /// most a few extra representatives.
     pub max_group_size: usize,
     /// Criticality pre-selection: when set, only paths whose criticality
     /// score (`mu + criticality_sigma * sigma`) reaches this fraction of
@@ -79,7 +81,9 @@ impl SelectConfig {
     /// sigma multiplier, and a threshold step that reaches the floor (or
     /// the correlation bound -1) in at most 10 000 strictly decreasing
     /// rounds. Without these checks a NaN or infinite start, or a step
-    /// too small to move the threshold, defers every seed forever.
+    /// too small to move the threshold, defers every seed forever. It
+    /// also checks that `pca_energy` lies in `[0, 1]`: a NaN would retain
+    /// every component, so every path would be tested.
     ///
     /// # Errors
     ///
@@ -96,6 +100,9 @@ impl SelectConfig {
                 "threshold_step must be positive and finite, got {}",
                 self.threshold_step
             ));
+        }
+        if !(0.0..=1.0).contains(&self.pca_energy) {
+            return Err(format!("pca_energy must lie in [0, 1], got {}", self.pca_energy));
         }
         if let Some(fraction) = self.criticality_fraction {
             if !(0.0..=1.0).contains(&fraction) {
@@ -232,8 +239,8 @@ fn make_group(
         return PathGroup { selected: members.clone(), members, threshold, n_pcs: 1 };
     }
     let cov = model.covariance_matrix(&members);
-    let pca = Pca::from_covariance(&cov).expect("model covariances are symmetric");
-    let n_pcs = pca.components_for_energy(pca_energy).clamp(1, members.len());
+    let pca = Pca::from_covariance(&cov, pca_energy).expect("model covariances are symmetric");
+    let n_pcs = pca.components().len();
     // Select, per retained PC, the member with the largest |loading| not
     // yet selected (paper §3.1, last paragraph).
     let mut selected_local: Vec<usize> = Vec::with_capacity(n_pcs);
@@ -489,6 +496,20 @@ mod tests {
             SelectConfig { threshold_start: 5.0, threshold_step: 0.001, ..base },
         ] {
             assert_eq!(good.validate(), Ok(()), "rejected {good:?}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_nan_or_out_of_range_pca_energy() {
+        let base = SelectConfig::default();
+        for energy in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.01, 1.01] {
+            let cfg = SelectConfig { pca_energy: energy, ..base.clone() };
+            let err = cfg.validate().expect_err("accepted a bad pca_energy");
+            assert!(err.contains("pca_energy"), "{err}");
+        }
+        for energy in [0.0, 0.5, 0.95, 1.0] {
+            let cfg = SelectConfig { pca_energy: energy, ..base.clone() };
+            assert_eq!(cfg.validate(), Ok(()), "rejected pca_energy {energy}");
         }
     }
 

@@ -8,10 +8,13 @@
 //!   general linear solves and inverses.
 //! * [`CholeskyDecomposition`] — factorization of symmetric positive-definite
 //!   matrices, the workhorse behind conditional Gaussian inference.
-//! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices by
-//!   Householder tridiagonalization and implicit-shift QL.
+//! * [`SymmetricEigen`] — every eigenvalue of a symmetric matrix by
+//!   Householder tridiagonalization and the implicit-shift QL recurrence,
+//!   and the eigenvectors of the leading ones on request, by inverse
+//!   iteration on the tridiagonal matrix.
 //! * [`Pca`] — principal component analysis on covariance matrices
-//!   (paper §3.1, used to pick representative paths per correlation group).
+//!   (paper §3.1, used to pick representative paths per correlation
+//!   group), computing directions for the retained components only.
 //! * [`MultivariateGaussian`] — joint Gaussians with exact conditional
 //!   distributions (paper eqs. 4–5).
 //! * [`GaussianConditioner`] — the reusable, value-independent half of a

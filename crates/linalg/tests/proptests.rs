@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 #[path = "support/symmetric.rs"]
 mod symmetric;
-use symmetric::{symmetric_matrix, Family};
+use symmetric::{reconstruct, symmetric_matrix, Family};
 
 /// Strategy: a well-conditioned SPD matrix built as `B B^T + n*I`.
 fn spd_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
@@ -68,11 +68,14 @@ proptest! {
     #[test]
     fn eigen_reconstructs_and_is_orthonormal((family, a) in symmetric_matrix(48)) {
         let eig = SymmetricEigen::new(&a).expect("symmetric by construction");
+        // Every eigenvector, so the repeated family's clusters are
+        // reorthogonalized in full.
+        let vectors = eig.eigenvectors(a.rows()).expect("inverse iteration converges");
         let scale = a.max_abs().max(1.0);
-        let recon = eig.reconstruct();
-        prop_assert!((&recon - &a).max_abs() < 1e-8 * scale);
-        let vtv = eig.eigenvectors().transpose().matmul(eig.eigenvectors()).expect("square");
-        prop_assert!((&vtv - &Matrix::identity(a.rows())).max_abs() < 1e-9);
+        let recon = reconstruct(eig.eigenvalues(), &vectors);
+        prop_assert!((&recon - &a).max_abs() < 1e-8 * scale, "{family:?}");
+        let vtv = vectors.transpose().matmul(&vectors).expect("square");
+        prop_assert!((&vtv - &Matrix::identity(a.rows())).max_abs() < 1e-9, "{family:?}");
         let lambda = eig.eigenvalues();
         for w in lambda.windows(2) {
             prop_assert!(w[0] >= w[1], "eigenvalues not descending: {:?}", w);
@@ -94,7 +97,7 @@ proptest! {
 
     #[test]
     fn pca_energy_is_monotone_and_normalized(a in spd_matrix(8)) {
-        let pca = Pca::from_covariance(&a).expect("symmetric");
+        let pca = Pca::from_covariance(&a, 0.95).expect("symmetric");
         let mut prev = 0.0;
         for k in 0..=pca.dim() {
             let e = pca.energy_fraction(k);
@@ -105,6 +108,7 @@ proptest! {
         // components_for_energy is consistent with energy_fraction.
         let k95 = pca.components_for_energy(0.95);
         prop_assert!(pca.energy_fraction(k95) + 1e-9 >= 0.95);
+        prop_assert_eq!(pca.components().len(), k95);
     }
 
     #[test]

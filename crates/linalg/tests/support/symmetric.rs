@@ -1,6 +1,7 @@
-//! Symmetric test matrices for the eigensolver's property tests, shared by
-//! the unit tests in `src/eigen.rs` (which hold the Jacobi oracle) and the
-//! integration proptests. The including module must have `Matrix` in scope.
+//! Symmetric test matrices for the eigensolver's property tests, and the
+//! reconstruction they check, shared by the unit tests in `src/eigen.rs`
+//! (which hold the full-QL and Jacobi oracles) and the integration
+//! proptests. The including module must have `Matrix` in scope.
 
 use super::Matrix;
 use proptest::prelude::*;
@@ -53,4 +54,10 @@ pub fn symmetric_matrix(max_n: usize) -> impl Strategy<Value = (Family, Matrix)>
             }
         })
     })
+}
+
+/// `V diag(values) V^T` for eigenvector columns `V`.
+pub fn reconstruct(values: &[f64], vectors: &Matrix) -> Matrix {
+    let scaled = Matrix::from_fn(vectors.rows(), values.len(), |i, k| vectors[(i, k)] * values[k]);
+    scaled.matmul(&vectors.transpose()).expect("shapes agree by construction")
 }

@@ -159,6 +159,12 @@ pub struct BufferVar {
 }
 
 impl BufferVar {
+    /// `true` if the solvers can use this buffer: at least one setting and
+    /// finite bounds with `min <= max`.
+    pub fn is_well_formed(&self) -> bool {
+        self.steps > 0 && self.min.is_finite() && self.max.is_finite() && self.min <= self.max
+    }
+
     /// Spacing between adjacent settings.
     pub fn step_size(&self) -> f64 {
         if self.steps <= 1 {
@@ -178,6 +184,11 @@ impl BufferVar {
     }
 
     /// Nearest discrete setting to `x` (clamped into range).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `min > max` or a bound is NaN (see
+    /// [`is_well_formed`](Self::is_well_formed)).
     pub fn nearest(&self, x: f64) -> u32 {
         let d = self.step_size();
         if d == 0.0 {
@@ -191,6 +202,15 @@ impl BufferVar {
     pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.steps).map(move |k| self.value(k))
     }
+}
+
+/// The position of the first buffer in a list that is not
+/// [well formed](BufferVar::is_well_formed): no settings, a non-finite
+/// bound, or `min > max`. The alignment solvers refuse such a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MalformedBuffer {
+    /// Index of the buffer in the batch's list.
+    pub index: usize,
 }
 
 /// One path's data in the alignment problem.
@@ -295,13 +315,14 @@ impl AlignmentProblem {
     }
 
     /// `true` if `x` lies on every buffer's discrete grid (within `tol`)
-    /// and satisfies all hold bounds.
+    /// and satisfies all hold bounds. A buffer that is not well formed has
+    /// no grid to lie on.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.buffers.len() {
             return false;
         }
         for (b, &v) in self.buffers.iter().zip(x) {
-            if v < b.min - tol || v > b.max + tol {
+            if !b.is_well_formed() || v < b.min - tol || v > b.max + tol {
                 return false;
             }
             let snapped = b.value(b.nearest(v));
@@ -327,21 +348,28 @@ impl AlignmentProblem {
     /// [`AlignmentEngine`] per call. Iterative callers should hold an
     /// engine and solve through it instead.
     ///
+    /// Returns `None` if a buffer is not
+    /// [well formed](BufferVar::is_well_formed).
+    ///
     /// # Panics
     ///
     /// Panics if `init.len() != self.buffers.len()`.
-    pub fn solve_coordinate_descent(&self, init: &[f64]) -> AlignmentSolution {
+    pub fn solve_coordinate_descent(&self, init: &[f64]) -> Option<AlignmentSolution> {
         assert_eq!(init.len(), self.buffers.len());
         let mut engine = AlignmentEngine::new();
-        engine.begin_batch(&self.buffers);
+        engine.begin_batch(&self.buffers).ok()?;
         engine.paths_mut().extend_from_slice(&self.paths);
         engine.seed(init);
-        engine.solve().clone()
+        Some(engine.solve().clone())
     }
 
     /// Exact MILP solve (oracle / ablation). Returns `None` if the hold
-    /// bounds make the problem infeasible or the node limit is hit.
+    /// bounds make the problem infeasible, the node limit is hit, or a
+    /// buffer is not [well formed](BufferVar::is_well_formed).
     pub fn solve_exact(&self) -> Option<AlignmentSolution> {
+        if !self.buffers.iter().all(BufferVar::is_well_formed) {
+            return None;
+        }
         if self.paths.is_empty() {
             return Some(AlignmentSolution {
                 period: 0.0,
@@ -568,10 +596,11 @@ struct StopRule {
 }
 
 impl StopRule {
-    /// The rule for scanning buffer `b` from `x`, or `None` when the scan
-    /// cannot observe that the convexity argument holds: weights not
-    /// `exact`, a non-finite `objective` or margin, a current value off
-    /// the lattice, or an incident hold bound violated at it.
+    /// The rule for scanning buffer `b` (well formed, as the engine only
+    /// holds such buffers) from `x`, or `None` when the scan cannot
+    /// observe that the convexity argument holds: weights not `exact`, a
+    /// non-finite `objective` or margin, a current value off the lattice,
+    /// or an incident hold bound violated at it.
     fn new(
         problem: &AlignmentProblem,
         b: usize,
@@ -581,8 +610,7 @@ impl StopRule {
         exact: bool,
     ) -> Option<StopRule> {
         let lattice = &problem.buffers[b];
-        let ordered = lattice.min <= lattice.max; // `nearest` panics otherwise
-        if !exact || !objective.is_finite() || lattice.steps == 0 || !ordered {
+        if !exact || !objective.is_finite() {
             return None;
         }
         let start = lattice.nearest(x[b]);
@@ -969,13 +997,26 @@ impl AlignmentEngine {
 
     /// Starts a new batch: installs its buffers, clears the path list, and
     /// resets the warm start to all-zero buffer values.
-    pub fn begin_batch(&mut self, buffers: &[BufferVar]) {
+    ///
+    /// This is the one place the engine checks its buffers; every solve
+    /// relies on them being well formed.
+    ///
+    /// # Errors
+    ///
+    /// [`MalformedBuffer`] names the first buffer that is not
+    /// [well formed](BufferVar::is_well_formed). The engine is then left
+    /// with an empty batch: no buffers and no paths.
+    pub fn begin_batch(&mut self, buffers: &[BufferVar]) -> Result<(), MalformedBuffer> {
         self.problem.buffers.clear();
-        self.problem.buffers.extend_from_slice(buffers);
         self.problem.paths.clear();
         self.warm.clear();
-        self.warm.resize(buffers.len(), 0.0);
         self.multistart = true;
+        if let Some(index) = buffers.iter().position(|b| !b.is_well_formed()) {
+            return Err(MalformedBuffer { index });
+        }
+        self.problem.buffers.extend_from_slice(buffers);
+        self.warm.resize(buffers.len(), 0.0);
+        Ok(())
     }
 
     /// Overrides the warm start (grid snapping happens at solve time) and
@@ -1462,7 +1503,7 @@ mod tests {
 
             // A warm sequence: multi-start first, warm seed alone after,
             // re-armed once by `seed`.
-            engine.begin_batch(&problem.buffers);
+            engine.begin_batch(&problem.buffers).unwrap();
             let mut warm = vec![0.0; nb];
             for iter in 0..3 {
                 if iter > 0 {
@@ -1515,7 +1556,7 @@ mod tests {
         assert_eq!(bits(&fast_x), bits(&slow_x), "buffer values");
 
         let mut engine = AlignmentEngine::new();
-        engine.begin_batch(&problem.buffers);
+        engine.begin_batch(&problem.buffers).unwrap();
         engine.paths_mut().extend_from_slice(&problem.paths);
         engine.seed(seed);
         let fast = engine.solve().clone();
@@ -1660,7 +1701,7 @@ mod tests {
         };
         assert_matches_oracle(&problem, &[0.0, 0.0]);
         let mut engine = AlignmentEngine::new();
-        engine.begin_batch(&problem.buffers);
+        engine.begin_batch(&problem.buffers).unwrap();
         engine.paths_mut().extend_from_slice(&problem.paths);
         let warm = engine.solve().buffer_values.clone();
         for p in &mut problem.paths {
@@ -1693,7 +1734,7 @@ mod tests {
             paths: vec![path(2.0, None, None), path(4.0, None, None), path(10.0, None, None)],
             buffers: vec![],
         };
-        let sol = problem.solve_coordinate_descent(&[]);
+        let sol = problem.solve_coordinate_descent(&[]).unwrap();
         assert_eq!(sol.period, 4.0);
         assert!((sol.objective - 8.0).abs() < 1e-9);
     }
@@ -1712,7 +1753,7 @@ mod tests {
             buffers: vec![buf(-2.0, 2.0, 9)],
         };
         let exact = problem.solve_exact().expect("feasible");
-        let fast = problem.solve_coordinate_descent(&[0.0]);
+        let fast = problem.solve_coordinate_descent(&[0.0]).unwrap();
         assert!(
             (fast.objective - exact.objective).abs() < 1e-6,
             "fast {} vs exact {}",
@@ -1734,7 +1775,7 @@ mod tests {
         };
         let exact = problem.solve_exact().expect("feasible");
         assert!(exact.objective.abs() < 1e-7);
-        let fast = problem.solve_coordinate_descent(&[0.0]);
+        let fast = problem.solve_coordinate_descent(&[0.0]).unwrap();
         assert!(fast.objective.abs() < 1e-7);
         assert!(problem.is_feasible(&fast.buffer_values, 1e-9));
     }
@@ -1771,7 +1812,7 @@ mod tests {
             buffers: vec![buf(-2.0, 2.0, 9)],
         };
         let exact = problem.solve_exact().expect("feasible");
-        let fast = problem.solve_coordinate_descent(&[0.0]);
+        let fast = problem.solve_coordinate_descent(&[0.0]).unwrap();
         // Best: x = -0.5 -> centers 6 and 7.5, objective 1.5.
         assert!((exact.objective - 1.5).abs() < 1e-6);
         assert!((fast.objective - 1.5).abs() < 1e-6);
@@ -1825,7 +1866,7 @@ mod tests {
                 .collect();
             let problem = AlignmentProblem { paths, buffers };
             let exact = problem.solve_exact().expect("feasible without hold bounds");
-            let fast = problem.solve_coordinate_descent(&vec![0.0; nb]);
+            let fast = problem.solve_coordinate_descent(&vec![0.0; nb]).unwrap();
             assert!(problem.is_feasible(&fast.buffer_values, 1e-9));
             // Coordinate descent is a heuristic: allow rare slightly-worse
             // outcomes but never infeasibility; the bulk must match.
@@ -1849,7 +1890,7 @@ mod tests {
             buffers: vec![buf(-2.0, 2.0, 9), buf(-2.0, 2.0, 9)],
         };
         let mut engine = AlignmentEngine::new();
-        engine.begin_batch(&problem.buffers);
+        engine.begin_batch(&problem.buffers).unwrap();
         engine.paths_mut().extend_from_slice(&problem.paths);
         let heuristic = engine.solve().clone();
 
@@ -1875,7 +1916,34 @@ mod tests {
         let problem = AlignmentProblem { paths: vec![], buffers: vec![buf(-1.0, 1.0, 3)] };
         let sol = problem.solve_exact().expect("trivially feasible");
         assert_eq!(sol.objective, 0.0);
-        let fast = problem.solve_coordinate_descent(&[0.5]);
+        let fast = problem.solve_coordinate_descent(&[0.5]).unwrap();
         assert_eq!(fast.objective, 0.0);
+    }
+
+    #[test]
+    fn malformed_buffers_are_refused_where_the_batch_is_installed() {
+        // Each used to panic: the first two in `f64::clamp` inside
+        // `BufferVar::nearest`, the last on `steps - 1` in the multi-start.
+        for bad in [buf(1.0, -1.0, 5), buf(f64::NAN, 1.0, 5), buf(-1.0, 1.0, 0)] {
+            let problem = AlignmentProblem {
+                paths: vec![path(3.0, Some(1), None)],
+                buffers: vec![buf(-1.0, 1.0, 5), bad],
+            };
+            assert!(!bad.is_well_formed(), "{bad:?}");
+            assert_eq!(problem.solve_coordinate_descent(&[0.0, 0.0]), None, "{bad:?}");
+            assert_eq!(problem.solve_exact(), None, "{bad:?}");
+            assert!(!problem.is_feasible(&[0.0, 0.0], 1e-9), "{bad:?}");
+            let mut engine = AlignmentEngine::new();
+            assert_eq!(engine.begin_batch(&problem.buffers), Err(MalformedBuffer { index: 1 }));
+            // The refused batch leaves nothing behind to solve over.
+            assert!(engine.buffers().is_empty() && engine.paths().is_empty());
+            assert_eq!(engine.solve().objective, 0.0);
+        }
+        for bad in [buf(-1.0, f64::INFINITY, 5), buf(f64::NEG_INFINITY, 1.0, 5)] {
+            assert!(!bad.is_well_formed(), "{bad:?}");
+        }
+        for good in [buf(-1.0, 1.0, 1), buf(0.0, 0.0, 5), buf(-8.0, 8.0, 20)] {
+            assert!(good.is_well_formed(), "{good:?}");
+        }
     }
 }

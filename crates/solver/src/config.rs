@@ -81,8 +81,9 @@ impl ConfigProblem {
     /// constraints even with fully conservative slack (`xi` large enough
     /// that `D' = l`), i.e. the chip cannot be configured to run at
     /// `clock_period`. It also returns `None` for a malformed problem: a
-    /// buffer with no settings (`steps == 0`), or a path whose buffer index
-    /// is out of range.
+    /// buffer that is not [well formed](BufferVar::is_well_formed) (no
+    /// settings, a non-finite bound or `min > max`), or a path whose buffer
+    /// index is out of range.
     ///
     /// The lattice probes need one step size shared by every buffer (the
     /// EffiTest flow always uses uniform buffer specs, per the paper's
@@ -231,11 +232,11 @@ impl ConfigProblem {
         })
     }
 
-    /// `true` if every buffer has at least one setting and every path's
-    /// buffer indices are in range.
+    /// `true` if every buffer is [well formed](BufferVar::is_well_formed)
+    /// and every path's buffer indices are in range.
     fn is_well_formed(&self) -> bool {
         let nb = self.buffers.len();
-        self.buffers.iter().all(|b| b.steps > 0)
+        self.buffers.iter().all(BufferVar::is_well_formed)
             && self.paths.iter().all(|p| {
                 p.source_buffer.is_none_or(|b| b < nb) && p.sink_buffer.is_none_or(|b| b < nb)
             })
@@ -521,15 +522,18 @@ mod tests {
     #[test]
     fn buffer_without_settings_is_rejected() {
         // `steps - 1` used to underflow: a panic in debug builds, and in
-        // release builds a setting of -1 for a buffer that has none.
-        let problem = ConfigProblem {
-            clock_period: 10.0,
-            paths: vec![cpath(8.0, 9.0, Some(0), None)],
-            buffers: vec![buf(-1.0, 1.0, 0)],
-        };
-        assert_eq!(problem.solve(), None);
-        assert_eq!(problem.solve_exact_milp(), None);
-        assert!(!problem.is_feasible_config(&[-1.0], 0.0, 1e-9));
+        // release builds a setting of -1 for a buffer that has none. A
+        // buffer with `min > max` or a NaN bound is no better formed.
+        for bad in [buf(-1.0, 1.0, 0), buf(1.0, -1.0, 5), buf(f64::NAN, 1.0, 5)] {
+            let problem = ConfigProblem {
+                clock_period: 10.0,
+                paths: vec![cpath(8.0, 9.0, Some(0), None)],
+                buffers: vec![bad],
+            };
+            assert_eq!(problem.solve(), None, "{bad:?}");
+            assert_eq!(problem.solve_exact_milp(), None, "{bad:?}");
+            assert!(!problem.is_feasible_config(&[-1.0], 0.0, 1e-9), "{bad:?}");
+        }
     }
 
     #[test]

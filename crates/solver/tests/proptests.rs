@@ -161,7 +161,7 @@ proptest! {
             })
             .collect();
         let problem = AlignmentProblem { paths, buffers };
-        let fast = problem.solve_coordinate_descent(&vec![0.0; nb]);
+        let fast = problem.solve_coordinate_descent(&vec![0.0; nb]).expect("well-formed buffers");
         prop_assert!(problem.is_feasible(&fast.buffer_values, 1e-9));
         let exact = problem.solve_exact().expect("the all-zero assignment is feasible");
         prop_assert!(exact.objective <= fast.objective + 1e-6);
@@ -317,8 +317,8 @@ proptest! {
 
         let mut engine = AlignmentEngine::new();
         let mut replay = AlignmentEngine::new();
-        engine.begin_batch(&buffers);
-        replay.begin_batch(&buffers);
+        engine.begin_batch(&buffers).expect("well-formed buffers");
+        replay.begin_batch(&buffers).expect("well-formed buffers");
         for (iter, paths) in iteration_paths.iter().enumerate() {
             let warm_before = engine.warm_values().to_vec();
             let e = engine.paths_mut();
@@ -336,7 +336,7 @@ proptest! {
             );
             if iter == 0 {
                 // First solve: bitwise-identical to the cold multi-start.
-                let cold = problem.solve_coordinate_descent(&warm_before);
+                let cold = problem.solve_coordinate_descent(&warm_before).expect("well-formed buffers");
                 prop_assert_eq!(engine_sol.period.to_bits(), cold.period.to_bits());
                 prop_assert_eq!(engine_sol.objective.to_bits(), cold.objective.to_bits());
                 let e_bits: Vec<u64> =

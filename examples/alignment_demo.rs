@@ -47,7 +47,7 @@ fn main() {
     // The per-iteration hot path of the real flow: one warm-started
     // engine per batch, the path list rebuilt in place each iteration.
     let mut engine = AlignmentEngine::new();
-    engine.begin_batch(&buffers);
+    engine.begin_batch(&buffers).expect("well-formed buffers");
 
     let mut iteration = 0;
     while bounds.iter().any(|(l, u)| u - l > 0.8) && iteration < 12 {

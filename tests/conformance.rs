@@ -74,7 +74,9 @@ fn heuristic_alignment_stays_within_bound_of_exact_optimum_on_every_topology() {
                 let exact = problem.solve_exact().unwrap_or_else(|| {
                     panic!("{topology}/{variation}: exact MILP failed on a small batch")
                 });
-                let fast = problem.solve_coordinate_descent(&vec![0.0; problem.buffers.len()]);
+                let fast = problem
+                    .solve_coordinate_descent(&vec![0.0; problem.buffers.len()])
+                    .expect("the flow builds well-formed buffers");
                 assert!(
                     problem.is_feasible(&fast.buffer_values, 1e-9),
                     "{topology}/{variation}: heuristic produced an infeasible assignment"
