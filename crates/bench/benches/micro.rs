@@ -80,7 +80,10 @@ fn bench_statistics(c: &mut Criterion) {
         let observed: Vec<usize> = (0..idx.len() / 4).collect();
         let values: Vec<f64> = observed.iter().map(|&i| gauss.mean()[i] + 1.0).collect();
         group.bench_with_input(BenchmarkId::new("conditional_prediction", n), &gauss, |b, g| {
-            b.iter(|| black_box(g.condition(&observed, &values).expect("psd").mean()[0]))
+            b.iter(|| {
+                let cond = g.conditioner(&observed).expect("psd");
+                black_box(cond.condition_mean(&values).expect("one value per observation")[0])
+            })
         });
     }
     group.finish();

@@ -41,7 +41,7 @@ const CRITICALITY_FRACTION: f64 = 0.93;
 /// with [`plan_variation`] and [`plan_flow_config`]. Its correlation groups
 /// are exchangeable, so each pick rests on `Pca::dominant_variable`'s
 /// lowest-index tie rule rather than on eigensolver round-off.
-const GUARD_FINGERPRINT: u64 = 0xa2a3_e72b_3cb1_8222;
+const GUARD_FINGERPRINT: u64 = 0xacba_b497_4a43_612a;
 
 /// Coarsened variation model, matching the scale sweep: 4x4 grid cells
 /// keep model memory path-count-proportional at 100k paths.

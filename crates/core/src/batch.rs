@@ -30,6 +30,7 @@ use std::collections::HashMap;
 
 use effitest_circuit::sensitize::MutualExclusions;
 use effitest_circuit::{FlipFlopId, GeneratedBenchmark, PathId, PathView};
+use effitest_linalg::{GaussianConditioner, LinalgError};
 use effitest_ssta::TimingModel;
 
 /// The batching outcome.
@@ -647,19 +648,25 @@ fn group_predicted_sigmas(
     if g.members.len() == g.selected.len() {
         return (Vec::new(), 0); // everything measured, nothing predicted
     }
-    let gauss = model.gaussian(&g.members);
-    group_sigmas_conditioned(&gauss, &g.members, &g.selected, |p| model.path_sigma(p))
+    group_sigmas_conditioned(
+        &g.members,
+        &g.selected,
+        |p| model.path_sigma(p),
+        |observed| crate::predict::group_conditioner(model, &g.members, observed),
+    )
 }
 
-/// The conditioning core of [`group_predicted_sigmas`], taking the group
-/// gaussian as an argument so the downgrade branch is testable with a
-/// doctored (indefinite) covariance that a [`TimingModel`] can never
-/// produce through its public API.
+/// The conditioning core of [`group_predicted_sigmas`], taking the
+/// conditioner's construction as an argument so the downgrade branch is
+/// testable with a doctored (indefinite) covariance that a
+/// [`TimingModel`] can never produce through its public API. Eq. 5 does
+/// not depend on the observed values, so only the conditioner's sigmas
+/// are read.
 fn group_sigmas_conditioned(
-    gauss: &effitest_linalg::MultivariateGaussian,
     members: &[usize],
     selected: &[usize],
     prior_sigma: impl Fn(usize) -> f64,
+    conditioner: impl FnOnce(&[usize]) -> effitest_linalg::Result<GaussianConditioner>,
 ) -> (Vec<(usize, f64)>, u64) {
     let sel_pos: Vec<usize> = members
         .iter()
@@ -667,24 +674,22 @@ fn group_sigmas_conditioned(
         .filter(|(_, p)| selected.contains(p))
         .map(|(pos, _)| pos)
         .collect();
-    // Observed values do not matter for the variance (eq. 5); condition
-    // at the mean.
-    let values: Vec<f64> = sel_pos.iter().map(|&pos| gauss.mean()[pos]).collect();
-    let Ok(cond) = gauss.condition(&sel_pos, &values) else {
-        let priors: Vec<(usize, f64)> = members
-            .iter()
-            .filter(|p| !selected.contains(p))
-            .map(|&p| (p, prior_sigma(p)))
-            .collect();
-        return (priors, 1);
+    let fallbacks = match conditioner(&sel_pos) {
+        Ok(cond) => {
+            let sigmas = cond
+                .remaining_indices()
+                .iter()
+                .zip(cond.conditional_sigmas())
+                .map(|(&mpos, &sigma)| (members[mpos], sigma))
+                .collect();
+            return (sigmas, 0);
+        }
+        // Nothing selected: eq. 5 leaves every prior sigma as it is.
+        Err(LinalgError::Empty) => 0,
+        Err(_) => 1,
     };
-    let remaining = gauss.remaining_indices(&sel_pos);
-    let sigmas = remaining
-        .iter()
-        .enumerate()
-        .map(|(cpos, &mpos)| (members[mpos], cond.covariance()[(cpos, cpos)].max(0.0).sqrt()))
-        .collect();
-    (sigmas, 0)
+    let priors = members.iter().filter(|p| !selected.contains(p)).map(|&p| (p, prior_sigma(p)));
+    (priors.collect(), fallbacks)
 }
 
 /// Predicted standard deviation of every unselected path after the
@@ -1064,8 +1069,12 @@ mod tests {
         let gauss = MultivariateGaussian::new(vec![10.0, 11.0, 12.0], cov).unwrap();
         let members = [7_usize, 8, 9];
         let selected = [7_usize, 8];
-        let (sigmas, fallbacks) =
-            super::group_sigmas_conditioned(&gauss, &members, &selected, |p| p as f64 * 0.5);
+        let (sigmas, fallbacks) = super::group_sigmas_conditioned(
+            &members,
+            &selected,
+            |p| p as f64 * 0.5,
+            |obs| gauss.conditioner(obs),
+        );
         assert_eq!(fallbacks, 1);
         assert_eq!(sigmas, vec![(9, 4.5)]);
 
@@ -1073,11 +1082,25 @@ mod tests {
         let ok =
             Matrix::from_rows(&[&[1.0, 0.5, 0.0], &[0.5, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         let gauss = MultivariateGaussian::new(vec![0.0; 3], ok).unwrap();
-        let (sigmas, fallbacks) =
-            super::group_sigmas_conditioned(&gauss, &members, &selected, |_| f64::NAN);
+        let (sigmas, fallbacks) = super::group_sigmas_conditioned(
+            &members,
+            &selected,
+            |_| f64::NAN,
+            |obs| gauss.conditioner(obs),
+        );
         assert_eq!(fallbacks, 0);
         assert_eq!(sigmas.len(), 1);
         assert!(sigmas.iter().all(|&(p, s)| p == 9 && s.is_finite() && s > 0.0 && s <= 1.0));
+
+        // A group without representatives predicts its priors, uncounted.
+        let (sigmas, fallbacks) = super::group_sigmas_conditioned(
+            &members,
+            &[],
+            |p| p as f64,
+            |obs| gauss.conditioner(obs),
+        );
+        assert_eq!(fallbacks, 0);
+        assert_eq!(sigmas, vec![(7, 7.0), (8, 8.0), (9, 9.0)]);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 
-use effitest_linalg::GaussianConditioner;
+use effitest_linalg::{GaussianConditioner, LinalgError};
 use effitest_ssta::TimingModel;
 use effitest_tester::DelayBounds;
 
@@ -130,6 +130,8 @@ pub fn predict_ranges(
         if observed.is_empty() || observed.len() == group.members.len() {
             continue;
         }
+        // The dense route: the group's whole covariance matrix, built
+        // afresh for every call.
         let gauss = model.gaussian(&group.members);
         let obs_pos: Vec<usize> = group
             .members
@@ -144,20 +146,48 @@ pub fn predict_ranges(
         let values: Vec<f64> = observed.iter().map(|p| tested[p].upper).collect();
         // A block that cannot be factorized even after regularization is
         // a *prediction fallback*: keep the priors, count it, never panic.
-        let Ok(cond) = gauss.condition(&obs_pos, &values) else {
+        let Ok(cond) = gauss.conditioner(&obs_pos) else {
             fallbacks += 1;
             continue;
         };
-        let remaining = gauss.remaining_indices(&obs_pos);
-        for (cpos, &mpos) in remaining.iter().enumerate() {
+        let mean = cond.condition_mean(&values).expect("one value per observed member");
+        for ((&mpos, &mu), &sigma) in
+            cond.remaining_indices().iter().zip(&mean).zip(cond.conditional_sigmas())
+        {
             let p = group.members[mpos];
-            let mu = cond.mean()[cpos];
-            let sigma = cond.covariance()[(cpos, cpos)].max(0.0).sqrt();
             ranges[p] = DelayBounds::new(mu - sigma_k * sigma, mu + sigma_k * sigma);
         }
     }
 
     PredictedRanges { ranges, measured, fallbacks }
+}
+
+/// The conditioner of a correlation group's joint Gaussian on the members
+/// at positions `observed` of `members`, read straight from the model's
+/// canonical forms: the observed block, the cross block and the unobserved
+/// variances, never the group's whole covariance. It is bitwise the
+/// conditioner `model.gaussian(members).conditioner(observed)` builds,
+/// because [`TimingModel::covariance`] is bitwise symmetric.
+///
+/// # Errors
+///
+/// Those of [`GaussianConditioner::new`]; an `Err` is a downgrade to the
+/// prior, never a panic.
+///
+/// # Panics
+///
+/// Panics if a member is out of range for `model`.
+pub(crate) fn group_conditioner(
+    model: &TimingModel,
+    members: &[usize],
+    observed: &[usize],
+) -> Result<GaussianConditioner, LinalgError> {
+    GaussianConditioner::new(
+        members.len(),
+        observed,
+        |i| model.path_mean(members[i]),
+        |i, j| model.covariance(members[i], members[j]),
+    )
 }
 
 /// One correlation group's precomputed conditioning: which members are
@@ -266,7 +296,6 @@ impl Predictor {
             if observed.is_empty() || observed.len() == group.members.len() {
                 return GroupOutcome::Skip;
             }
-            let gauss = model.gaussian(&group.members);
             let obs_pos: Vec<usize> = group
                 .members
                 .iter()
@@ -274,7 +303,7 @@ impl Predictor {
                 .filter(|&(_, &p)| is_tested[p])
                 .map(|(pos, _)| pos)
                 .collect();
-            match gauss.conditioner(&obs_pos) {
+            match group_conditioner(model, &group.members, &obs_pos) {
                 Ok(conditioner) => {
                     let predicted: Vec<usize> = conditioner
                         .remaining_indices()
@@ -355,7 +384,7 @@ impl Predictor {
             put_matrix(w, &parts.chol_factor);
             w.put_f64(parts.chol_jitter);
             put_matrix(w, &parts.cross);
-            put_matrix(w, &parts.cond_cov);
+            w.put_f64_slice(&parts.cond_sigmas);
         }
         // Priors are a pure function of the model, but recomputing all
         // n_paths of them costs more than the entire rest of a cached
@@ -405,7 +434,7 @@ impl Predictor {
                 chol_factor: get_matrix(r)?,
                 chol_jitter: r.get_f64()?,
                 cross: get_matrix(r)?,
-                cond_cov: get_matrix(r)?,
+                cond_sigmas: r.get_f64_vec()?,
             };
             if parts.observed.len() != observed.len() || parts.remaining.len() != predicted.len() {
                 return Err(CodecError::Invalid("group index lists disagree with conditioner"));
@@ -1274,19 +1303,17 @@ mod tests {
     #[test]
     fn degenerate_observed_block_downgrades_instead_of_panicking() {
         // An indefinite "covariance" passes the symmetry check but cannot
-        // be factorized even with regularization: both the per-chip
-        // reference helper and the plan-time conditioner must report the
-        // downgrade instead of panicking.
+        // be factorized even with regularization: the conditioner both the
+        // oracle and the plan build on must report the downgrade instead
+        // of panicking.
         let cov =
             Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[2.0, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         let gauss = MultivariateGaussian::new(vec![10.0, 11.0, 12.0], cov).unwrap();
-        assert!(gauss.condition(&[0, 1], &[10.5, 11.5]).is_err());
         assert!(gauss.conditioner(&[0, 1]).is_err());
         // A healthy block takes the conditioned path.
         let ok =
             Matrix::from_rows(&[&[1.0, 0.5, 0.0], &[0.5, 1.0, 0.0], &[0.0, 0.0, 1.0]]).unwrap();
         let gauss = MultivariateGaussian::new(vec![0.0; 3], ok).unwrap();
-        assert!(gauss.condition(&[0], &[0.5]).is_ok());
         assert!(gauss.conditioner(&[0]).is_ok());
     }
 

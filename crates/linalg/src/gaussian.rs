@@ -1,7 +1,7 @@
 use crate::{CholeskyDecomposition, LinalgError, Matrix, Result};
 
-/// A multivariate Gaussian distribution `N(mu, Sigma)` with exact
-/// conditional-distribution support.
+/// A multivariate Gaussian distribution `N(mu, Sigma)` held as a dense
+/// mean vector and covariance matrix.
 ///
 /// This is the statistical core of the paper's delay prediction (§3.1,
 /// eqs. 4–5): once the delays of the *tested* paths are measured, the delay
@@ -13,6 +13,11 @@ use crate::{CholeskyDecomposition, LinalgError, Matrix, Result};
 /// sigma'^2_k = sigma^2_k - Sigma_kt Sigma_t^-1 Sigma_tk      (5)
 /// ```
 ///
+/// [`conditioner`](Self::conditioner) precomputes everything eq. 4 and
+/// eq. 5 need for one observed-index set; the conditional means then come
+/// per observation vector from
+/// [`GaussianConditioner::condition_mean`].
+///
 /// # Example
 ///
 /// ```
@@ -23,10 +28,10 @@ use crate::{CholeskyDecomposition, LinalgError, Matrix, Result};
 /// let cov = Matrix::from_rows(&[&[1.0, 0.8], &[0.8, 1.0]])?;
 /// let g = MultivariateGaussian::new(mean, cov)?;
 /// // Observe variable 1 at 21.0 (one sigma high); variable 0 shifts by 0.8.
-/// let cond = g.condition(&[1], &[21.0])?;
-/// assert!((cond.mean()[0] - 10.8).abs() < 1e-9);
+/// let cond = g.conditioner(&[1])?;
+/// assert!((cond.condition_mean(&[21.0])?[0] - 10.8).abs() < 1e-9);
 /// // ... and its variance shrinks from 1.0 to 1 - 0.8^2 = 0.36.
-/// assert!((cond.covariance()[(0, 0)] - 0.36).abs() < 1e-9);
+/// assert!((cond.conditional_sigmas()[0] - 0.6).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
@@ -75,181 +80,49 @@ impl MultivariateGaussian {
         &self.covariance
     }
 
-    /// Per-variable standard deviations (square roots of the diagonal,
-    /// clamped at zero).
-    pub fn std_devs(&self) -> Vec<f64> {
-        self.covariance.diagonal().iter().map(|&v| v.max(0.0).sqrt()).collect()
-    }
-
-    /// Marginal distribution over the listed variables.
+    /// The conditioner of this Gaussian on observing `observed_idx`:
+    /// [`GaussianConditioner::new`] reading this distribution's dense mean
+    /// and covariance.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::IndexOutOfBounds`] for invalid indices.
-    pub fn marginal(&self, idx: &[usize]) -> Result<MultivariateGaussian> {
-        for &i in idx {
-            if i >= self.dim() {
-                return Err(LinalgError::IndexOutOfBounds { index: i, bound: self.dim() });
-            }
-        }
-        let mean = idx.iter().map(|&i| self.mean[i]).collect();
-        let covariance = self.covariance.submatrix(idx, idx)?;
-        Ok(MultivariateGaussian { mean, covariance })
-    }
-
-    /// Conditions the Gaussian on observing `observed_idx` at
-    /// `observed_values`, returning the distribution of the *remaining*
-    /// variables (in ascending original-index order).
-    ///
-    /// This is the paper's eqs. 4–5 generalized to all unobserved variables
-    /// at once. Use [`remaining_indices`](Self::remaining_indices) to map
-    /// positions of the result back to original indices.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::ShapeMismatch`] if index/value lengths differ.
-    /// * [`LinalgError::IndexOutOfBounds`] for invalid indices.
-    /// * Factorization errors if the observed covariance block is not
-    ///   positive (semi-)definite even after regularization.
-    pub fn condition(
-        &self,
-        observed_idx: &[usize],
-        observed_values: &[f64],
-    ) -> Result<MultivariateGaussian> {
-        if observed_idx.len() != observed_values.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "gaussian_condition",
-                lhs: (observed_idx.len(), 1),
-                rhs: (observed_values.len(), 1),
-            });
-        }
-        for &i in observed_idx {
-            if i >= self.dim() {
-                return Err(LinalgError::IndexOutOfBounds { index: i, bound: self.dim() });
-            }
-        }
-        let remaining = self.remaining_indices(observed_idx);
-        if observed_idx.is_empty() {
-            return self.marginal(&remaining);
-        }
-        let conditioner = self.conditioner_for(observed_idx, remaining)?;
-        let mut mean = Vec::with_capacity(conditioner.remaining.len());
-        let mut scratch = Vec::with_capacity(observed_idx.len());
-        conditioner.condition_mean_into(observed_values, &mut scratch, &mut mean)?;
-        Ok(MultivariateGaussian { mean, covariance: conditioner.cond_cov })
-    }
-
-    /// Precomputes the chip-independent half of [`condition`](Self::condition)
-    /// for a **fixed observed-index set**: the factored observed-block
-    /// covariance (the conditioning gain `K = Sigma_uo Sigma_oo^-1` in
-    /// factored form) and the conditional covariance, which does not depend
-    /// on the observed *values* at all.
-    ///
-    /// Conditioning the same Gaussian on the same indices but different
-    /// values — the paper's per-chip prediction, where the tested-path set
-    /// is identical across the whole chip population — then reduces to
-    /// [`GaussianConditioner::condition_mean_into`]: one triangular solve
-    /// pair plus one matvec, with no factorization and no allocation. The
-    /// results are **bitwise identical** to calling `condition` from
-    /// scratch, because both paths run the same arithmetic on the same
-    /// factor.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::Empty`] if `observed_idx` is empty (there is
-    ///   nothing to precompute; use [`marginal`](Self::marginal)).
-    /// * [`LinalgError::IndexOutOfBounds`] for invalid indices.
-    /// * Factorization errors if the observed covariance block is not
-    ///   positive (semi-)definite even after regularization — the caller's
-    ///   cue to fall back to the prior.
+    /// Same as [`GaussianConditioner::new`].
     pub fn conditioner(&self, observed_idx: &[usize]) -> Result<GaussianConditioner> {
-        if observed_idx.is_empty() {
-            return Err(LinalgError::Empty);
-        }
-        for &i in observed_idx {
-            if i >= self.dim() {
-                return Err(LinalgError::IndexOutOfBounds { index: i, bound: self.dim() });
-            }
-        }
-        let remaining = self.remaining_indices(observed_idx);
-        self.conditioner_for(observed_idx, remaining)
-    }
-
-    /// Shared construction behind [`condition`](Self::condition) and
-    /// [`conditioner`](Self::conditioner): both run exactly this arithmetic,
-    /// which is what makes precomputed and from-scratch conditioning
-    /// bitwise identical.
-    fn conditioner_for(
-        &self,
-        observed_idx: &[usize],
-        remaining: Vec<usize>,
-    ) -> Result<GaussianConditioner> {
-        // Partition: u/k = remaining (unknown), o/t = observed (tested).
-        let sigma_t = self.covariance.submatrix(observed_idx, observed_idx)?;
-        let cross = self.covariance.submatrix(&remaining, observed_idx)?;
-        let chol = CholeskyDecomposition::new_regularized(&sigma_t)?;
-
-        // Sigma' = Sigma_u - Sigma_uo Sigma_o^{-1} Sigma_ou. Independent of
-        // the observed values, so it is computed exactly once.
-        let sigma_k = self.covariance.submatrix(&remaining, &remaining)?;
-        let sigma_tk = cross.transpose();
-        let solved = chol.solve_matrix(&sigma_tk)?; // Sigma_o^{-1} Sigma_ou
-        let reduction = cross.matmul(&solved)?;
-        let mut cond_cov = sigma_k.sub_matrix(&reduction)?;
-        cond_cov.symmetrize()?;
-        // Round-off can push tiny diagonal entries negative; clamp them so
-        // downstream sqrt() calls stay well-defined.
-        for i in 0..cond_cov.rows() {
-            if cond_cov[(i, i)] < 0.0 {
-                cond_cov[(i, i)] = 0.0;
-            }
-        }
-        let cond_sigmas = (0..cond_cov.rows()).map(|i| cond_cov[(i, i)].max(0.0).sqrt()).collect();
-        let cross_t = cross.transpose();
-        Ok(GaussianConditioner {
-            observed: observed_idx.to_vec(),
-            mean_obs: observed_idx.iter().map(|&i| self.mean[i]).collect(),
-            mean_rem: remaining.iter().map(|&i| self.mean[i]).collect(),
-            remaining,
-            chol,
-            cross,
-            cross_t,
-            cond_cov,
-            cond_sigmas,
-        })
-    }
-
-    /// Indices not present in `observed_idx`, ascending: the variable order
-    /// of the distribution returned by [`condition`](Self::condition).
-    pub fn remaining_indices(&self, observed_idx: &[usize]) -> Vec<usize> {
-        (0..self.dim()).filter(|i| !observed_idx.contains(i)).collect()
+        GaussianConditioner::new(
+            self.dim(),
+            observed_idx,
+            |i| self.mean[i],
+            |i, j| self.covariance[(i, j)],
+        )
     }
 }
 
 /// The reusable, value-independent half of a Gaussian conditioning: built
 /// once per (distribution, observed-index set) by
-/// [`MultivariateGaussian::conditioner`], applied per observation vector by
+/// [`new`](Self::new), applied per observation vector by
 /// [`condition_mean_into`](Self::condition_mean_into).
 ///
 /// Holds the Cholesky factor of the observed block `Sigma_oo` (the
-/// conditioning gain `K = Sigma_uo Sigma_oo^-1` in factored form — applying
-/// the factor instead of a dense precomputed `K` keeps the results bitwise
-/// identical to [`MultivariateGaussian::condition`]), the cross-covariance
-/// `Sigma_uo`, and the precomputed conditional covariance/sigmas, which do
-/// not depend on the observed values (paper eq. 5).
+/// conditioning gain `K = Sigma_uo Sigma_oo^-1` in factored form), the
+/// cross-covariance `Sigma_uo`, and the conditional sigmas, which do not
+/// depend on the observed values (paper eq. 5). It keeps no conditional
+/// covariance: eq. 5 reads only its diagonal, and
+/// [`new`](Self::new) computes that diagonal entry by entry.
 ///
 /// # Example
 ///
 /// ```
-/// use effitest_linalg::{Matrix, MultivariateGaussian};
+/// use effitest_linalg::{GaussianConditioner, Matrix, MultivariateGaussian};
 ///
 /// # fn main() -> Result<(), effitest_linalg::LinalgError> {
 /// let cov = Matrix::from_rows(&[&[1.0, 0.8], &[0.8, 1.0]])?;
-/// let g = MultivariateGaussian::new(vec![10.0, 20.0], cov)?;
+/// let g = MultivariateGaussian::new(vec![10.0, 20.0], cov.clone())?;
 /// let conditioner = g.conditioner(&[1])?;
-/// // Same numbers as g.condition(&[1], &[21.0]), without refactorizing:
+/// // Reading the same entries through closures builds the same conditioner:
+/// let direct = GaussianConditioner::new(2, &[1], |i| [10.0, 20.0][i], |i, j| cov[(i, j)])?;
 /// let mean = conditioner.condition_mean(&[21.0])?;
-/// assert_eq!(mean, g.condition(&[1], &[21.0])?.mean());
+/// assert_eq!(mean, direct.condition_mean(&[21.0])?);
+/// assert!((mean[0] - 10.8).abs() < 1e-12);
 /// assert!((conditioner.conditional_sigmas()[0] - 0.6).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -273,18 +146,15 @@ pub struct GaussianConditioner {
     /// row-major (see
     /// [`condition_mean_batch_chipmajor_into`](Self::condition_mean_batch_chipmajor_into)).
     cross_t: Matrix,
-    /// Conditional covariance `Sigma_uu - Sigma_uo Sigma_oo^-1 Sigma_ou`.
-    cond_cov: Matrix,
-    /// Square roots of the conditional covariance diagonal (clamped at 0).
+    /// Conditional standard deviations of the unobserved variables.
     cond_sigmas: Vec<f64>,
 }
 
 /// The serializable state of a [`GaussianConditioner`]: exactly the fields
-/// a persistent plan store must carry. `cross_t` and the conditional
-/// sigmas are deliberately absent — both are pure functions of `cross` and
-/// `cond_cov` and are recomputed bit-identically by
-/// [`GaussianConditioner::from_parts`], so carrying them would only bloat
-/// the blob and add corruption surface.
+/// a persistent plan store must carry. `cross_t` is deliberately absent —
+/// it is `cross.transpose()`, recomputed by
+/// [`GaussianConditioner::from_parts`], so carrying it would only bloat the
+/// blob and add corruption surface.
 #[derive(Debug, Clone)]
 pub struct ConditionerParts {
     /// Observed variable indices, in observation-vector order.
@@ -301,11 +171,87 @@ pub struct ConditionerParts {
     pub chol_jitter: f64,
     /// Cross covariance `Sigma_uo` (remaining x observed).
     pub cross: Matrix,
-    /// Conditional covariance (remaining x remaining).
-    pub cond_cov: Matrix,
+    /// Conditional standard deviations, one per unobserved variable.
+    pub cond_sigmas: Vec<f64>,
 }
 
 impl GaussianConditioner {
+    /// Builds the conditioner of a `dim`-variable Gaussian on observing
+    /// `observed`, reading the prior through two accessors: `mean(i)` and
+    /// `covariance(i, j)` for variable indices below `dim`.
+    ///
+    /// Only the entries conditioning needs are read: the observed block
+    /// `Sigma_oo`, the cross block `Sigma_uo` and the unobserved variances
+    /// `Sigma_uu[i][i]`. Each conditional variance is
+    /// `Sigma_ii - sum_k cross_ik * solve(cross_i)_k`, summed in ascending
+    /// `k` from `+0.0`, skipping zero `cross_ik`, then clamped at zero
+    /// before its square root is taken. That is the diagonal of
+    /// `Sigma_uu - Sigma_uo Sigma_oo^-1 Sigma_ou` as [`Matrix::matmul`] and
+    /// [`CholeskyDecomposition::solve_matrix`] compute it, bit for bit, so
+    /// two accessors that return the same bits for every entry — a dense
+    /// matrix, or a covariance computed on demand — build identical
+    /// conditioners.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::Empty`] if `observed` is empty (there is nothing
+    ///   to condition on; the prior stands).
+    /// * [`LinalgError::IndexOutOfBounds`] for an index at or past `dim`.
+    /// * Factorization errors if the observed covariance block is not
+    ///   positive (semi-)definite even after regularization — the caller's
+    ///   cue to fall back to the prior.
+    pub fn new(
+        dim: usize,
+        observed: &[usize],
+        mean: impl Fn(usize) -> f64,
+        covariance: impl Fn(usize, usize) -> f64,
+    ) -> Result<Self> {
+        if observed.is_empty() {
+            return Err(LinalgError::Empty);
+        }
+        if let Some(&i) = observed.iter().find(|&&i| i >= dim) {
+            return Err(LinalgError::IndexOutOfBounds { index: i, bound: dim });
+        }
+        // Partition: u = remaining (unknown), o = observed (tested).
+        let remaining: Vec<usize> = (0..dim).filter(|i| !observed.contains(i)).collect();
+        let (n_obs, n_rem) = (observed.len(), remaining.len());
+        let sigma_oo = Matrix::from_fn(n_obs, n_obs, |a, b| covariance(observed[a], observed[b]));
+        let cross = Matrix::from_fn(n_rem, n_obs, |u, o| covariance(remaining[u], observed[o]));
+        let chol = CholeskyDecomposition::new_regularized(&sigma_oo)?;
+
+        // Eq. 5, one unobserved variable at a time; see the doc comment
+        // for why this matches the dense diagonal bit for bit.
+        let mut solved = vec![0.0; n_obs];
+        let mut cond_sigmas = Vec::with_capacity(n_rem);
+        for (u, &i) in remaining.iter().enumerate() {
+            let row = cross.row(u);
+            solved.copy_from_slice(row);
+            chol.solve_vec_in_place(&mut solved)?;
+            let mut reduction = 0.0;
+            for (&c, &s) in row.iter().zip(&solved) {
+                if c != 0.0 {
+                    reduction += c * s;
+                }
+            }
+            let mut variance = covariance(i, i) - reduction;
+            // Round-off can push tiny variances negative.
+            if variance < 0.0 {
+                variance = 0.0;
+            }
+            cond_sigmas.push(variance.max(0.0).sqrt());
+        }
+        Ok(GaussianConditioner {
+            observed: observed.to_vec(),
+            mean_obs: observed.iter().map(|&i| mean(i)).collect(),
+            mean_rem: remaining.iter().map(|&i| mean(i)).collect(),
+            remaining,
+            chol,
+            cross_t: cross.transpose(),
+            cross,
+            cond_sigmas,
+        })
+    }
+
     /// Observed variable indices, in observation-vector order.
     pub fn observed_indices(&self) -> &[usize] {
         &self.observed
@@ -321,17 +267,16 @@ impl GaussianConditioner {
             chol_factor: self.chol.l().clone(),
             chol_jitter: self.chol.jitter(),
             cross: self.cross.clone(),
-            cond_cov: self.cond_cov.clone(),
+            cond_sigmas: self.cond_sigmas.clone(),
         }
     }
 
     /// Reassembles a conditioner from serialized parts.
     ///
-    /// `cross_t` is rebuilt as `cross.transpose()` and the conditional
-    /// sigmas as the clamped square roots of the `cond_cov` diagonal —
-    /// byte for byte the same expressions the original construction used,
-    /// so a reassembled conditioner produces bitwise-identical conditional
-    /// means and sigmas.
+    /// `cross_t` is rebuilt as `cross.transpose()` — byte for byte the
+    /// expression the original construction used — so a reassembled
+    /// conditioner produces bitwise-identical conditional means and
+    /// sigmas.
     ///
     /// # Errors
     ///
@@ -345,7 +290,7 @@ impl GaussianConditioner {
             || parts.mean_rem.len() != n_rem
             || parts.chol_factor.shape() != (n_obs, n_obs)
             || parts.cross.shape() != (n_rem, n_obs)
-            || parts.cond_cov.shape() != (n_rem, n_rem)
+            || parts.cond_sigmas.len() != n_rem
         {
             return Err(LinalgError::ShapeMismatch {
                 op: "conditioner_from_parts",
@@ -354,8 +299,6 @@ impl GaussianConditioner {
             });
         }
         let chol = CholeskyDecomposition::from_factor(parts.chol_factor, parts.chol_jitter)?;
-        let cond_sigmas =
-            (0..parts.cond_cov.rows()).map(|i| parts.cond_cov[(i, i)].max(0.0).sqrt()).collect();
         let cross_t = parts.cross.transpose();
         Ok(GaussianConditioner {
             observed: parts.observed,
@@ -365,8 +308,7 @@ impl GaussianConditioner {
             chol,
             cross: parts.cross,
             cross_t,
-            cond_cov: parts.cond_cov,
-            cond_sigmas,
+            cond_sigmas: parts.cond_sigmas,
         })
     }
 
@@ -380,11 +322,6 @@ impl GaussianConditioner {
     /// eq. 5) — value-independent, so precomputed once.
     pub fn conditional_sigmas(&self) -> &[f64] {
         &self.cond_sigmas
-    }
-
-    /// The full conditional covariance matrix.
-    pub fn conditional_covariance(&self) -> &Matrix {
-        &self.cond_cov
     }
 
     /// Diagonal jitter the observed-block factorization needed (0 for a
@@ -425,8 +362,6 @@ impl GaussianConditioner {
         // w = Sigma_oo^{-1} (d_o - mu_o); mu' = mu_u + Sigma_uo w.
         self.chol.solve_vec_in_place(solve_scratch)?;
         self.cross.matvec_into(solve_scratch, mean_out)?;
-        // IEEE addition commutes, so `shift + mu` is bitwise the same as
-        // `condition`'s `mu + shift`.
         for (shift, &mu) in mean_out.iter_mut().zip(&self.mean_rem) {
             *shift += mu;
         }
@@ -529,7 +464,12 @@ impl GaussianConditioner {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/dense_gaussian.rs"]
+mod dense;
+
+#[cfg(test)]
 mod tests {
+    use super::dense;
     use super::*;
 
     fn three_var() -> MultivariateGaussian {
@@ -550,20 +490,20 @@ mod tests {
     #[test]
     fn marginal_picks_blocks() {
         let g = three_var();
-        let m = g.marginal(&[2, 0]).unwrap();
-        assert_eq!(m.mean(), &[3.0, 1.0]);
-        assert_eq!(m.covariance()[(0, 0)], 2.0);
-        assert_eq!(m.covariance()[(0, 1)], 0.4);
+        let (mean, cov) = dense::marginal(&g, &[2, 0]).unwrap();
+        assert_eq!(mean, &[3.0, 1.0]);
+        assert_eq!(cov[(0, 0)], 2.0);
+        assert_eq!(cov[(0, 1)], 0.4);
     }
 
     #[test]
     fn conditioning_shrinks_variance() {
         let g = three_var();
-        let cond = g.condition(&[1], &[2.5]).unwrap();
+        let cond = g.conditioner(&[1]).unwrap();
         // Remaining variables are 0 and 2.
-        assert_eq!(cond.dim(), 2);
-        assert!(cond.covariance()[(0, 0)] < 4.0);
-        assert!(cond.covariance()[(1, 1)] < 2.0);
+        assert_eq!(cond.remaining_indices(), &[0, 2]);
+        assert!(cond.conditional_sigmas()[0] < 2.0);
+        assert!(cond.conditional_sigmas()[1] < 2.0_f64.sqrt());
     }
 
     #[test]
@@ -571,39 +511,42 @@ mod tests {
         // For bivariate normal: mu'_0 = mu_0 + rho * s0/s1 * (x1 - mu_1).
         let cov = Matrix::from_rows(&[&[4.0, 1.8], &[1.8, 1.0]]).unwrap();
         let g = MultivariateGaussian::new(vec![1.0, 2.0], cov).unwrap();
-        let cond = g.condition(&[1], &[3.0]).unwrap();
+        let cond = g.conditioner(&[1]).unwrap();
         // Sigma_kt Sigma_t^-1 (d - mu) = 1.8 / 1.0 * 1.0 = 1.8.
-        assert!((cond.mean()[0] - 2.8).abs() < 1e-12);
+        assert!((cond.condition_mean(&[3.0]).unwrap()[0] - 2.8).abs() < 1e-12);
         // sigma'^2 = 4.0 - 1.8^2 / 1.0 = 0.76.
-        assert!((cond.covariance()[(0, 0)] - 0.76).abs() < 1e-12);
+        assert!((cond.conditional_sigmas()[0] - 0.76_f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
     fn observing_at_the_mean_does_not_shift() {
         let g = three_var();
-        let cond = g.condition(&[0, 1], &[1.0, 2.0]).unwrap();
-        assert!((cond.mean()[0] - 3.0).abs() < 1e-10);
+        let cond = g.conditioner(&[0, 1]).unwrap();
+        assert!((cond.condition_mean(&[1.0, 2.0]).unwrap()[0] - 3.0).abs() < 1e-10);
     }
 
     #[test]
     fn variance_never_increases_with_more_observations() {
         let g = three_var();
-        let one = g.condition(&[1], &[2.0]).unwrap();
-        let two = g.condition(&[1, 2], &[2.0, 3.0]).unwrap();
-        // Variable 0 variance: prior >= cond on 1 >= cond on {1, 2}.
-        let prior = g.covariance()[(0, 0)];
-        let v1 = one.covariance()[(0, 0)];
-        let v2 = two.covariance()[(0, 0)];
-        assert!(v1 <= prior + 1e-12);
-        assert!(v2 <= v1 + 1e-9);
+        let one = g.conditioner(&[1]).unwrap();
+        let two = g.conditioner(&[1, 2]).unwrap();
+        // Variable 0 sigma: prior >= cond on 1 >= cond on {1, 2}.
+        let prior = g.covariance()[(0, 0)].sqrt();
+        let s1 = one.conditional_sigmas()[0];
+        let s2 = two.conditional_sigmas()[0];
+        assert!(s1 <= prior + 1e-12);
+        assert!(s2 <= s1 + 1e-9);
     }
 
     #[test]
     fn condition_with_no_observations_is_identity() {
+        // Nothing to condition on: the conditioner refuses, and the dense
+        // oracle returns the prior unchanged.
         let g = three_var();
-        let cond = g.condition(&[], &[]).unwrap();
-        assert_eq!(cond.mean(), g.mean());
-        assert!((cond.covariance() - g.covariance()).max_abs() < 1e-15);
+        assert!(matches!(g.conditioner(&[]), Err(LinalgError::Empty)));
+        let cond = dense::condition(&g, &[], &[]).unwrap();
+        assert_eq!(cond.mean, g.mean());
+        assert!((&cond.covariance - g.covariance()).max_abs() < 1e-15);
     }
 
     #[test]
@@ -611,34 +554,34 @@ mod tests {
         // Two variables with correlation 1: observing one pins the other.
         let cov = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
         let g = MultivariateGaussian::new(vec![5.0, 7.0], cov).unwrap();
-        let cond = g.condition(&[1], &[8.0]).unwrap();
-        assert!((cond.mean()[0] - 6.0).abs() < 1e-5);
-        assert!(cond.covariance()[(0, 0)] < 1e-5);
+        let cond = g.conditioner(&[1]).unwrap();
+        assert!((cond.condition_mean(&[8.0]).unwrap()[0] - 6.0).abs() < 1e-5);
+        assert!(cond.conditional_sigmas()[0].powi(2) < 1e-5);
     }
 
     #[test]
     fn conditioner_matches_condition_bitwise() {
+        // The per-variable sums reproduce the dense conditional's means and
+        // clamped diagonal bit for bit.
         let g = three_var();
-        let obs = [1_usize, 2];
-        let conditioner = g.conditioner(&obs).unwrap();
-        assert_eq!(conditioner.observed_indices(), &obs);
-        assert_eq!(conditioner.remaining_indices(), &[0]);
-        for values in [[2.5, 2.0], [1.0, 4.5], [2.0, 3.0]] {
-            let cond = g.condition(&obs, &values).unwrap();
-            let mean = conditioner.condition_mean(&values).unwrap();
-            assert_eq!(mean[0].to_bits(), cond.mean()[0].to_bits());
-            assert_eq!(
-                conditioner.conditional_sigmas()[0].to_bits(),
-                cond.covariance()[(0, 0)].max(0.0).sqrt().to_bits()
-            );
+        for obs in [&[1_usize][..], &[1, 2], &[2, 0], &[0]] {
+            let conditioner = g.conditioner(obs).unwrap();
+            assert_eq!(conditioner.observed_indices(), obs);
+            for values in [[2.5, 2.0], [1.0, 4.5], [2.0, 3.0]] {
+                let values = &values[..obs.len()];
+                let cond = dense::condition(&g, obs, values).unwrap();
+                assert_eq!(conditioner.remaining_indices(), cond.remaining.as_slice());
+                let mean = conditioner.condition_mean(values).unwrap();
+                for (a, b) in mean.iter().zip(&cond.mean) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                for (a, b) in conditioner.conditional_sigmas().iter().zip(cond.sigmas()) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                assert_eq!(conditioner.jitter().to_bits(), cond.jitter.to_bits());
+            }
+            assert_eq!(conditioner.jitter(), 0.0);
         }
-        assert_eq!(conditioner.jitter(), 0.0);
-        assert!(
-            (conditioner.conditional_covariance()
-                - g.condition(&obs, &[2.0, 3.0]).unwrap().covariance())
-            .max_abs()
-                < 1e-15
-        );
     }
 
     #[test]
@@ -823,15 +766,13 @@ mod tests {
             Err(LinalgError::ShapeMismatch { .. })
         ));
         let mut parts = conditioner.to_parts();
+        parts.cond_sigmas.push(0.0);
+        assert!(matches!(
+            GaussianConditioner::from_parts(parts),
+            Err(LinalgError::ShapeMismatch { .. })
+        ));
+        let mut parts = conditioner.to_parts();
         parts.chol_jitter = f64::NAN;
         assert!(GaussianConditioner::from_parts(parts).is_err());
-    }
-
-    #[test]
-    fn std_devs_are_sqrt_diagonal() {
-        let g = three_var();
-        let sds = g.std_devs();
-        assert!((sds[0] - 2.0).abs() < 1e-12);
-        assert!((sds[1] - 1.0).abs() < 1e-12);
     }
 }

@@ -15,12 +15,15 @@
 //! * [`Pca`] — principal component analysis on covariance matrices
 //!   (paper §3.1, used to pick representative paths per correlation
 //!   group), computing directions for the retained components only.
-//! * [`MultivariateGaussian`] — joint Gaussians with exact conditional
-//!   distributions (paper eqs. 4–5).
+//! * [`MultivariateGaussian`] — a joint Gaussian held as a dense mean and
+//!   covariance (paper eqs. 4–5 condition it).
 //! * [`GaussianConditioner`] — the reusable, value-independent half of a
 //!   conditioning (factored gain + conditional sigmas), precomputed once
 //!   per observed-index set and applied per observation vector without
-//!   refactorizing or allocating.
+//!   refactorizing or allocating. It reads its prior through a mean and a
+//!   covariance accessor, and only the entries conditioning needs: the
+//!   observed block, the cross block and the unobserved variances. It
+//!   keeps no conditional covariance matrix.
 //! * [`kernels`] — cache-blocked batch kernels (`gemm_into`) whose columns
 //!   are bitwise identical to the vector operations they replace, the
 //!   substrate of the population-level prediction path.

@@ -20,7 +20,6 @@
 
 use effitest::circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
 use effitest::flow::cache::encode_plan;
-use effitest::flow::codec::{CodecError, Reader, Writer};
 use effitest::flow::select::SelectConfig;
 use effitest::prelude::*;
 use effitest::ssta::TimingModel;
@@ -38,17 +37,6 @@ const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
     ("sparse", 0xb40c_2578_f50e_8cd8),
 ];
 
-/// The same plans' fingerprints in codec version 2, which stored each
-/// conditioner's full conditional covariance.
-const VERSION_2_PAPER_PLANS: [u64; 6] = [
-    0x16c7_7eb5_7f28_c977,
-    0xc36d_b4c0_8114_f41b,
-    0x2363_0f89_6fb0_3d27,
-    0x2600_086f_89fd_50af,
-    0xcdc6_2530_7de5_35d0,
-    0xaab5_d014_8d62_7e74,
-];
-
 /// `plan_fingerprint` of full-size paper circuits at one thread (seed 1,
 /// paper variation, default flow config). These run PCA on large groups
 /// (470 members in s13207; 35 groups of up to 108 in ac97_ctrl), so they
@@ -56,8 +44,11 @@ const VERSION_2_PAPER_PLANS: [u64; 6] = [
 const GOLDEN_FULL_SIZE_PLANS: [(&str, u64); 2] =
     [("s13207", 0x965e_4e62_1192_abd1), ("ac97_ctrl", 0x604d_c277_9a52_0296)];
 
-/// The full-size plans' fingerprints in codec version 2.
-const VERSION_2_FULL_SIZE_PLANS: [u64; 2] = [0xc95e_4f9d_5a1c_22f3, 0x89ec_bf2e_c081_bb40];
+/// Encoded size caps of the same plans. Each conditioner stores its
+/// conditional sigmas, not the full conditional covariance, which alone
+/// took 1.63 MB of s13207's 2.43 MB blob and 0.31 MB of ac97_ctrl's
+/// 0.82 MB.
+const FULL_SIZE_MAX_BYTES: [usize; 2] = [850_000, 550_000];
 
 /// `content_fingerprint` of `GeneratedBenchmark::generate(&large(256), 1)`.
 const GOLDEN_LARGE_CONTENT: u64 = 0x8f57_e6b5_f400_eab4;
@@ -66,125 +57,19 @@ const GOLDEN_LARGE_CONTENT: u64 = 0x8f57_e6b5_f400_eab4;
 /// variation grid, buffer range 0.07 of the period over 8 steps.
 const GOLDEN_LARGE_PLAN: u64 = 0x7f7b_c5fc_d00e_d96f;
 
-/// The large-tier plan's fingerprint in codec version 2.
-const VERSION_2_LARGE_PLAN: u64 = 0xe425_4ce6_759b_1d62;
-
-/// `plan_fingerprint` of the plan bench's guard circuit (`large(2_000)`,
-/// seed 7, the large tier's variation and flow configuration) in codec
-/// version 3, and in version 2.
-const GUARD_PLAN: u64 = 0xacba_b497_4a43_612a;
-const VERSION_2_GUARD_PLAN: u64 = 0xa2a3_e72b_3cb1_8222;
-
-/// The codec-version-3 fingerprint of a version-2 plan: its canonical
-/// encoding with each predictor group's conditional covariance matrix
-/// replaced by the conditional sigmas `GaussianConditioner::from_parts`
-/// derives from it (the clamped square roots of its diagonal), written as
-/// one length-prefixed `f64` slice. Every other field is copied verbatim.
-fn version_3_fingerprint(plan: &FlowPlan<'_>) -> u64 {
-    let bytes = encode_plan(plan);
-    let mut r = Reader::new(&bytes);
-    let mut w = Writer::new();
-    rewrite_version_2(&mut r, &mut w).expect("a version-2 payload");
-    assert!(r.is_exhausted(), "trailing bytes after the plan payload");
-    effitest::circuit::fingerprint::mix64(w.as_bytes())
-}
-
-/// Copies a version-2 plan payload from `r` to `w` field by field, in
-/// `encode_plan`'s order, rewriting each conditional covariance.
-fn rewrite_version_2(r: &mut Reader<'_>, w: &mut Writer) -> Result<(), CodecError> {
-    fn usize(r: &mut Reader<'_>, w: &mut Writer) -> Result<usize, CodecError> {
-        let v = r.get_usize()?;
-        w.put_usize(v);
-        Ok(v)
-    }
-    fn f64(r: &mut Reader<'_>, w: &mut Writer) -> Result<(), CodecError> {
-        w.put_f64(r.get_f64()?);
-        Ok(())
-    }
-    fn usizes(r: &mut Reader<'_>, w: &mut Writer) -> Result<Vec<usize>, CodecError> {
-        let v = r.get_usize_vec()?;
-        w.put_usize_slice(&v);
-        Ok(v)
-    }
-    fn matrix(r: &mut Reader<'_>, w: &mut Writer) -> Result<(), CodecError> {
-        usize(r, w)?;
-        usize(r, w)?;
-        w.put_f64_slice(&r.get_f64_vec()?);
-        Ok(())
-    }
-    // Groups.
-    for _ in 0..usize(r, w)? {
-        usizes(r, w)?;
-        usizes(r, w)?;
-        f64(r, w)?;
-        usize(r, w)?;
-    }
-    // Batches and slot fills.
-    for _ in 0..usize(r, w)? {
-        usizes(r, w)?;
-    }
-    usizes(r, w)?;
-    // Hold bounds.
-    for _ in 0..usize(r, w)? {
-        usize(r, w)?;
-        f64(r, w)?;
-    }
-    // Conflict oracle.
-    usizes(r, w)?;
-    w.put_u32_slice(&r.get_u32_vec()?);
-    w.put_u32_slice(&r.get_u32_vec()?);
-    for _ in 0..usize(r, w)? {
-        usizes(r, w)?;
-    }
-    // Predicted sigmas and their fallbacks.
-    for _ in 0..usize(r, w)? {
-        usize(r, w)?;
-        f64(r, w)?;
-    }
-    w.put_u64(r.get_u64()?);
-    // Predictor.
-    let n_paths = usize(r, w)?;
-    usizes(r, w)?;
-    f64(r, w)?;
-    w.put_u64(r.get_u64()?);
-    for _ in 0..usize(r, w)? {
-        for _ in 0..4 {
-            usizes(r, w)?;
-        }
-        w.put_f64_slice(&r.get_f64_vec()?);
-        w.put_f64_slice(&r.get_f64_vec()?);
-        matrix(r, w)?;
-        f64(r, w)?;
-        matrix(r, w)?;
-        let n = r.get_usize()?;
-        r.get_usize()?;
-        let cov = r.get_f64_vec()?;
-        let sigmas: Vec<f64> = (0..n).map(|i| cov[i * n + i].max(0.0).sqrt()).collect();
-        w.put_f64_slice(&sigmas);
-    }
-    for _ in 0..2 * n_paths {
-        f64(r, w)?;
-    }
-    // Epsilon.
-    f64(r, w)
-}
-
 #[test]
 fn plan_is_bitwise_thread_count_independent_on_every_paper_topology() {
     let flow = EffiTestFlow::new(FlowConfig::default());
     assert_eq!(Topology::all().len(), GOLDEN_PAPER_PLANS.len());
-    for ((&topology, &(name, golden)), &version_2) in
-        Topology::all().iter().zip(&GOLDEN_PAPER_PLANS).zip(&VERSION_2_PAPER_PLANS)
-    {
+    for (&topology, &(name, golden)) in Topology::all().iter().zip(&GOLDEN_PAPER_PLANS) {
         assert_eq!(topology.name(), name);
         let spec = BenchmarkSpec::iscas89_s9234().scaled_down(10).with_topology(topology);
         let bench = GeneratedBenchmark::generate(&spec, 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
         for threads in THREAD_COUNTS {
             let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
-            assert_eq!(plan_fingerprint(&plan), version_2, "{name} at {threads} threads");
             assert_eq!(
-                version_3_fingerprint(&plan),
+                plan_fingerprint(&plan),
                 golden,
                 "plan diverged from its golden fingerprint on {name} at {threads} threads"
             );
@@ -196,19 +81,16 @@ fn plan_is_bitwise_thread_count_independent_on_every_paper_topology() {
 fn full_size_plans_match_their_golden_fingerprints() {
     let flow = EffiTestFlow::new(FlowConfig::default());
     let specs = [BenchmarkSpec::iscas89_s13207(), BenchmarkSpec::tau13_ac97_ctrl()];
-    for ((spec, &(name, golden)), &version_2) in
-        specs.iter().zip(&GOLDEN_FULL_SIZE_PLANS).zip(&VERSION_2_FULL_SIZE_PLANS)
+    for ((spec, &(name, golden)), &max_bytes) in
+        specs.iter().zip(&GOLDEN_FULL_SIZE_PLANS).zip(&FULL_SIZE_MAX_BYTES)
     {
         assert_eq!(spec.name, name);
         let bench = GeneratedBenchmark::generate(spec, 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
         let plan = flow.plan_threaded(&bench, &model, 1).expect("plan");
-        assert_eq!(plan_fingerprint(&plan), version_2, "{name}");
-        assert_eq!(
-            version_3_fingerprint(&plan),
-            golden,
-            "{name} plan diverged from its golden value"
-        );
+        assert_eq!(plan_fingerprint(&plan), golden, "{name} plan diverged from its golden value");
+        let bytes = encode_plan(&plan).len();
+        assert!(bytes <= max_bytes, "{name} plan encodes to {bytes} bytes, over {max_bytes}");
     }
 }
 
@@ -240,27 +122,12 @@ fn plan_is_bitwise_thread_count_independent_on_the_large_tier() {
     }
     for threads in THREAD_COUNTS {
         let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
-        assert_eq!(plan_fingerprint(&plan), VERSION_2_LARGE_PLAN, "{threads} threads");
         assert_eq!(
-            version_3_fingerprint(&plan),
+            plan_fingerprint(&plan),
             GOLDEN_LARGE_PLAN,
             "large-tier plan diverged from its golden fingerprint at {threads} threads"
         );
     }
-}
-
-#[test]
-fn plan_bench_guard_fingerprint_in_version_3() {
-    let flow = EffiTestFlow::new(FlowConfig {
-        select: SelectConfig { criticality_fraction: Some(0.93), ..SelectConfig::default() },
-        ..FlowConfig::default()
-    });
-    let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(2_000), 7);
-    let model =
-        TimingModel::build(&bench, &VariationConfig { grid_dim: 4, ..VariationConfig::paper() });
-    let plan = flow.plan_threaded(&bench, &model, 1).expect("plan");
-    assert_eq!(plan_fingerprint(&plan), VERSION_2_GUARD_PLAN);
-    assert_eq!(version_3_fingerprint(&plan), GUARD_PLAN);
 }
 
 #[test]
