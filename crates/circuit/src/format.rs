@@ -211,13 +211,18 @@ fn parse_err(line: usize, message: &str) -> CircuitError {
     CircuitError::Parse { line, message: message.to_owned() }
 }
 
+/// Parses the first `n` tokens as finite numbers: a `NaN` or `inf` field
+/// is a parse error, never a value that trips a constructor's assertion.
 fn parse_floats(line: usize, tokens: &[&str], n: usize) -> Result<Vec<f64>> {
     if tokens.len() < n {
         return Err(parse_err(line, &format!("expected {n} numeric fields")));
     }
     tokens[..n]
         .iter()
-        .map(|t| t.parse::<f64>().map_err(|_| parse_err(line, &format!("bad number `{t}`"))))
+        .map(|t| match t.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(v),
+            _ => Err(parse_err(line, &format!("bad number `{t}`"))),
+        })
         .collect()
 }
 
@@ -320,6 +325,19 @@ path ff0 ff1 max g0
     fn rejects_missing_die() {
         let bad = "netlist x\nff a 1 1 2 1\n";
         assert!(from_text(bad).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_buffer_fields() {
+        // A NaN width once reached `TuningBufferSpec::new`'s assertion, and
+        // a non-finite min parsed into a spec.
+        for buffer in ["buffer 0 NaN 20", "buffer NaN 1 20", "buffer inf 1 20"] {
+            let text = format!("netlist x\ndie 0 0 10 10\nff a 1 1 2 1 {buffer}\n");
+            assert!(
+                matches!(from_text(&text), Err(CircuitError::Parse { line: 3, .. })),
+                "{buffer} was not refused"
+            );
+        }
     }
 
     #[test]

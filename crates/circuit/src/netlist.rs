@@ -58,12 +58,6 @@ impl FlipFlop {
         self
     }
 
-    /// Sets the D-input driver (builder style).
-    pub fn with_data_input(mut self, signal: Signal) -> Self {
-        self.data_input = Some(signal);
-        self
-    }
-
     /// `true` if this flip-flop carries a tunable buffer.
     pub fn has_buffer(&self) -> bool {
         self.buffer.is_some()

@@ -76,9 +76,10 @@ pub mod select;
 pub mod service;
 
 /// The deterministic parallel-execution utility every threaded plan stage
-/// runs on (re-exported from `effitest-parallel`): ordered chunked
-/// parallel-for/parallel-map over scoped threads, plus the shared
-/// `EFFITEST_THREADS` plumbing in [`parallel::threads`].
+/// and the population engine run on (re-exported from
+/// `effitest-parallel`): an ordered chunked parallel map over scoped
+/// threads, plus the shared `EFFITEST_THREADS` plumbing in
+/// [`parallel::threads`].
 pub use effitest_parallel as parallel;
 
 pub use flow::{

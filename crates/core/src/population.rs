@@ -67,8 +67,6 @@
 //! assert_eq!(iterations, serial);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use effitest_ssta::{ChipInstance, TimingModel};
 
 use crate::{ChipOutcome, EffiTestFlow, FlowPlan, FlowWorkspace};
@@ -140,8 +138,10 @@ where
 /// must return the same value whether its workspace is fresh or has been
 /// through any number of prior chips (every workspace type in this crate
 /// upholds that invariant, and `tests/population.rs` checks it end to
-/// end). With `threads <= 1` a single scratch value serves the whole
-/// population inline on the calling thread.
+/// end). The chips are spread by
+/// [`effitest_parallel::par_map_scratch`], one chip per claim. With
+/// `threads <= 1` a single scratch value serves the whole population
+/// inline on the calling thread.
 ///
 /// # Panics
 ///
@@ -158,52 +158,10 @@ where
     I: Fn() -> W + Sync,
     F: Fn(&mut W, usize, &ChipInstance) -> R + Sync,
 {
-    let n = config.n_chips;
-    let work = |ws: &mut W, k: usize| {
+    effitest_parallel::par_map_scratch(config.threads, 1, config.n_chips, init, |ws, k| {
         let chip = model.sample_chip(config.chip_seed(k));
         per_chip(ws, k, &chip)
-    };
-    let threads = config.threads.min(n).max(1);
-    if threads == 1 {
-        let mut ws = init();
-        return (0..n).map(|k| work(&mut ws, k)).collect();
-    }
-
-    // Work stealing over a shared atomic index; each worker accumulates
-    // `(index, result)` locally and the caller scatters by index, so the
-    // output never depends on completion order.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // One long-lived scratch per worker, never shared.
-                    let mut ws = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        local.push((k, work(&mut ws, k)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => {
-                    for (k, r) in local {
-                        slots[k] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots.into_iter().map(|r| r.expect("every chip index was claimed exactly once")).collect()
+    })
 }
 
 /// Convenience wrapper: the complete per-chip flow

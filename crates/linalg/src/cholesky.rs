@@ -316,32 +316,6 @@ impl CholeskyDecomposition {
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
-
-    /// Applies `L v`, i.e. colors a standard-normal vector with this
-    /// covariance (used by Monte-Carlo sampling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.dim()`.
-    pub fn color_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if v.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky_color",
-                lhs: (n, n),
-                rhs: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut sum = 0.0;
-            for (j, &vj) in v.iter().enumerate().take(i + 1) {
-                sum += self.l[(i, j)] * vj;
-            }
-            *o = sum;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -412,18 +386,6 @@ mod tests {
         let chol = CholeskyDecomposition::new(&a).unwrap();
         let det = crate::LuDecomposition::new(&a).unwrap().determinant();
         assert!((chol.log_determinant() - det.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn color_vec_applies_lower_factor() {
-        let a = spd_example();
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        let v = [1.0, -1.0, 0.5];
-        let colored = chol.color_vec(&v).unwrap();
-        let explicit = chol.l().matvec(&v).unwrap();
-        for (c, e) in colored.iter().zip(&explicit) {
-            assert!((c - e).abs() < 1e-14);
-        }
     }
 
     #[test]

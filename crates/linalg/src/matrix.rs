@@ -297,32 +297,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Vector-matrix product `v^T * self`, returned as a plain vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `v.len() != self.rows()`.
-    pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "vecmat",
-                lhs: (1, v.len()),
-                rhs: self.shape(),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (i, &vi) in v.iter().enumerate() {
-            if vi == 0.0 {
-                continue;
-            }
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for (o, &a) in out.iter_mut().zip(row) {
-                *o += vi * a;
-            }
-        }
-        Ok(out)
-    }
-
     /// Element-wise sum.
     ///
     /// # Errors
@@ -437,11 +411,6 @@ impl Matrix {
             }
         }
         Ok(())
-    }
-
-    /// Frobenius norm `sqrt(sum a_ij^2)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&a| a * a).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry.
@@ -638,12 +607,10 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_vecmat() {
+    fn matvec_matches_hand_computation() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert_eq!(a.vecmat(&[1.0, 1.0]).unwrap(), vec![4.0, 6.0]);
         assert!(a.matvec(&[1.0]).is_err());
-        assert!(a.vecmat(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
@@ -677,7 +644,6 @@ mod tests {
     #[test]
     fn norms_and_diagonal() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
-        assert!(approx(m.frobenius_norm(), 5.0));
         assert_eq!(m.max_abs(), 4.0);
         assert_eq!(m.diagonal(), vec![3.0, 4.0]);
     }

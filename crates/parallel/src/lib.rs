@@ -4,9 +4,9 @@
 //! sensitization-conflict gather, hold-bound sampling, per-group
 //! conditioning-gain factorization, circuit generation, SSTA model build —
 //! is a loop of **independent, pure** per-index computations. This crate
-//! supplies the one execution utility they all share: ordered, chunked
-//! parallel-for and parallel-map over scoped threads, with results
-//! committed in index order.
+//! supplies the one execution utility they all share, and the per-chip
+//! population engine runs on it too: an ordered, chunked parallel map over
+//! scoped threads, with results committed in index order.
 //!
 //! # Determinism contract
 //!
@@ -151,57 +151,6 @@ where
     slots.into_iter().map(|r| r.expect("every chunk was claimed exactly once")).collect()
 }
 
-/// Ordered chunked parallel-for over a mutable slice: `data` is split into
-/// consecutive chunks of `chunk` elements and `f(start, chunk_slice)` runs
-/// once per chunk, distributed round-robin across `threads` workers.
-///
-/// Each chunk owns a disjoint range of `data`, so the writes commute and
-/// the result is bitwise independent of the worker count as long as `f`
-/// writes its slice as a pure function of `start` (and the shared
-/// read-only captures). With `threads <= 1` the chunks run inline, in
-/// index order.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the first panicking worker's payload is
-/// re-raised on the calling thread).
-pub fn par_for_chunks<T, F>(threads: usize, chunk: usize, data: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk = chunk.max(1);
-    if threads <= 1 || data.len() <= chunk {
-        for (c, s) in data.chunks_mut(chunk).enumerate() {
-            f(c * chunk, s);
-        }
-        return;
-    }
-    let workers = threads.min(data.len().div_ceil(chunk));
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-    for (c, s) in data.chunks_mut(chunk).enumerate() {
-        per_worker[c % workers].push((c * chunk, s));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = per_worker
-            .into_iter()
-            .map(|list| {
-                let f = &f;
-                scope.spawn(move || {
-                    for (start, s) in list {
-                        f(start, s);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,41 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn for_chunks_fills_every_range_once() {
-        let mut serial = vec![0_u32; 101];
-        par_for_chunks(1, 7, &mut serial, |start, s| {
-            for (off, v) in s.iter_mut().enumerate() {
-                *v = (start + off) as u32 ^ 0xABCD;
-            }
-        });
-        for threads in [2, 3, 16] {
-            let mut par = vec![0_u32; 101];
-            par_for_chunks(threads, 7, &mut par, |start, s| {
-                for (off, v) in s.iter_mut().enumerate() {
-                    *v = (start + off) as u32 ^ 0xABCD;
-                }
-            });
-            assert_eq!(par, serial, "threads {threads}");
-        }
-    }
-
-    #[test]
     fn worker_panics_propagate_from_map() {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             par_map_chunked(3, 2, 20, |i| {
                 assert!(i != 11, "boom at 11");
                 i
-            })
-        }));
-        assert!(result.is_err(), "panic must reach the caller");
-    }
-
-    #[test]
-    fn worker_panics_propagate_from_for_chunks() {
-        let mut data = vec![0_u8; 32];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_for_chunks(4, 4, &mut data, |start, _s| {
-                assert!(start != 16, "boom at 16");
             })
         }));
         assert!(result.is_err(), "panic must reach the caller");

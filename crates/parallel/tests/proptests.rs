@@ -3,7 +3,7 @@
 //! count and single-item ranges — the parallel map must equal the serial
 //! map bitwise, and a panicking worker must propagate, not deadlock.
 
-use effitest_parallel::{par_for_chunks, par_map_chunked, par_map_scratch};
+use effitest_parallel::{par_map_chunked, par_map_scratch};
 use proptest::prelude::*;
 
 /// A work function with enough integer/float mixing that an ordering bug
@@ -50,25 +50,6 @@ proptest! {
         let par = par_map_scratch(threads, chunk, n, Vec::<usize>::new, |seen, i| {
             seen.push(i);
             work(i).0
-        });
-        prop_assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn for_chunks_equals_serial_fill(
-        n in 0_usize..200,
-        threads in 1_usize..48,
-        chunk in 1_usize..32,
-    ) {
-        let mut serial = vec![(0_u64, 0_u64); n];
-        for (i, v) in serial.iter_mut().enumerate() {
-            *v = work(i);
-        }
-        let mut par = vec![(0_u64, 0_u64); n];
-        par_for_chunks(threads, chunk, &mut par, |start, s| {
-            for (off, v) in s.iter_mut().enumerate() {
-                *v = work(start + off);
-            }
         });
         prop_assert_eq!(par, serial);
     }

@@ -249,13 +249,25 @@ impl TimingModel {
         self.buffer_spec
     }
 
-    /// Covariance of `D_i` and `D_j`.
+    /// Covariance of `D_i` and `D_j`. A path's per-path `extra` term
+    /// co-varies with itself only, so it enters the diagonal: the
+    /// covariance of `D_i` with itself is its variance.
     pub fn covariance(&self, i: usize, j: usize) -> f64 {
-        self.setup_forms[i].covariance(&self.setup_forms[j])
+        let form = &self.setup_forms[i];
+        let cov = form.covariance(&self.setup_forms[j]);
+        if i == j {
+            cov + form.extra * form.extra
+        } else {
+            cov
+        }
     }
 
-    /// Correlation of `D_i` and `D_j`.
+    /// Correlation of `D_i` and `D_j` (1 on the diagonal of a path that
+    /// varies, 0 for a deterministic one).
     pub fn correlation(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            return if self.setup_forms[i].variance() > 0.0 { 1.0 } else { 0.0 };
+        }
         self.setup_forms[i].correlation(&self.setup_forms[j])
     }
 

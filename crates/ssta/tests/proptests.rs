@@ -133,6 +133,15 @@ proptest! {
                     prop_assert!(
                         (inflated.covariance(i, j) - model.covariance(i, j)).abs() < 1e-9
                     );
+                } else {
+                    // The diagonal is the inflated variance: sigma grows
+                    // 10%, so the variance grows by 1.21.
+                    let variance = inflated.path_sigma(i).powi(2);
+                    prop_assert!((inflated.covariance(i, i) / variance - 1.0).abs() < 1e-9);
+                    prop_assert!(
+                        (inflated.covariance(i, i) / model.covariance(i, i) - 1.21).abs() < 1e-9
+                    );
+                    prop_assert_eq!(inflated.correlation(i, i), 1.0);
                 }
             }
         }

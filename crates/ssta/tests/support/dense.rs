@@ -143,7 +143,9 @@ fn option_bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
 
 /// Compares `model` with its dense oracle bit for bit: `sample_chip` on
 /// every seed, `sample_hold_bounds` on every path, and variance and
-/// covariance over every pair of setup forms and every pair of hold forms.
+/// covariance over every pair of setup forms (the model's path covariance,
+/// whose diagonal carries each path's `extra` term) and every pair of hold
+/// forms.
 /// `gate_count` is the netlist's gate count. Returns the first mismatch.
 pub fn check_against_dense(
     model: &TimingModel,
@@ -172,7 +174,9 @@ pub fn check_against_dense(
             return Err(format!("setup form {i}: variance differs"));
         }
         for (j, b) in dense.setup.iter().enumerate().skip(i) {
-            if model.covariance(i, j).to_bits() != a.covariance(b).to_bits() {
+            // A path's own `extra` term co-varies with itself only.
+            let own = if i == j { a.extra * a.extra } else { 0.0 };
+            if model.covariance(i, j).to_bits() != (a.covariance(b) + own).to_bits() {
                 return Err(format!("setup forms {i}, {j}: covariance differs"));
             }
         }

@@ -109,6 +109,31 @@ fn cell_fixture(
     (model, groups, selected)
 }
 
+/// Predicts the pinned chips of a cell from measured `selected` paths and
+/// counts the unmeasured true delays: `(inside their predicted range,
+/// above it, all)`.
+fn coverage(model: &TimingModel, predictor: &Predictor, selected: &[usize]) -> (u64, u64, u64) {
+    let (mut covered, mut optimistic, mut total) = (0_u64, 0_u64, 0_u64);
+    for k in 0..CHIPS_PER_CELL {
+        let chip = model.sample_chip(CHIP_SEED_BASE + k);
+        let tested = measure(&chip, selected, MEASURE_EPS);
+        let predicted = predictor.predict(&tested);
+        for p in 0..model.path_count() {
+            if tested.contains_key(&p) {
+                continue;
+            }
+            total += 1;
+            let d = chip.setup_delay(p);
+            if predicted.ranges[p].lower <= d && d <= predicted.ranges[p].upper {
+                covered += 1;
+            } else if d > predicted.ranges[p].upper {
+                optimistic += 1;
+            }
+        }
+    }
+    (covered, optimistic, total)
+}
+
 #[test]
 fn predicted_ranges_cover_unmeasured_truth_on_every_topology_and_variation() {
     let mut exercised = 0_usize;
@@ -120,26 +145,7 @@ fn predicted_ranges_cover_unmeasured_truth_on_every_topology_and_variation() {
             let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
             assert_eq!(predictor.fallback_count(), 0, "{topology:?}/{variation:?} fell back");
 
-            let mut covered = 0_u64;
-            let mut optimistic = 0_u64;
-            let mut total = 0_u64;
-            for k in 0..CHIPS_PER_CELL {
-                let chip = model.sample_chip(CHIP_SEED_BASE + k);
-                let tested = measure(&chip, &selected, MEASURE_EPS);
-                let predicted = predictor.predict(&tested);
-                for p in 0..model.path_count() {
-                    if tested.contains_key(&p) {
-                        continue;
-                    }
-                    total += 1;
-                    let d = chip.setup_delay(p);
-                    if predicted.ranges[p].lower <= d && d <= predicted.ranges[p].upper {
-                        covered += 1;
-                    } else if d > predicted.ranges[p].upper {
-                        optimistic += 1;
-                    }
-                }
-            }
+            let (covered, optimistic, total) = coverage(&model, &predictor, &selected);
             if total == 0 {
                 // Near-independent regimes can select every path (nothing
                 // left to predict); coverage is vacuous there.
@@ -173,6 +179,39 @@ fn predicted_ranges_cover_unmeasured_truth_on_every_topology_and_variation() {
         "matrix-wide coverage {aggregate:.3} below {AGGREGATE_COVERAGE_FLOOR} \
          ({agg_covered}/{agg_total})"
     );
+}
+
+/// Fig. 7's models grow every path sigma by 10% through a per-path
+/// independent term while cross-path covariances stay fixed. Chips are
+/// drawn from that model, so prediction must condition on its covariance,
+/// whose diagonal carries the extra variance. Conditioning on the
+/// uninflated diagonal instead left about a sixth of the true delays above
+/// their predicted upper bounds.
+#[test]
+fn predicted_ranges_cover_truth_on_inflated_models() {
+    for spec in [
+        BenchmarkSpec::iscas89_s9234().scaled_down(10),
+        BenchmarkSpec::iscas89_s13207().scaled_down(12),
+    ] {
+        let bench = GeneratedBenchmark::generate(&spec, GEN_SEED);
+        let model = TimingModel::build(&bench, &VariationConfig::paper()).with_inflated_sigma(1.1);
+        let groups = select_paths(&model, &SelectConfig::default(), 1);
+        let selected = all_selected(&groups);
+        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
+        let (covered, optimistic, total) = coverage(&model, &predictor, &selected);
+        let name = &spec.name;
+        assert!(total > 0, "{name}: nothing left to predict");
+        let rate = covered as f64 / total as f64;
+        assert!(
+            rate >= AGGREGATE_COVERAGE_FLOOR,
+            "{name} inflated: coverage {rate:.3} below {AGGREGATE_COVERAGE_FLOOR} \
+             ({covered}/{total})"
+        );
+        assert!(
+            optimistic as f64 <= total as f64 * OPTIMISTIC_MISS_CEILING,
+            "{name} inflated: {optimistic}/{total} optimistic misses"
+        );
+    }
 }
 
 #[test]
