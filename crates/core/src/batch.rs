@@ -674,7 +674,9 @@ fn group_sigmas_conditioned(
         .filter(|(_, p)| selected.contains(p))
         .map(|(pos, _)| pos)
         .collect();
-    let fallbacks = match conditioner(&sel_pos) {
+    let priors =
+        || members.iter().filter(|p| !selected.contains(p)).map(|&p| (p, prior_sigma(p))).collect();
+    match conditioner(&sel_pos) {
         Ok(cond) => {
             let sigmas = cond
                 .remaining_indices()
@@ -682,14 +684,12 @@ fn group_sigmas_conditioned(
                 .zip(cond.conditional_sigmas())
                 .map(|(&mpos, &sigma)| (members[mpos], sigma))
                 .collect();
-            return (sigmas, 0);
+            (sigmas, 0)
         }
         // Nothing selected: eq. 5 leaves every prior sigma as it is.
-        Err(LinalgError::Empty) => 0,
-        Err(_) => 1,
-    };
-    let priors = members.iter().filter(|p| !selected.contains(p)).map(|&p| (p, prior_sigma(p)));
-    (priors.collect(), fallbacks)
+        Err(LinalgError::Empty) => (priors(), 0),
+        Err(_) => (priors(), 1),
+    }
 }
 
 /// Predicted standard deviation of every unselected path after the

@@ -19,13 +19,19 @@
 //! factored form) and precomputes the conditional sigmas (eq. 5 is
 //! value-independent), so the per-chip step collapses to one gain
 //! application per group through a reusable, zero-allocation
-//! [`PredictWorkspace`] — and produces **bitwise identical** ranges to the
-//! from-scratch conditioning path, which survives as [`predict_ranges`]:
-//! the oracle the differential tests and the prediction bench compare the
-//! engine against. Every production caller — the flow, the population
-//! drivers, the service and the hostile re-tune — predicts through
-//! [`Predictor::predict_with`]; a caller with a different tested set
-//! builds its own [`Predictor`] over it.
+//! [`PredictWorkspace`].
+//!
+//! The plan's conditioners read the observed block, the cross block and
+//! the unobserved variances straight from the timing model's canonical
+//! forms ([`TimingModel::covariance`]), so the predictor forms neither a
+//! group's full covariance nor a conditional covariance matrix.
+//! [`predict_ranges`] is the from-scratch oracle: per call it builds each
+//! group's dense Gaussian and conditions that, a second construction whose
+//! ranges are **bitwise identical** to the engine's, and the differential
+//! tests and the prediction bench compare the two. Every production
+//! caller — the flow, the population drivers, the service and the hostile
+//! re-tune — predicts through [`Predictor::predict_with`]; a caller with a
+//! different tested set builds its own [`Predictor`] over it.
 //!
 //! # Batched population engine
 //!
@@ -88,8 +94,8 @@ pub struct PredictedRanges {
 
 /// Conditions each group on its measured members and assembles full
 /// ranges — the **oracle** for [`Predictor`]: every group's joint Gaussian
-/// is rebuilt and refactorized per call, the from-scratch form of the
-/// engine's arithmetic.
+/// is rebuilt as a dense matrix and refactorized per call, the
+/// from-scratch form of the engine's arithmetic.
 ///
 /// The key set of `tested` may be anything. Production code builds a
 /// [`Predictor`] over its tested set instead: same results, bitwise, at a
