@@ -1244,23 +1244,29 @@ mod tests {
 
     #[test]
     fn predictor_matches_reference_bitwise() {
-        // The precomputed engine must agree with the from-scratch
-        // reference path bit for bit, chip after chip.
-        let (_, model, groups) = fixture();
-        let selected = crate::select::all_selected(&groups);
-        let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
-        assert_eq!(predictor.path_count(), model.path_count());
-        assert_eq!(predictor.tested_count(), selected.len());
-        assert_eq!(predictor.fallback_count(), 0);
-        let mut ws = PredictWorkspace::new();
-        for seed in 0..8 {
-            let chip = model.sample_chip(2_000 + seed);
-            let tested = measure(&chip, &selected, 0.5);
-            let engine = predictor.predict_with(&mut ws, &tested);
-            let reference = predict_ranges(&model, &groups, &tested, 3.0);
-            assert_eq!(range_bits(&engine), range_bits(&reference), "chip {seed} drifted");
-            assert_eq!(engine.measured, reference.measured);
-            assert_eq!(engine.fallbacks, reference.fallbacks);
+        // The precomputed engine, conditioned straight from the canonical
+        // forms, must agree with the from-scratch dense reference path bit
+        // for bit, chip after chip — also on an inflated model, whose
+        // covariance diagonal carries each path's own extra term.
+        let (_, base, _) = fixture();
+        for model in [base.clone(), base.with_inflated_sigma(1.1)] {
+            let groups = select_paths(&model, &SelectConfig::default(), 1);
+            let selected = crate::select::all_selected(&groups);
+            let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
+            assert_eq!(predictor.path_count(), model.path_count());
+            assert_eq!(predictor.tested_count(), selected.len());
+            assert_eq!(predictor.fallback_count(), 0);
+            assert!(!predictor.groups.is_empty(), "no group conditions");
+            let mut ws = PredictWorkspace::new();
+            for seed in 0..8 {
+                let chip = model.sample_chip(2_000 + seed);
+                let tested = measure(&chip, &selected, 0.5);
+                let engine = predictor.predict_with(&mut ws, &tested);
+                let reference = predict_ranges(&model, &groups, &tested, 3.0);
+                assert_eq!(range_bits(&engine), range_bits(&reference), "chip {seed} drifted");
+                assert_eq!(engine.measured, reference.measured);
+                assert_eq!(engine.fallbacks, reference.fallbacks);
+            }
         }
     }
 

@@ -44,10 +44,9 @@ const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
 const GOLDEN_FULL_SIZE_PLANS: [(&str, u64); 2] =
     [("s13207", 0x965e_4e62_1192_abd1), ("ac97_ctrl", 0x604d_c277_9a52_0296)];
 
-/// Encoded size caps of the same plans. Each conditioner stores its
-/// conditional sigmas, not the full conditional covariance, which alone
-/// took 1.63 MB of s13207's 2.43 MB blob and 0.31 MB of ac97_ctrl's
-/// 0.82 MB.
+/// Encoded size caps of the same plans, in bytes. A conditioner that
+/// stored its full conditional covariance would break both: that matrix
+/// alone takes 1.63 MB for s13207 and 0.31 MB for ac97_ctrl.
 const FULL_SIZE_MAX_BYTES: [usize; 2] = [850_000, 550_000];
 
 /// `content_fingerprint` of `GeneratedBenchmark::generate(&large(256), 1)`.
