@@ -3,12 +3,12 @@
 //!
 //! The paper's eqs. 4–5 re-estimate every untested path by conditioning
 //! its correlation group's joint Gaussian on the measured upper bounds.
-//! Before the prediction-engine refactor the per-chip loop rebuilt each
-//! group's Gaussian, refactorized the observed covariance block, and
-//! recomputed the (value-independent!) conditional covariance for every
-//! chip; the [`Predictor`] factors the conditioning gains once per flow
-//! plan and reduces the per-chip step to one gain application per group
-//! through a reusable [`PredictWorkspace`]. A quality guard asserts the
+//! The from-scratch oracle, `predict_ranges`, rebuilds each group's dense
+//! Gaussian, refactorizes the observed covariance block and recomputes the
+//! (value-independent!) conditional sigmas for every chip; the
+//! [`Predictor`] factors the conditioning gains once per flow plan and
+//! reduces the per-chip step to one gain application per group through a
+//! reusable [`PredictWorkspace`]. A quality guard asserts the
 //! two paths produce **bitwise identical** ranges before anything is
 //! timed, so the speedup cannot be bought with different numbers.
 //!
@@ -81,7 +81,7 @@ fn checksum(ranges: &[DelayBounds]) -> f64 {
     ranges.iter().map(|b| b.lower + b.upper).sum()
 }
 
-/// The pre-refactor per-chip loop: rebuild + refactorize every group's
+/// The from-scratch per-chip loop: rebuild + refactorize every group's
 /// conditioning on every chip.
 fn run_legacy(f: &Fixture) -> f64 {
     let mut acc = 0.0;
