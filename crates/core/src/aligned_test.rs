@@ -14,18 +14,14 @@
 //! buffers at zero, which is the paper's "path multiplexing without delay
 //! alignment" ablation (Fig. 8, middle bars).
 //!
-//! # Incremental frequency stepping
+//! # Slot-array frequency stepping
 //!
 //! The production loop ([`AlignedTestConfig::incremental`], the default)
-//! keeps batch-local *slot arrays*: per tested path its bounds, cached
-//! range center, buffer hookups and hold bound, all resolved **once per
-//! batch**. Each frequency step then touches dense arrays only, and range
-//! centers are recomputed solely for the paths whose bounds the previous
-//! probe actually narrowed (tracked by
-//! [`effitest_ssta::ChangeTracker`]) — an incremental timing update
-//! instead of a full re-derivation per step. The original per-iteration
-//! HashMap implementation survives as the reference the differential
-//! tests pin the incremental loop against, bitwise.
+//! keeps batch-local *slot arrays*: per tested path its bounds, buffer
+//! hookups and hold bound, the last two resolved **once per batch**. Each
+//! frequency step then touches dense arrays only. The original
+//! per-iteration HashMap implementation survives as the reference the
+//! differential tests pin the slot-array loop against, bitwise.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -36,7 +32,7 @@ use effitest_solver::align::{
     AlignmentProblem, BufferVar,
 };
 use effitest_solver::weighted_median_in_place;
-use effitest_ssta::{ChangeTracker, TimingModel};
+use effitest_ssta::TimingModel;
 use effitest_tester::{ContradictionPolicy, DelayBounds, Observation, VirtualTester};
 
 use crate::hold::HoldBounds;
@@ -65,11 +61,12 @@ pub struct AlignedTestConfig {
     pub exact_node_limit: usize,
     /// Hard cap on iterations per batch (defensive; generous).
     pub max_iterations_per_batch: usize,
-    /// `true` (the default) runs the slot-array loop with incremental
-    /// center updates; `false` routes through the original per-iteration
-    /// HashMap implementation, kept as the bitwise reference. The two
-    /// produce identical bounds, iteration counts, and contradiction
-    /// counts on every chip (proven differentially in the test suite).
+    /// `true` (the default) runs the slot-array loop, which resolves buffer
+    /// hookups and hold bounds once per batch; `false` routes through the
+    /// original per-iteration HashMap implementation, kept as the bitwise
+    /// reference. The two produce identical bounds, iteration counts, and
+    /// contradiction counts on every chip (proven differentially in the
+    /// test suite).
     pub incremental: bool,
     /// `true` runs every bounds update under
     /// [`ContradictionPolicy::Widen`]: observations contradicting a
@@ -150,16 +147,14 @@ pub struct AlignedTestWorkspace {
     probes: Vec<(usize, f64)>,
     results: Vec<bool>,
     bounds: HashMap<usize, DelayBounds>,
-    // Batch-local slot arrays of the incremental loop: one entry per
-    // batch position, resolved once per batch (see the module docs).
+    // Batch-local slot arrays of the slot-array loop: one entry per batch
+    // position, resolved once per batch (see the module docs).
     slot_paths: Vec<usize>,
     slot_bounds: Vec<DelayBounds>,
-    slot_center: Vec<f64>,
     slot_src: Vec<Option<usize>>,
     slot_snk: Vec<Option<usize>>,
     slot_hold: Vec<Option<f64>>,
     active_slots: Vec<usize>,
-    tracker: ChangeTracker,
 }
 
 impl AlignedTestWorkspace {
@@ -288,7 +283,7 @@ pub fn run_aligned_test_with(
 
     for batch in batches {
         let (t, c, w) = if config.incremental {
-            test_one_batch_incremental(ws, model, tester, batch, lambda, config, &mut all_bounds)
+            test_one_batch_slots(ws, model, tester, batch, lambda, config, &mut all_bounds)
         } else {
             test_one_batch_reference(ws, model, tester, batch, lambda, config, &mut all_bounds)
         };
@@ -317,16 +312,14 @@ fn update_policy(config: &AlignedTestConfig, tester: &VirtualTester<'_>) -> Cont
     }
 }
 
-/// Tests one batch to convergence with batch-local slot arrays and
-/// incremental center updates; returns the alignment solve time and the
-/// numbers of contradictory and widened observations.
+/// Tests one batch to convergence with batch-local slot arrays; returns
+/// the alignment solve time and the numbers of contradictory and widened
+/// observations.
 ///
 /// Bitwise identical to [`test_one_batch_reference`]: the slot arrays
 /// cache pure functions of state the reference recomputes each iteration
-/// (endpoint buffer hookups, hold bounds, range centers), and the
-/// [`ChangeTracker`] only skips center recomputations whose inputs did
-/// not change.
-fn test_one_batch_incremental(
+/// (endpoint buffer hookups and hold bounds).
+fn test_one_batch_slots(
     ws: &mut AlignedTestWorkspace,
     model: &TimingModel,
     tester: &mut VirtualTester<'_>,
@@ -375,9 +368,6 @@ fn test_one_batch_incremental(
         ws.slot_snk.push(ws.buffer_index.get(&snk).copied());
         ws.slot_hold.push(lambda.lambda(p));
     }
-    ws.slot_center.clear();
-    ws.slot_center.resize(n, 0.0);
-    ws.tracker.reset(n); // every center is stale before the first step
     ws.active_slots.clear();
     ws.active_slots.extend(0..n);
     let (active_slots, slot_bounds) = (&mut ws.active_slots, &ws.slot_bounds);
@@ -387,16 +377,8 @@ fn test_one_batch_incremental(
 
     while !ws.active_slots.is_empty() && iterations < config.max_iterations_per_batch {
         iterations += 1;
-        // --- Incremental timing update: refresh only the centers whose
-        // bounds the previous probe actually moved. ---
-        for &s in &ws.active_slots {
-            if ws.tracker.changed_in_current_step(s) {
-                ws.slot_center[s] = ws.slot_bounds[s].center();
-            }
-        }
-        ws.tracker.advance();
         ws.centers.clear();
-        ws.centers.extend(ws.active_slots.iter().map(|&s| ws.slot_center[s]));
+        ws.centers.extend(ws.active_slots.iter().map(|&s| ws.slot_bounds[s].center()));
         sorted_center_weights_into(
             &ws.centers,
             config.k0,
@@ -409,9 +391,10 @@ fn test_one_batch_incremental(
         let (period, buffer_values): (f64, &[f64]) = if config.use_alignment {
             let paths = ws.engine.paths_mut();
             paths.clear();
-            paths.extend(ws.active_slots.iter().zip(&ws.weights).map(|(&s, &w)| AlignPath {
-                center: ws.slot_center[s],
-                weight: w,
+            let slots = ws.active_slots.iter().zip(&ws.centers).zip(&ws.weights);
+            paths.extend(slots.map(|((&s, &center), &weight)| AlignPath {
+                center,
+                weight,
                 source_buffer: ws.slot_src[s],
                 sink_buffer: ws.slot_snk[s],
                 hold_lower_bound: ws.slot_hold[s],
@@ -436,7 +419,7 @@ fn test_one_batch_incremental(
         }));
         tester.apply_batch_into(period, &ws.probes, &mut ws.results);
 
-        // --- Update bounds; mark moved slots dirty; retire converged. ---
+        // --- Update bounds; retire converged. ---
         let mut progressed = false;
         for ((&s, &(_, shift)), &passed) in ws.active_slots.iter().zip(&ws.probes).zip(&ws.results)
         {
@@ -446,11 +429,6 @@ fn test_one_batch_incremental(
                 Observation::Contradictory => contradictions += 1,
                 Observation::Widened => widenings += 1,
                 Observation::Tightened | Observation::Uninformative => {}
-            }
-            if b.lower.to_bits() != before.lower.to_bits()
-                || b.upper.to_bits() != before.upper.to_bits()
-            {
-                ws.tracker.mark(s);
             }
             if b.width() < before.width() - 1e-15 {
                 progressed = true;
@@ -477,7 +455,6 @@ fn test_one_batch_incremental(
                 Observation::Widened => widenings += 1,
                 Observation::Tightened | Observation::Uninformative => {}
             }
-            ws.tracker.mark(widest);
             let (active_slots, slot_bounds) = (&mut ws.active_slots, &ws.slot_bounds);
             active_slots.retain(|&s| !slot_bounds[s].converged(config.epsilon));
         }
@@ -491,7 +468,7 @@ fn test_one_batch_incremental(
 /// the numbers of contradictory and widened observations.
 ///
 /// This is the original HashMap-per-iteration implementation, kept as the
-/// bitwise reference for [`test_one_batch_incremental`] (selected by
+/// bitwise reference for [`test_one_batch_slots`] (selected by
 /// [`AlignedTestConfig::incremental`] `= false`).
 fn test_one_batch_reference(
     ws: &mut AlignedTestWorkspace,

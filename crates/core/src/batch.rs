@@ -22,9 +22,9 @@
 //! [`MutualExclusions`] lists. Placement then only visits a path's actual
 //! neighbors (to stamp their batches as forbidden) instead of probing
 //! every batch member, which drops coloring from quadratic to
-//! O(paths + conflict edges + batches). The quadratic loops survive as
-//! [`build_batches_dense`] / [`fill_slots_dense`], the reference oracles
-//! the differential tests pin the sparse placement against.
+//! O(paths + conflict edges + batches). The quadratic loops survive in the
+//! unit tests as `build_batches_dense` / `fill_slots_dense`, the reference
+//! oracles the sparse placement is pinned against.
 
 use std::collections::HashMap;
 
@@ -343,7 +343,7 @@ impl EndpointIndex {
 /// Placement walks each path's conflict neighborhood (endpoint lists plus
 /// the stored sensitization adjacency) to stamp forbidden batches, then
 /// takes the first best feasible batch in index order — bitwise the same
-/// batches as the quadratic [`build_batches_dense`] reference.
+/// batches as the quadratic `build_batches_dense` test oracle.
 pub fn build_batches(
     oracle: &ConflictOracle<'_>,
     selected: &[usize],
@@ -454,76 +454,6 @@ pub fn build_batches(
     batches
 }
 
-/// The original quadratic coloring, kept as the reference oracle for the
-/// sparse [`build_batches`]: identical order keys, identical first-fit /
-/// first-min placement, but every feasibility check probes every member of
-/// every batch through [`ConflictOracle::conflicts`].
-pub fn build_batches_dense(
-    oracle: &ConflictOracle<'_>,
-    selected: &[usize],
-    widths: Option<&[f64]>,
-) -> Vec<Vec<usize>> {
-    let n = selected.len();
-    if let Some(w) = widths {
-        assert_eq!(w.len(), n, "one width per selected path required");
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    match widths {
-        Some(w) => {
-            order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(selected[a].cmp(&selected[b])));
-        }
-        None => {
-            let mut degree = vec![0_usize; n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if oracle.conflicts(selected[i], selected[j]) {
-                        degree[i] += 1;
-                        degree[j] += 1;
-                    }
-                }
-            }
-            order.sort_by(|&a, &b| degree[b].cmp(&degree[a]).then(selected[a].cmp(&selected[b])));
-        }
-    }
-
-    let mut batches: Vec<Vec<usize>> = Vec::new();
-    let mut batch_widths: Vec<(f64, usize)> = Vec::new(); // (sum, count)
-    for &pos in &order {
-        let p = selected[pos];
-        let feasible = batches
-            .iter()
-            .enumerate()
-            .filter(|(_, batch)| batch.iter().all(|&q| !oracle.conflicts(p, q)));
-        let slot = match widths {
-            Some(w) => {
-                let width = w[pos];
-                feasible
-                    .min_by(|(a, _), (b, _)| {
-                        let da = mean_width_distance(batch_widths[*a].0, batch_widths[*a].1, width);
-                        let db = mean_width_distance(batch_widths[*b].0, batch_widths[*b].1, width);
-                        da.total_cmp(&db)
-                    })
-                    .map(|(i, _)| i)
-            }
-            None => feasible.map(|(i, _)| i).next(),
-        };
-        match slot {
-            Some(b) => {
-                batches[b].push(p);
-                if let Some(w) = widths {
-                    batch_widths[b].0 += w[pos];
-                    batch_widths[b].1 += 1;
-                }
-            }
-            None => {
-                batches.push(vec![p]);
-                batch_widths.push((widths.map_or(0.0, |w| w[pos]), 1));
-            }
-        }
-    }
-    batches
-}
-
 /// Fills empty slots with the highest-predicted-variance unselected paths.
 ///
 /// Candidates are `(path, predicted_sigma, initial_width)` triples; they
@@ -534,7 +464,7 @@ pub fn build_batches_dense(
 /// candidate is used at most once.
 ///
 /// Like [`build_batches`], feasibility is resolved through the sparse
-/// conflict neighborhood; [`fill_slots_dense`] is the quadratic reference.
+/// conflict neighborhood; `fill_slots_dense` is the quadratic test oracle.
 pub fn fill_slots(
     oracle: &ConflictOracle<'_>,
     batches: &mut [Vec<usize>],
@@ -582,50 +512,6 @@ pub fn fill_slots(
             means[b].1 += 1;
             batch_of[p] = b as u32;
             placed.insert(view);
-            filled.push(p);
-        }
-    }
-    filled
-}
-
-/// The original quadratic slot filler, kept as the reference oracle for
-/// the sparse [`fill_slots`].
-pub fn fill_slots_dense(
-    oracle: &ConflictOracle<'_>,
-    batches: &mut [Vec<usize>],
-    candidates: &[(usize, f64, f64)],
-    capacity: Option<usize>,
-    widths_of_batched: &dyn Fn(usize) -> f64,
-) -> Vec<usize> {
-    let cap = capacity.unwrap_or_else(|| batches.iter().map(Vec::len).max().unwrap_or(0)).max(1);
-    let mut ranked: Vec<(usize, f64, f64)> = candidates.to_vec();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut used: std::collections::HashSet<usize> = batches.iter().flatten().copied().collect();
-    let mut filled = Vec::new();
-    let mut means: Vec<(f64, usize)> =
-        batches.iter().map(|b| (b.iter().map(|&p| widths_of_batched(p)).sum(), b.len())).collect();
-
-    for (p, _sigma, width) in ranked {
-        if used.contains(&p) {
-            continue;
-        }
-        let slot = batches
-            .iter()
-            .enumerate()
-            .filter(|(_, batch)| {
-                batch.len() < cap && batch.iter().all(|&q| !oracle.conflicts(p, q))
-            })
-            .min_by(|(a, _), (b, _)| {
-                let da = mean_width_distance(means[*a].0, means[*a].1, width);
-                let db = mean_width_distance(means[*b].0, means[*b].1, width);
-                da.total_cmp(&db)
-            })
-            .map(|(i, _)| i);
-        if let Some(b) = slot {
-            batches[b].push(p);
-            means[b].0 += width;
-            means[b].1 += 1;
-            used.insert(p);
             filled.push(p);
         }
     }
@@ -738,6 +624,128 @@ mod tests {
         (bench, model)
     }
 
+    /// The original quadratic coloring, kept as the reference oracle for the
+    /// sparse [`build_batches`]: identical order keys, identical first-fit /
+    /// first-min placement, but every feasibility check probes every member of
+    /// every batch through [`ConflictOracle::conflicts`].
+    fn build_batches_dense(
+        oracle: &ConflictOracle<'_>,
+        selected: &[usize],
+        widths: Option<&[f64]>,
+    ) -> Vec<Vec<usize>> {
+        let n = selected.len();
+        if let Some(w) = widths {
+            assert_eq!(w.len(), n, "one width per selected path required");
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        match widths {
+            Some(w) => {
+                order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(selected[a].cmp(&selected[b])));
+            }
+            None => {
+                let mut degree = vec![0_usize; n];
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        if oracle.conflicts(selected[i], selected[j]) {
+                            degree[i] += 1;
+                            degree[j] += 1;
+                        }
+                    }
+                }
+                order.sort_by(|&a, &b| {
+                    degree[b].cmp(&degree[a]).then(selected[a].cmp(&selected[b]))
+                });
+            }
+        }
+
+        let mut batches: Vec<Vec<usize>> = Vec::new();
+        let mut batch_widths: Vec<(f64, usize)> = Vec::new(); // (sum, count)
+        for &pos in &order {
+            let p = selected[pos];
+            let feasible = batches
+                .iter()
+                .enumerate()
+                .filter(|(_, batch)| batch.iter().all(|&q| !oracle.conflicts(p, q)));
+            let slot = match widths {
+                Some(w) => {
+                    let width = w[pos];
+                    feasible
+                        .min_by(|(a, _), (b, _)| {
+                            let da =
+                                mean_width_distance(batch_widths[*a].0, batch_widths[*a].1, width);
+                            let db =
+                                mean_width_distance(batch_widths[*b].0, batch_widths[*b].1, width);
+                            da.total_cmp(&db)
+                        })
+                        .map(|(i, _)| i)
+                }
+                None => feasible.map(|(i, _)| i).next(),
+            };
+            match slot {
+                Some(b) => {
+                    batches[b].push(p);
+                    if let Some(w) = widths {
+                        batch_widths[b].0 += w[pos];
+                        batch_widths[b].1 += 1;
+                    }
+                }
+                None => {
+                    batches.push(vec![p]);
+                    batch_widths.push((widths.map_or(0.0, |w| w[pos]), 1));
+                }
+            }
+        }
+        batches
+    }
+
+    /// The original quadratic slot filler, kept as the reference oracle for
+    /// the sparse [`fill_slots`].
+    fn fill_slots_dense(
+        oracle: &ConflictOracle<'_>,
+        batches: &mut [Vec<usize>],
+        candidates: &[(usize, f64, f64)],
+        capacity: Option<usize>,
+        widths_of_batched: &dyn Fn(usize) -> f64,
+    ) -> Vec<usize> {
+        let cap =
+            capacity.unwrap_or_else(|| batches.iter().map(Vec::len).max().unwrap_or(0)).max(1);
+        let mut ranked: Vec<(usize, f64, f64)> = candidates.to_vec();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let mut used: std::collections::HashSet<usize> =
+            batches.iter().flatten().copied().collect();
+        let mut filled = Vec::new();
+        let mut means: Vec<(f64, usize)> = batches
+            .iter()
+            .map(|b| (b.iter().map(|&p| widths_of_batched(p)).sum(), b.len()))
+            .collect();
+
+        for (p, _sigma, width) in ranked {
+            if used.contains(&p) {
+                continue;
+            }
+            let slot = batches
+                .iter()
+                .enumerate()
+                .filter(|(_, batch)| {
+                    batch.len() < cap && batch.iter().all(|&q| !oracle.conflicts(p, q))
+                })
+                .min_by(|(a, _), (b, _)| {
+                    let da = mean_width_distance(means[*a].0, means[*a].1, width);
+                    let db = mean_width_distance(means[*b].0, means[*b].1, width);
+                    da.total_cmp(&db)
+                })
+                .map(|(i, _)| i);
+            if let Some(b) = slot {
+                batches[b].push(p);
+                means[b].0 += width;
+                means[b].1 += 1;
+                used.insert(p);
+                filled.push(p);
+            }
+        }
+        filled
+    }
+
     fn widths_for(model: &TimingModel, paths: &[usize]) -> Vec<f64> {
         paths.iter().map(|&p| 6.0 * model.path_sigma(p)).collect()
     }
@@ -830,6 +838,45 @@ mod tests {
                     assert!(!oracle.conflicts(a, b));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn criticality_cut_large_tier_placement_and_fill_match_dense() {
+        // The large-tier sweep's configuration on 2,000 paths: a 4x4
+        // variation grid and the 0.93 criticality cut that keeps exactly
+        // the planted critical population. Sparse placement and slot
+        // filling must match the dense oracles in both width modes.
+        let np = 2_000;
+        let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(np), 7);
+        let variation = VariationConfig { grid_dim: 4, ..VariationConfig::paper() };
+        let model = TimingModel::build(&bench, &variation);
+        let select = SelectConfig { criticality_fraction: Some(0.93), ..SelectConfig::default() };
+        let selected = crate::select::all_selected(&select_paths(&model, &select, 1));
+        assert!(!selected.is_empty(), "criticality cut selected nothing");
+        let all: Vec<usize> = (0..model.path_count()).collect();
+        let oracle = ConflictOracle::new(&bench, &all, 1);
+        // Filler candidates spread across the index space: paths are laid
+        // out hub by hub, so a prefix would share one sink hub and conflict
+        // with every batch.
+        let candidates: Vec<(usize, f64, f64)> = (0..model.path_count())
+            .step_by(np / 512)
+            .filter(|p| !selected.contains(p))
+            .map(|p| (p, model.path_sigma(p), 6.0 * model.path_sigma(p)))
+            .collect();
+        let width_of = |p: usize| 6.0 * model.path_sigma(p);
+        for widths in [None, Some(widths_for(&model, &selected))] {
+            let sparse = build_batches(&oracle, &selected, widths.as_deref());
+            let dense = build_batches_dense(&oracle, &selected, widths.as_deref());
+            assert_eq!(sparse, dense, "placement diverged (widths: {})", widths.is_some());
+            let cap = sparse.iter().map(Vec::len).max().unwrap_or(1) + 4;
+            let (mut filled_sparse, mut filled_dense) = (sparse, dense);
+            let fs = fill_slots(&oracle, &mut filled_sparse, &candidates, Some(cap), &width_of);
+            let fd =
+                fill_slots_dense(&oracle, &mut filled_dense, &candidates, Some(cap), &width_of);
+            assert_eq!(fs, fd, "fill order diverged (widths: {})", widths.is_some());
+            assert_eq!(filled_sparse, filled_dense, "filled batches diverged");
+            assert!(!fs.is_empty(), "no slot was filled (widths: {})", widths.is_some());
         }
     }
 

@@ -78,9 +78,9 @@ pub struct FlowConfig {
     pub exact_alignment: bool,
     /// Fill empty batch slots with high-variance unselected paths (§3.2).
     pub slot_fill: bool,
-    /// Run the aligned test with incremental per-step timing updates
-    /// (see [`AlignedTestConfig::incremental`]); `false` selects the
-    /// full-reanalysis reference loop. Both produce bitwise-identical
+    /// Run the aligned test's slot-array loop (see
+    /// [`AlignedTestConfig::incremental`]); `false` selects the
+    /// per-iteration HashMap reference loop. Both produce bitwise-identical
     /// outcomes.
     pub incremental: bool,
     /// Measurement-error model of the tester the chips are mounted on.
@@ -740,8 +740,8 @@ mod tests {
     #[test]
     fn incremental_flow_matches_reference_on_every_topology() {
         // The full per-chip flow — aligned test, prediction, configuration,
-        // final check — must be bitwise identical with and without the
-        // incremental aligned-test loop, on every topology in the matrix.
+        // final check — must be bitwise identical with the slot-array and
+        // the reference aligned-test loop, on every topology in the matrix.
         let key = |o: &ChipOutcome| {
             (
                 o.iterations,

@@ -85,7 +85,4 @@ pub use effitest_parallel as parallel;
 pub use flow::{
     ChipOutcome, EffiTestFlow, FlowConfig, FlowError, FlowPlan, FlowWorkspace, PlanStageTimes,
 };
-pub use predict::{
-    BatchPredictWorkspace, BatchPredictedRanges, ChipMatrix, PredictWorkspace, PredictedRanges,
-    Predictor,
-};
+pub use predict::{BatchPredictedRanges, ChipMatrix, PredictWorkspace, PredictedRanges, Predictor};

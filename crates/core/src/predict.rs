@@ -33,13 +33,14 @@
 //! re-tune — predicts through [`Predictor::predict_with`]; a caller with a
 //! different tested set builds its own [`Predictor`] over it.
 //!
-//! # Batched population engine
+//! # Whole-population prediction
 //!
-//! [`ChipMatrix`] and [`Predictor::predict_population`] apply each group's
-//! gain to a whole population at once, one GEMM per group, with every
-//! chip's ranges bitwise identical to [`Predictor::predict_with`]. No flow
-//! driver runs it: only the population bench and the benchmark harness's
-//! traced split time it against the per-chip engine.
+//! [`ChipMatrix`] and [`Predictor::predict_population`] run a population's
+//! chips through [`Predictor::predict_with`] in parallel, one workspace per
+//! worker, so eqs. 4–5 have one implementation. The flow, the population
+//! runs, the service and the hostile re-tune predict per chip instead;
+//! these remain for the benchmark harness's traced pass, which checks them
+//! against the per-chip ranges.
 //!
 //! # Fallback semantics
 //!
@@ -223,9 +224,7 @@ struct GroupPredictor {
 ///
 /// Results are **bitwise identical** to [`predict_ranges`] called with the
 /// same tested set: both run the same arithmetic on the same factor (see
-/// `effitest_linalg::GaussianConditioner`), which is what lets the
-/// population engine keep its thread-count-determinism guarantee on top
-/// of this engine.
+/// `effitest_linalg::GaussianConditioner`).
 #[derive(Debug, Clone)]
 pub struct Predictor {
     /// Total paths in the model.
@@ -546,239 +545,54 @@ impl PredictWorkspace {
     }
 }
 
-/// The whole population's measured bounds in a structure-of-arrays layout:
-/// row `k` holds planned tested path `k`'s bound across every chip
-/// (`n_tested x n_chips`, row-major).
-///
-/// Path-major rows are what make the batched engine's per-group gathers
-/// contiguous: collecting one observed path's upper bounds for a block of
-/// chips is a single `memcpy` out of a row slice, regardless of how the
-/// chips are partitioned across worker threads.
+/// A whole population's measured bounds, one tested map per chip, as
+/// [`Predictor::predict_population`] reads them.
 #[derive(Debug, Clone)]
 pub struct ChipMatrix {
-    /// Planned tested paths, ascending — the row order of the matrix.
-    tested: Vec<usize>,
-    /// Dense path -> row lookup (`usize::MAX` = not a planned path), so
-    /// scattering a chip's map costs O(1) per entry instead of a hash or
-    /// binary search.
-    row_of: Vec<usize>,
-    /// Chips in the population (the column count).
-    n_chips: usize,
-    /// Measured lower bounds, `n_tested x n_chips` row-major.
-    lowers: Vec<f64>,
-    /// Measured upper bounds, same layout.
-    uppers: Vec<f64>,
+    /// Planned tested paths, ascending: the key set of every chip's map.
+    planned: Vec<usize>,
+    /// Each chip's tested map, in chip order.
+    chips: Vec<HashMap<usize, DelayBounds>>,
 }
 
 impl ChipMatrix {
-    /// Creates a zeroed matrix sized for `predictor`'s planned tested set
-    /// and `n_chips` chips; fill it with [`set_chip`](Self::set_chip).
+    /// Creates a population of `n_chips` chips for `predictor`'s planned
+    /// tested set; fill every chip with [`set_chip`](Self::set_chip).
     pub fn new(predictor: &Predictor, n_chips: usize) -> Self {
-        let rows = predictor.planned.len();
-        let mut row_of = vec![usize::MAX; predictor.n_paths];
-        for (k, &p) in predictor.planned.iter().enumerate() {
-            row_of[p] = k;
-        }
-        ChipMatrix {
-            tested: predictor.planned.clone(),
-            row_of,
-            n_chips,
-            lowers: vec![0.0; rows * n_chips],
-            uppers: vec![0.0; rows * n_chips],
-        }
+        ChipMatrix { planned: predictor.planned.clone(), chips: vec![HashMap::new(); n_chips] }
     }
 
-    /// Scatters one chip's measured bounds into column `chip`.
+    /// Stores chip `chip`'s measured bounds.
     ///
     /// # Panics
     ///
-    /// Panics if `chip` is out of range or `tested` lacks a planned tested
-    /// path (the same contract as [`Predictor::predict_with`]).
+    /// Panics if `chip` is out of range or the key set of `tested` is not
+    /// exactly the planned tested set (the contract of
+    /// [`Predictor::predict_with`]).
     pub fn set_chip(&mut self, chip: usize, tested: &HashMap<usize, DelayBounds>) {
-        assert!(chip < self.n_chips, "chip {chip} out of range ({} chips)", self.n_chips);
-        // Iterate the map and use the dense row lookup instead of hashing
-        // every planned key: map iteration is hash-free, and the
-        // equal-length check turns "every key is planned" into "the key
-        // sets are equal".
-        assert_eq!(tested.len(), self.tested.len(), "tested map diverged from the plan");
-        let nc = self.n_chips;
-        for (&p, b) in tested {
-            let k = *self
-                .row_of
-                .get(p)
-                .filter(|&&k| k != usize::MAX)
-                .expect("tested map diverged from the plan");
-            self.lowers[k * nc + chip] = b.lower;
-            self.uppers[k * nc + chip] = b.upper;
-        }
-    }
-
-    /// Gathers a whole population's tested maps (one per chip, in chip
-    /// order) into the SoA layout.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`set_chip`](Self::set_chip) for each map.
-    pub fn gather(predictor: &Predictor, chips: &[HashMap<usize, DelayBounds>]) -> Self {
-        let mut m = ChipMatrix::new(predictor, chips.len());
-        m.fill(chips);
-        m
-    }
-
-    /// [`gather`](Self::gather) into an existing matrix, so steady-state
-    /// callers (benches, repeated populations through one plan) pay no
-    /// reallocation: the matrix is resized for `predictor`'s plan and the
-    /// new population, then refilled.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`gather`](Self::gather).
-    pub fn gather_into(
-        predictor: &Predictor,
-        chips: &[HashMap<usize, DelayBounds>],
-        out: &mut ChipMatrix,
-    ) {
-        out.tested.clear();
-        out.tested.extend_from_slice(&predictor.planned);
-        out.row_of.clear();
-        out.row_of.resize(predictor.n_paths, usize::MAX);
-        for (k, &p) in predictor.planned.iter().enumerate() {
-            out.row_of[p] = k;
-        }
-        out.n_chips = chips.len();
-        // Every cell is overwritten by `fill` (each map covers the whole
-        // planned set), so stale reused contents never survive.
-        out.lowers.resize(out.tested.len() * out.n_chips, 0.0);
-        out.uppers.resize(out.tested.len() * out.n_chips, 0.0);
-        out.fill(chips);
-    }
-
-    /// Scatters a whole population into the (already sized) matrix.
-    fn fill(&mut self, chips: &[HashMap<usize, DelayBounds>]) {
-        let m = self;
-        let nc = m.n_chips;
-        let rows = m.tested.len();
-        // Scatter each [`CHIP_TILE`]-chip block through a small path-major
-        // staging buffer, then memcpy whole row slices into place: writing
-        // a chip's column directly strides `n_chips` doubles per store
-        // (one cache line touched per element), while the staging buffer
-        // stays L1-resident and the copies are contiguous. Same values in
-        // the same cells as per-chip [`set_chip`](Self::set_chip) calls.
-        let mut lo_tile = vec![0.0; rows * CHIP_TILE];
-        let mut up_tile = vec![0.0; rows * CHIP_TILE];
-        let mut c0 = 0;
-        while c0 < nc {
-            let tc = CHIP_TILE.min(nc - c0);
-            for (ci, tested) in chips[c0..c0 + tc].iter().enumerate() {
-                assert_eq!(tested.len(), rows, "tested map diverged from the plan");
-                for (&p, b) in tested {
-                    let k = *m
-                        .row_of
-                        .get(p)
-                        .filter(|&&k| k != usize::MAX)
-                        .expect("tested map diverged from the plan");
-                    lo_tile[k * CHIP_TILE + ci] = b.lower;
-                    up_tile[k * CHIP_TILE + ci] = b.upper;
-                }
-            }
-            for k in 0..rows {
-                m.lowers[k * nc + c0..k * nc + c0 + tc]
-                    .copy_from_slice(&lo_tile[k * CHIP_TILE..k * CHIP_TILE + tc]);
-                m.uppers[k * nc + c0..k * nc + c0 + tc]
-                    .copy_from_slice(&up_tile[k * CHIP_TILE..k * CHIP_TILE + tc]);
-            }
-            c0 += tc;
-        }
-    }
-
-    /// Chips in the population.
-    pub fn n_chips(&self) -> usize {
-        self.n_chips
-    }
-
-    /// The planned tested paths (row order), ascending.
-    pub fn tested_paths(&self) -> &[usize] {
-        &self.tested
-    }
-}
-
-/// Per-worker scratch for [`Predictor::predict_population`]: the gathered
-/// observation block and the batched conditional means.
-///
-/// Scratch, never results: predictions are bitwise identical whether a
-/// workspace is fresh, reused, or shared serially across chip blocks.
-#[derive(Debug, Default)]
-pub struct BatchPredictWorkspace {
-    /// Gathered observed upper bounds (`n_obs x block_chips`, row-major),
-    /// consumed as the batch conditioning's solve buffer.
-    values: Vec<f64>,
-    /// Transposed solve block (`tile_chips x n_obs`) for the chip-major
-    /// conditioning GEMM.
-    wt: Vec<f64>,
-    /// Tile-staged measured lower bounds (`n_tested x tile_chips`): row
-    /// slices copied out of the chip matrix so the per-chip scatter reads
-    /// an L1-resident block instead of striding `n_chips` doubles.
-    plo: Vec<f64>,
-    /// Tile-staged measured upper bounds, same layout.
-    pup: Vec<f64>,
-    /// Batched conditional means, one buffer per group
-    /// (`tile_chips x n_rem`, row-major — chip-major), so a whole tile's
-    /// means are live at once and each chip's means are contiguous for the
-    /// per-chip scatter.
-    means: Vec<Vec<f64>>,
-}
-
-impl BatchPredictWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+        assert!(
+            tested.len() == self.planned.len()
+                && self.planned.iter().all(|p| tested.contains_key(p)),
+            "tested map diverged from the plan"
+        );
+        self.chips[chip] = tested.clone();
     }
 }
 
 /// Whole-population prediction output in chip-major layout: chip `c`'s
-/// per-path bounds live contiguously at `[c * n_paths, (c + 1) * n_paths)`.
-///
-/// Chip-major output is the counterpart of [`ChipMatrix`]'s path-major
-/// input: worker threads own disjoint contiguous chip blocks (safe
-/// `chunks_mut` partitioning, no false sharing at block boundaries beyond
-/// one cache line), and extracting one chip's ranges afterwards is a
-/// contiguous slice.
-#[derive(Debug, Clone, Default)]
+/// per-path bounds live at `[c * n_paths, (c + 1) * n_paths)`.
+#[derive(Debug, Clone)]
 pub struct BatchPredictedRanges {
     /// Paths per chip.
     n_paths: usize,
-    /// Chips in the population.
-    n_chips: usize,
     /// Lower bounds, chip-major.
     lower: Vec<f64>,
     /// Upper bounds, chip-major.
     upper: Vec<f64>,
-    /// `true` where the range came from silicon measurement — fixed by the
-    /// plan, so one vector serves every chip.
-    measured: Vec<bool>,
-    /// Plan-time prediction fallbacks (same for every chip).
-    fallbacks: u64,
 }
 
 impl BatchPredictedRanges {
-    /// Creates an empty output for
-    /// [`Predictor::predict_population_into`]; buffers grow on first use
-    /// and are reused (no reallocation) across same-shape populations.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Chips in the population.
-    pub fn n_chips(&self) -> usize {
-        self.n_chips
-    }
-
-    /// Paths per chip.
-    pub fn path_count(&self) -> usize {
-        self.n_paths
-    }
-
-    /// Chip `c`'s lower bounds (dense over paths).
+    /// Chip `chip`'s lower bounds (dense over paths).
     ///
     /// # Panics
     ///
@@ -787,7 +601,7 @@ impl BatchPredictedRanges {
         &self.lower[chip * self.n_paths..(chip + 1) * self.n_paths]
     }
 
-    /// Chip `c`'s upper bounds (dense over paths).
+    /// Chip `chip`'s upper bounds (dense over paths).
     ///
     /// # Panics
     ///
@@ -795,289 +609,34 @@ impl BatchPredictedRanges {
     pub fn chip_upper(&self, chip: usize) -> &[f64] {
         &self.upper[chip * self.n_paths..(chip + 1) * self.n_paths]
     }
-
-    /// Which paths are measured (identical for every chip: the tested set
-    /// is fixed by the plan).
-    pub fn measured(&self) -> &[bool] {
-        &self.measured
-    }
-
-    /// Plan-time prediction fallbacks, as surfaced per chip by the
-    /// per-chip engine.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
-    /// Materializes chip `c`'s prediction as a [`PredictedRanges`].
-    ///
-    /// Bounds are rebuilt with [`DelayBounds::new`], which carries no
-    /// proven flags — callers that need the measured paths' proven flags
-    /// (the population flow does) overwrite those entries from the aligned
-    /// test results, exactly like the per-chip path keeps them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip` is out of range.
-    pub fn chip_predicted(&self, chip: usize) -> PredictedRanges {
-        let lo = self.chip_lower(chip);
-        let up = self.chip_upper(chip);
-        PredictedRanges {
-            ranges: lo.iter().zip(up).map(|(&l, &u)| DelayBounds::new(l, u)).collect(),
-            measured: self.measured.clone(),
-            fallbacks: self.fallbacks,
-        }
-    }
 }
 
 impl Predictor {
-    /// Predicts all ranges for a whole chip population at once: one
-    /// cache-blocked GEMM per correlation group
-    /// ([`GaussianConditioner::condition_mean_batch_chipmajor_into`])
-    /// instead of `n_chips` matvecs, with the chip matrix partitioned
-    /// across `threads` worker threads in contiguous column blocks.
-    ///
-    /// Every chip's column is **bitwise identical** to
-    /// [`predict_with`](Self::predict_with) on that chip's tested map, at
-    /// any thread count: the batch kernels accumulate per column in the
-    /// same order as their vector counterparts, and each column's
-    /// arithmetic is independent of which block (and therefore which
-    /// worker) it lands in.
+    /// Predicts every chip of `chips` through
+    /// [`predict_with`](Self::predict_with) over `threads` workers, one
+    /// [`PredictWorkspace`] per worker; chip `c`'s bounds are bitwise
+    /// `predict_with` on chip `c`'s tested map, at any thread count.
     ///
     /// # Panics
     ///
-    /// Panics if `chips` was built for a different predictor (its tested
-    /// rows must be exactly this plan's tested set).
+    /// Panics if `chips` was built for a different plan or a chip was never
+    /// set.
     pub fn predict_population(&self, chips: &ChipMatrix, threads: usize) -> BatchPredictedRanges {
-        let mut out = BatchPredictedRanges::new();
-        self.predict_population_into(chips, threads, &mut out);
-        out
-    }
-
-    /// [`predict_population`](Self::predict_population) into a reusable
-    /// output, so steady-state callers (benches, repeated populations) pay
-    /// no allocation or page-faulting for the two `n_paths x n_chips`
-    /// bound arrays after the first call.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`predict_population`](Self::predict_population).
-    pub fn predict_population_into(
-        &self,
-        chips: &ChipMatrix,
-        threads: usize,
-        out: &mut BatchPredictedRanges,
-    ) {
-        assert_eq!(chips.tested, self.planned, "chip matrix's tested rows diverged from the plan");
-        let np = self.n_paths;
-        let nc = chips.n_chips;
-        out.n_paths = np;
-        out.n_chips = nc;
-        out.fallbacks = self.fallbacks;
-        out.measured.clear();
-        out.measured.resize(np, false);
-        for &p in &self.planned {
-            out.measured[p] = true;
-        }
-        // Every element of `lower`/`upper` is written exactly once below
-        // (prior rows, measured rows, or a group scatter), so stale reused
-        // contents never survive.
-        out.lower.resize(np * nc, 0.0);
-        out.upper.resize(np * nc, 0.0);
-        if np == 0 || nc == 0 {
-            return;
-        }
-        // Plan-derived constants shared (read-only) by every worker: the
-        // prior bounds as dense arrays, the rows that keep their priors
-        // (no group predicts them, so nobody else writes them), and each
-        // group's observed rows in the chip matrix (planned is sorted, so
-        // positions come from binary search).
-        let prior_lower: Vec<f64> = self.priors.iter().map(|b| b.lower).collect();
-        let prior_upper: Vec<f64> = self.priors.iter().map(|b| b.upper).collect();
-        let mut written = vec![false; np];
-        for &p in &self.planned {
-            written[p] = true;
-        }
-        for group in &self.groups {
-            for &p in &group.predicted {
-                written[p] = true;
-            }
-        }
-        let prior_rows: Vec<usize> = (0..np).filter(|&p| !written[p]).collect();
-        let obs_rows: Vec<Vec<usize>> = self
-            .groups
-            .iter()
-            .map(|g| {
-                g.observed
-                    .iter()
-                    .map(|p| self.planned.binary_search(p).expect("observed paths are planned"))
-                    .collect()
-            })
-            .collect();
-        let halfs: Vec<Vec<f64>> = self
-            .groups
-            .iter()
-            .map(|g| g.conditioner.conditional_sigmas().iter().map(|&s| self.sigma_k * s).collect())
-            .collect();
-        let plan = BatchPlan {
-            prior_lower: &prior_lower,
-            prior_upper: &prior_upper,
-            prior_rows: &prior_rows,
-            obs_rows: &obs_rows,
-            halfs: &halfs,
-        };
-
-        let workers = threads.min(nc).max(1);
-        // Contiguous chip blocks, as even as possible; the last block may
-        // be short. Which block a chip lands in never changes its column's
-        // arithmetic, so the partition is invisible in the results.
-        let block = nc.div_ceil(workers);
-        if workers == 1 {
-            let mut ws = BatchPredictWorkspace::new();
-            self.predict_block(chips, 0, nc, &plan, &mut out.lower, &mut out.upper, &mut ws);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let chunks = out.lower.chunks_mut(block * np).zip(out.upper.chunks_mut(block * np));
-            for (b, (lo_chunk, up_chunk)) in chunks.enumerate() {
-                let plan = &plan;
-                scope.spawn(move || {
-                    let bc = lo_chunk.len() / np;
-                    let mut ws = BatchPredictWorkspace::new();
-                    self.predict_block(chips, b * block, bc, plan, lo_chunk, up_chunk, &mut ws);
-                });
-            }
-        });
-    }
-
-    /// Predicts one contiguous block of `bc` chips starting at chip `c0`,
-    /// writing into the block-local chip-major `lower`/`upper` slices.
-    ///
-    /// Internally iterates [`CHIP_TILE`]-sized sub-blocks: the per-group
-    /// scatter writes one element per (path, chip), which in chip-major
-    /// layout is a `n_paths`-strided access — tiling keeps the touched
-    /// output window small enough to stay cache-resident across all groups
-    /// instead of re-missing on every predicted row. Each column's
-    /// arithmetic is independent of the tile it lands in, so tiling (like
-    /// the thread partition) is invisible in the results.
-    #[allow(clippy::too_many_arguments)]
-    fn predict_block(
-        &self,
-        chips: &ChipMatrix,
-        c0: usize,
-        bc: usize,
-        plan: &BatchPlan<'_>,
-        lower: &mut [f64],
-        upper: &mut [f64],
-        ws: &mut BatchPredictWorkspace,
-    ) {
-        let np = self.n_paths;
-        let mut t0 = 0;
-        while t0 < bc {
-            let tc = CHIP_TILE.min(bc - t0);
-            self.predict_tile(
-                chips,
-                c0 + t0,
-                tc,
-                plan,
-                &mut lower[t0 * np..(t0 + tc) * np],
-                &mut upper[t0 * np..(t0 + tc) * np],
-                ws,
-            );
-            t0 += tc;
-        }
-    }
-
-    /// One cache-resident tile of `tc` chips starting at chip `c0`.
-    #[allow(clippy::too_many_arguments)]
-    fn predict_tile(
-        &self,
-        chips: &ChipMatrix,
-        c0: usize,
-        tc: usize,
-        plan: &BatchPlan<'_>,
-        lower: &mut [f64],
-        upper: &mut [f64],
-        ws: &mut BatchPredictWorkspace,
-    ) {
-        let np = self.n_paths;
-        let nc = chips.n_chips;
-        // Phase 1 — condition every group over the whole tile: contiguous
-        // row gathers out of the path-major matrix, then one batched
-        // conditioning per group. All groups' means stay live (one buffer
-        // per group) so phase 2 can scatter chip by chip.
-        ws.means.resize_with(self.groups.len(), Vec::new);
-        for ((group, rows), mean) in self.groups.iter().zip(plan.obs_rows).zip(&mut ws.means) {
-            ws.values.clear();
-            for &row in rows {
-                ws.values.extend_from_slice(&chips.uppers[row * nc + c0..row * nc + c0 + tc]);
-            }
-            group
-                .conditioner
-                .condition_mean_batch_chipmajor_into(&mut ws.values, tc, &mut ws.wt, mean)
-                .expect("observation rows are fixed by the plan");
-        }
-        // Stage the tile's measured bounds: contiguous row-slice copies
-        // here, L1-resident column reads in phase 2 (reading the chip
-        // matrix directly per chip would stride `n_chips` doubles — one
-        // cache line touched per element).
-        ws.plo.clear();
-        ws.pup.clear();
-        for k in 0..self.planned.len() {
-            ws.plo.extend_from_slice(&chips.lowers[k * nc + c0..k * nc + c0 + tc]);
-            ws.pup.extend_from_slice(&chips.uppers[k * nc + c0..k * nc + c0 + tc]);
-        }
-        // Phase 2 — one pass per chip over its contiguous `n_paths` output
-        // window (small enough to sit in L1): sparse prior rows (paths no
-        // group predicts), measured rows, then every group's predicted
-        // rows, in plan group order — the same write order and the same
-        // `mu ± k sigma` arithmetic as the per-chip loop, so overlaps
-        // resolve identically. Writing per chip window instead of per
-        // group row means consecutive stores share cache lines rather
-        // than touching one line each `n_paths` stride apart; every
-        // element is still written exactly once per owner.
-        for ci in 0..tc {
-            let lo = &mut lower[ci * np..(ci + 1) * np];
-            let up = &mut upper[ci * np..(ci + 1) * np];
-            for &p in plan.prior_rows {
-                lo[p] = plan.prior_lower[p];
-                up[p] = plan.prior_upper[p];
-            }
-            for (k, &p) in self.planned.iter().enumerate() {
-                lo[p] = ws.plo[k * tc + ci];
-                up[p] = ws.pup[k * tc + ci];
-            }
-            for ((group, mean), halfs) in self.groups.iter().zip(&ws.means).zip(plan.halfs) {
-                let rem = group.predicted.len();
-                let mrow = &mean[ci * rem..(ci + 1) * rem];
-                for ((&p, &half), &mu) in group.predicted.iter().zip(halfs).zip(mrow) {
-                    lo[p] = mu - half;
-                    up[p] = mu + half;
-                }
-            }
-        }
+        assert_eq!(chips.planned, self.planned, "chip matrix diverged from the plan");
+        let n = chips.chips.len();
+        let chunk = effitest_parallel::default_chunk(n, threads);
+        let per_chip = effitest_parallel::par_map_scratch(
+            threads,
+            chunk,
+            n,
+            PredictWorkspace::new,
+            |ws, c| self.predict_with(ws, &chips.chips[c]),
+        );
+        let (lower, upper) =
+            per_chip.iter().flat_map(|r| &r.ranges).map(|b| (b.lower, b.upper)).unzip();
+        BatchPredictedRanges { n_paths: self.n_paths, lower, upper }
     }
 }
-
-/// Read-only plan-derived inputs shared by every batched-prediction
-/// worker: dense prior bounds, the rows whose priors survive (no group
-/// predicts them), and each group's observed-row indices in the chip
-/// matrix.
-struct BatchPlan<'a> {
-    prior_lower: &'a [f64],
-    prior_upper: &'a [f64],
-    prior_rows: &'a [usize],
-    obs_rows: &'a [Vec<usize>],
-    /// Per group, per predicted path: `sigma_k * conditional_sigma` — the
-    /// half-width added around every conditional mean, hoisted because it
-    /// is chip-independent.
-    halfs: &'a [Vec<f64>],
-}
-
-/// Chips per scatter tile of the batched engine: 32 chips keep the
-/// chip-major output window (`32 x n_paths x 2` doubles) inside L2 for
-/// every circuit size the flow meets, which is what makes the
-/// `n_paths`-strided per-group scatter writes cache hits.
-const CHIP_TILE: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -1329,6 +888,28 @@ mod tests {
         assert!(gauss.conditioner(&[0]).is_ok());
     }
 
+    /// Loads `tested_maps` into a [`ChipMatrix`], one chip per map.
+    fn chip_matrix(
+        predictor: &Predictor,
+        tested_maps: &[HashMap<usize, DelayBounds>],
+    ) -> ChipMatrix {
+        let mut chips = ChipMatrix::new(predictor, tested_maps.len());
+        for (c, tested) in tested_maps.iter().enumerate() {
+            chips.set_chip(c, tested);
+        }
+        chips
+    }
+
+    /// Chip `c`'s bounds out of a population prediction, as bit patterns.
+    fn chip_bits(batch: &BatchPredictedRanges, c: usize) -> Vec<(u64, u64)> {
+        batch
+            .chip_lower(c)
+            .iter()
+            .zip(batch.chip_upper(c))
+            .map(|(l, u)| (l.to_bits(), u.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn batched_population_matches_per_chip_bitwise_at_any_thread_count() {
         let (_, model, groups) = fixture();
@@ -1336,34 +917,19 @@ mod tests {
         let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         let tested_maps: Vec<HashMap<usize, DelayBounds>> =
             (0..7).map(|seed| measure(&model.sample_chip(4_000 + seed), &selected, 0.5)).collect();
-        let chips = ChipMatrix::gather(&predictor, &tested_maps);
-        assert_eq!(chips.n_chips(), tested_maps.len());
-        assert_eq!(chips.tested_paths().len(), selected.len());
+        let chips = chip_matrix(&predictor, &tested_maps);
         let mut ws = PredictWorkspace::new();
         let reference: Vec<PredictedRanges> =
             tested_maps.iter().map(|t| predictor.predict_with(&mut ws, t)).collect();
         for threads in [1, 2, 4, 16] {
             let batch = predictor.predict_population(&chips, threads);
-            assert_eq!(batch.n_chips(), tested_maps.len());
-            assert_eq!(batch.path_count(), model.path_count());
-            assert_eq!(batch.fallbacks(), predictor.fallback_count());
+            assert_eq!(batch.lower.len(), tested_maps.len() * model.path_count());
             for (c, r) in reference.iter().enumerate() {
-                assert_eq!(batch.measured(), r.measured.as_slice());
-                for (p, b) in r.ranges.iter().enumerate() {
-                    assert_eq!(
-                        batch.chip_lower(c)[p].to_bits(),
-                        b.lower.to_bits(),
-                        "chip {c} path {p} lower drifted at {threads} threads"
-                    );
-                    assert_eq!(
-                        batch.chip_upper(c)[p].to_bits(),
-                        b.upper.to_bits(),
-                        "chip {c} path {p} upper drifted at {threads} threads"
-                    );
-                }
-                // The materialized form round-trips (measured bounds in
-                // this fixture carry no proven flags, so full equality).
-                assert_eq!(batch.chip_predicted(c).ranges, r.ranges);
+                assert_eq!(
+                    chip_bits(&batch, c),
+                    range_bits(r),
+                    "chip {c} drifted at {threads} threads"
+                );
             }
         }
     }
@@ -1374,20 +940,17 @@ mod tests {
         let selected = crate::select::all_selected(&groups);
         let predictor = Predictor::new(&model, &groups, &selected, 3.0, 1);
         // Zero chips: empty output, no panic, at any thread count.
-        let empty = ChipMatrix::gather(&predictor, &[]);
+        let empty = chip_matrix(&predictor, &[]);
         for threads in [0, 1, 4] {
             let out = predictor.predict_population(&empty, threads);
-            assert_eq!(out.n_chips(), 0);
-            assert_eq!(out.fallbacks(), predictor.fallback_count());
+            assert!(out.lower.is_empty() && out.upper.is_empty());
         }
         // One chip, including oversubscribed thread counts.
         let tested = measure(&model.sample_chip(4_100), &selected, 0.5);
-        let one = ChipMatrix::gather(&predictor, std::slice::from_ref(&tested));
-        let reference = predictor.predict(&tested);
+        let one = chip_matrix(&predictor, std::slice::from_ref(&tested));
+        let reference = range_bits(&predictor.predict(&tested));
         for threads in [0, 1, 9] {
-            let out = predictor.predict_population(&one, threads);
-            assert_eq!(out.n_chips(), 1);
-            assert_eq!(out.chip_predicted(0).ranges, reference.ranges);
+            assert_eq!(chip_bits(&predictor.predict_population(&one, threads), 0), reference);
         }
     }
 

@@ -218,67 +218,6 @@ impl CholeskyDecomposition {
         Ok(())
     }
 
-    /// Solves `A X = B` for `cols` right-hand sides at once, in place.
-    ///
-    /// `y` holds a row-major `dim() x cols` matrix (one right-hand side per
-    /// column) and is overwritten with the solutions. Each column is solved
-    /// with **bitwise** the same arithmetic as
-    /// [`solve_vec_in_place`](Self::solve_vec_in_place): the substitutions
-    /// walk the same `(i, j)` order per column, subtracting one scaled row
-    /// at a time across all columns, so the batched prediction engine can
-    /// stand in for the per-chip solves without changing a single bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `y.len() != dim() * cols`.
-    pub fn solve_columns_in_place(&self, y: &mut [f64], cols: usize) -> Result<()> {
-        let n = self.dim();
-        if y.len() != n * cols {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky_solve_columns",
-                lhs: (n, n),
-                rhs: (y.len(), cols),
-            });
-        }
-        if cols == 0 {
-            return Ok(());
-        }
-        // Forward substitution: L Y = B, one row-axpy per (i, j) pair in the
-        // same ascending-j order as the vector solve.
-        for i in 0..n {
-            let (solved, rest) = y.split_at_mut(i * cols);
-            let yi = &mut rest[..cols];
-            for j in 0..i {
-                let lij = self.l[(i, j)];
-                let yj = &solved[j * cols..(j + 1) * cols];
-                for (o, &v) in yi.iter_mut().zip(yj) {
-                    *o -= lij * v;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for o in yi.iter_mut() {
-                *o /= lii;
-            }
-        }
-        // Back substitution: L^T X = Y, rows descending, inner j ascending.
-        for i in (0..n).rev() {
-            let (head, tail) = y.split_at_mut((i + 1) * cols);
-            let yi = &mut head[i * cols..];
-            for j in (i + 1)..n {
-                let lji = self.l[(j, i)];
-                let yj = &tail[(j - i - 1) * cols..(j - i) * cols];
-                for (o, &v) in yi.iter_mut().zip(yj) {
-                    *o -= lji * v;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for o in yi.iter_mut() {
-                *o /= lii;
-            }
-        }
-        Ok(())
-    }
-
     /// Solves `A X = B` column by column.
     ///
     /// # Errors
@@ -394,50 +333,6 @@ mod tests {
         let inv = CholeskyDecomposition::new(&a).unwrap().inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!((&prod - &Matrix::identity(3)).max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn solve_columns_matches_vector_solve_bitwise() {
-        let a = spd_example();
-        let chol = CholeskyDecomposition::new(&a).unwrap();
-        let cols = 5;
-        // Column j of the batch is the vector [j+1, 2(j+1), -0.5(j+1)].
-        let mut batch = vec![0.0; 3 * cols];
-        for j in 0..cols {
-            let s = (j + 1) as f64;
-            let b = [s, 2.0 * s, -0.5 * s];
-            for (i, &v) in b.iter().enumerate() {
-                batch[i * cols + j] = v;
-            }
-        }
-        let reference: Vec<Vec<f64>> = (0..cols)
-            .map(|j| {
-                let s = (j + 1) as f64;
-                chol.solve_vec(&[s, 2.0 * s, -0.5 * s]).unwrap()
-            })
-            .collect();
-        chol.solve_columns_in_place(&mut batch, cols).unwrap();
-        for j in 0..cols {
-            for i in 0..3 {
-                assert_eq!(
-                    batch[i * cols + j].to_bits(),
-                    reference[j][i].to_bits(),
-                    "column {j} row {i} diverged from solve_vec"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn solve_columns_validates_shape_and_handles_zero_cols() {
-        let chol = CholeskyDecomposition::new(&spd_example()).unwrap();
-        let mut wrong = vec![0.0; 5];
-        assert!(matches!(
-            chol.solve_columns_in_place(&mut wrong, 2),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        let mut empty: Vec<f64> = Vec::new();
-        chol.solve_columns_in_place(&mut empty, 0).unwrap();
     }
 
     #[test]

@@ -51,6 +51,10 @@ pub struct SymmetricEigen {
     diagonal: Vec<f64>,
     /// `off[i]` couples rows `i` and `i + 1` of `T`; `off[n - 1] = 0`.
     off: Vec<f64>,
+    /// The power of two the decomposed copy of the matrix was scaled by
+    /// (see [`SymmetricEigen::new`]): `T` is that copy's, the eigenvalues
+    /// the matrix's own.
+    scale: f64,
 }
 
 /// Most implicit QL iterations spent on any one eigenvalue before giving
@@ -72,6 +76,12 @@ impl SymmetricEigen {
     /// Computes every eigenvalue of a symmetric matrix and keeps the
     /// reduction for [`eigenvectors`](Self::eigenvectors).
     ///
+    /// A matrix whose largest |entry| lies outside `[2^-256, 2^256]`, where
+    /// squares of entries would underflow or overflow, is decomposed as a
+    /// copy scaled by a power of two that brings that entry near 1; its
+    /// eigenvalues are scaled back exactly. Every other matrix is
+    /// decomposed as it is.
+    ///
     /// # Errors
     ///
     /// * [`LinalgError::NotSquare`] / [`LinalgError::Empty`] /
@@ -91,20 +101,23 @@ impl SymmetricEigen {
         if let Some(pos) = a.as_slice().iter().position(|x| !x.is_finite()) {
             return Err(LinalgError::NonFinite { row: pos / n, col: pos % n });
         }
-        let sym_tol = 1e-8 * a.max_abs().max(1.0);
+        let largest = a.max_abs();
+        let sym_tol = 1e-8 * largest.max(1.0);
         let asym = a.max_asymmetry()?;
         if asym > sym_tol {
             return Err(LinalgError::NotSymmetric { max_asymmetry: asym });
         }
 
-        let mut m = a.clone();
+        let scale = power_of_two_scale(largest);
+        let mut m = if scale == 1.0 { a.clone() } else { a.scale(scale) };
         m.symmetrize()?;
         let mut reflectors = m.into_vec();
         let (diagonal, off, norms) = tridiagonalize(&mut reflectors, n);
         let (mut eigenvalues, mut e) = (diagonal.clone(), off.clone());
         diagonalize(&mut eigenvalues, &mut e, |_, _, _| {})?;
         eigenvalues.sort_by(|a, b| b.total_cmp(a));
-        Ok(SymmetricEigen { eigenvalues, reflectors, norms, diagonal, off })
+        eigenvalues.iter_mut().for_each(|x| *x /= scale);
+        Ok(SymmetricEigen { eigenvalues, reflectors, norms, diagonal, off, scale })
     }
 
     /// Eigenvalues, sorted descending.
@@ -136,8 +149,10 @@ impl SymmetricEigen {
         if count > n {
             return Err(LinalgError::IndexOutOfBounds { index: count, bound: n + 1 });
         }
-        let mut rows =
-            tridiagonal_eigenvectors(&self.diagonal, &self.off, &self.eigenvalues[..count])?;
+        // Shifts on the scaled copy's `T`: the eigenvalues scaled exactly
+        // as `new` scaled the matrix.
+        let shifts: Vec<f64> = self.eigenvalues[..count].iter().map(|x| x * self.scale).collect();
+        let mut rows = tridiagonal_eigenvectors(&self.diagonal, &self.off, &shifts)?;
         for y in rows.chunks_exact_mut(n) {
             back_transform(&self.reflectors, &self.norms, y);
         }
@@ -148,6 +163,18 @@ impl SymmetricEigen {
     pub fn dim(&self) -> usize {
         self.eigenvalues.len()
     }
+}
+
+/// 1 when a matrix's largest |entry| `largest` is zero or lies in
+/// `[2^-256, 2^256]`, where products of two entries stay normal numbers;
+/// otherwise the power of two that brings it near 1. Scaling by a power of
+/// two is exact wherever the result is a normal number.
+fn power_of_two_scale(largest: f64) -> f64 {
+    let pow2 = |k: f64| f64::from_bits(((k as i64 + 1023) as u64) << 52);
+    if largest == 0.0 || (pow2(-256.0)..=pow2(256.0)).contains(&largest) {
+        return 1.0;
+    }
+    pow2((-largest.log2().round()).clamp(-1022.0, 1023.0))
 }
 
 /// Householder reduction of the exactly symmetric, row-major `n x n`
@@ -749,6 +776,33 @@ mod tests {
         assert!(eig.eigenvalues()[1].abs() < 1e-10);
         assert!(eig.eigenvalues()[2].abs() < 1e-10);
         check_decomposition(&a);
+    }
+
+    /// A well-conditioned 3 x 3 Gram matrix.
+    fn gram3() -> Matrix {
+        Matrix::from_rows(&[&[2.0, 0.5, -0.3], &[0.2, 1.5, 0.7], &[-0.4, 0.1, 0.9]]).unwrap().gram()
+    }
+
+    #[test]
+    fn tiny_and_huge_matrices_decompose_like_the_unscaled_one() {
+        // Squares of entries near 1e-200 underflow and near 1e250 overflow:
+        // unscaled, the reduction and the QL recurrence return wrong
+        // eigenvalues or give up.
+        let a = gram3();
+        let reference = SymmetricEigen::new(&a).unwrap();
+        let ref_vectors = reference.eigenvectors(3).unwrap();
+        for factor in [1e-200, 1e250] {
+            let eig = SymmetricEigen::new(&a.scale(factor)).unwrap();
+            for (k, (x, y)) in eig.eigenvalues().iter().zip(reference.eigenvalues()).enumerate() {
+                let relative = (x / factor - y).abs() / y.abs();
+                assert!(relative <= 1e-14, "x{factor:e}: eigenvalue {k} off by {relative:e}");
+            }
+            let vectors = eig.eigenvectors(3).unwrap();
+            for k in 0..3 {
+                let distance = column_distance(&vectors, &ref_vectors, k);
+                assert!(distance <= 1e-12, "x{factor:e}: eigenvector {k} off by {distance:e}");
+            }
+        }
     }
 
     #[test]

@@ -141,20 +141,12 @@ pub struct GaussianConditioner {
     chol: CholeskyDecomposition,
     /// Cross covariance `Sigma_uo` (remaining x observed).
     cross: Matrix,
-    /// `Sigma_ou` — the transpose of `cross`, precomputed so the
-    /// chip-major batch form can run its GEMM with both operands streamed
-    /// row-major (see
-    /// [`condition_mean_batch_chipmajor_into`](Self::condition_mean_batch_chipmajor_into)).
-    cross_t: Matrix,
     /// Conditional standard deviations of the unobserved variables.
     cond_sigmas: Vec<f64>,
 }
 
-/// The serializable state of a [`GaussianConditioner`]: exactly the fields
-/// a persistent plan store must carry. `cross_t` is deliberately absent —
-/// it is `cross.transpose()`, recomputed by
-/// [`GaussianConditioner::from_parts`], so carrying it would only bloat the
-/// blob and add corruption surface.
+/// The serializable state of a [`GaussianConditioner`]: every field a
+/// persistent plan store must carry.
 #[derive(Debug, Clone)]
 pub struct ConditionerParts {
     /// Observed variable indices, in observation-vector order.
@@ -246,7 +238,6 @@ impl GaussianConditioner {
             mean_rem: remaining.iter().map(|&i| mean(i)).collect(),
             remaining,
             chol,
-            cross_t: cross.transpose(),
             cross,
             cond_sigmas,
         })
@@ -271,12 +262,8 @@ impl GaussianConditioner {
         }
     }
 
-    /// Reassembles a conditioner from serialized parts.
-    ///
-    /// `cross_t` is rebuilt as `cross.transpose()` — byte for byte the
-    /// expression the original construction used — so a reassembled
-    /// conditioner produces bitwise-identical conditional means and
-    /// sigmas.
+    /// Reassembles a conditioner from serialized parts; it produces
+    /// bitwise-identical conditional means and sigmas.
     ///
     /// # Errors
     ///
@@ -299,7 +286,6 @@ impl GaussianConditioner {
             });
         }
         let chol = CholeskyDecomposition::from_factor(parts.chol_factor, parts.chol_jitter)?;
-        let cross_t = parts.cross.transpose();
         Ok(GaussianConditioner {
             observed: parts.observed,
             remaining: parts.remaining,
@@ -307,7 +293,6 @@ impl GaussianConditioner {
             mean_rem: parts.mean_rem,
             chol,
             cross: parts.cross,
-            cross_t,
             cond_sigmas: parts.cond_sigmas,
         })
     }
@@ -364,87 +349,6 @@ impl GaussianConditioner {
         self.cross.matvec_into(solve_scratch, mean_out)?;
         for (shift, &mu) in mean_out.iter_mut().zip(&self.mean_rem) {
             *shift += mu;
-        }
-        Ok(())
-    }
-
-    /// Conditional means for a whole batch of observation vectors at once
-    /// (paper eq. 4 applied to every chip of a population in one pass), in
-    /// **chip-major** layout.
-    ///
-    /// `observed_values` holds a row-major `observed x n_chips` matrix —
-    /// row `r` carries observation `r` of every chip — and is consumed as
-    /// scratch (overwritten with the triangular-solve intermediates).
-    /// `mean_out` is cleared and refilled with the row-major
-    /// `n_chips x remaining` conditional means, so one chip's means are
-    /// contiguous; `wt_scratch` carries the transposed solve block.
-    ///
-    /// Runs `M'^T = mu_u^T + W^T Sigma_ou` with
-    /// `W = Sigma_oo^-1 (D_o - mu_o)`: the multi-column triangular solve
-    /// ([`CholeskyDecomposition::solve_columns_in_place`]) works on the
-    /// observed-major block, the small `W` is transposed, and the blocked
-    /// GEMM ([`crate::kernels::gemm_into`]) streams both operands row-major.
-    /// Row `c` of the result is **bitwise identical** to
-    /// [`condition_mean_into`](Self::condition_mean_into) on chip `c`'s
-    /// observation vector: the innovation and the column solve match the
-    /// vector solve element for element, each GEMM output pairs the same
-    /// operands as the matvec (IEEE multiplication commutes bitwise) and
-    /// accumulates over the same ascending observation order from `0.0`,
-    /// and the prior mean is added last.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `observed_values.len()`
-    /// is not `observed x n_chips`.
-    pub fn condition_mean_batch_chipmajor_into(
-        &self,
-        observed_values: &mut [f64],
-        n_chips: usize,
-        wt_scratch: &mut Vec<f64>,
-        mean_out: &mut Vec<f64>,
-    ) -> Result<()> {
-        let n_obs = self.observed.len();
-        if observed_values.len() != n_obs * n_chips {
-            return Err(LinalgError::ShapeMismatch {
-                op: "gaussian_condition_batch",
-                lhs: (n_obs, n_chips),
-                rhs: (observed_values.len(), 1),
-            });
-        }
-        mean_out.clear();
-        if n_chips == 0 {
-            return Ok(());
-        }
-        // innovation rows = d_o - mu_o, one prior mean per observed row.
-        for (row, &m) in observed_values.chunks_exact_mut(n_chips).zip(&self.mean_obs) {
-            for v in row.iter_mut() {
-                *v -= m;
-            }
-        }
-        self.chol.solve_columns_in_place(observed_values, n_chips)?;
-        // W^T (`n_chips x n_obs`): a small transpose so the GEMM below
-        // reads it row-major.
-        wt_scratch.clear();
-        wt_scratch.resize(n_chips * n_obs, 0.0);
-        for o in 0..n_obs {
-            for c in 0..n_chips {
-                wt_scratch[c * n_obs + o] = observed_values[o * n_chips + c];
-            }
-        }
-        let n_rem = self.remaining.len();
-        mean_out.resize(n_chips * n_rem, 0.0);
-        crate::kernels::gemm_into(
-            n_chips,
-            n_obs,
-            n_rem,
-            wt_scratch,
-            self.cross_t.as_slice(),
-            mean_out,
-        );
-        for row in mean_out.chunks_exact_mut(n_rem) {
-            for (shift, &mu) in row.iter_mut().zip(&self.mean_rem) {
-                *shift += mu;
-            }
         }
         Ok(())
     }
@@ -600,98 +504,6 @@ mod tests {
         assert_eq!(conditioner.condition_mean(&[3.0]).unwrap(), first);
     }
 
-    /// Lays per-chip observation pairs out as the batch forms' row-major
-    /// `observed x n_chips` block.
-    fn observed_major(chips: &[[f64; 2]]) -> Vec<f64> {
-        let mut batch = vec![0.0; 2 * chips.len()];
-        for (c, obs) in chips.iter().enumerate() {
-            for (r, &v) in obs.iter().enumerate() {
-                batch[r * chips.len() + c] = v;
-            }
-        }
-        batch
-    }
-
-    #[test]
-    fn condition_mean_batch_matches_per_vector_bitwise() {
-        let g = three_var();
-        let conditioner = g.conditioner(&[1, 2]).unwrap();
-        let chips = [[2.5, 2.0], [1.0, 4.5], [2.0, 3.0], [-0.25, 7.5]];
-        let mut batch = observed_major(&chips);
-        let (mut wt, mut means) = (Vec::new(), Vec::new());
-        conditioner
-            .condition_mean_batch_chipmajor_into(&mut batch, chips.len(), &mut wt, &mut means)
-            .unwrap();
-        assert_eq!(means.len(), chips.len()); // one remaining variable
-        for (c, obs) in chips.iter().enumerate() {
-            let reference = conditioner.condition_mean(obs).unwrap();
-            assert_eq!(
-                means[c].to_bits(),
-                reference[0].to_bits(),
-                "chip {c} diverged from per-vector conditioning"
-            );
-        }
-    }
-
-    #[test]
-    fn condition_mean_batch_chipmajor_is_the_bitwise_transpose() {
-        // A 4-variable Gaussian so the remaining block has 2 variables and
-        // the transpose is non-trivial in both dimensions: the chip-major
-        // block must be the exact transpose of the per-vector means stacked
-        // as columns.
-        let cov = Matrix::from_rows(&[
-            &[2.0, 0.6, 0.3, 0.2],
-            &[0.6, 1.5, 0.4, 0.1],
-            &[0.3, 0.4, 1.2, 0.5],
-            &[0.2, 0.1, 0.5, 1.8],
-        ])
-        .unwrap();
-        let g = MultivariateGaussian::new(vec![1.0, -2.0, 0.5, 3.0], cov).unwrap();
-        let conditioner = g.conditioner(&[0, 3]).unwrap();
-        let chips = [[1.5, 2.0], [0.25, 4.0], [-1.0, 3.5], [2.0, 2.5], [1.0, 3.0]];
-        let n_chips = chips.len();
-        let n_rem = conditioner.remaining_indices().len();
-        assert_eq!(n_rem, 2);
-        let mut path_major = vec![0.0; n_rem * n_chips];
-        for (c, obs) in chips.iter().enumerate() {
-            for (r, mu) in conditioner.condition_mean(obs).unwrap().into_iter().enumerate() {
-                path_major[r * n_chips + c] = mu;
-            }
-        }
-        let mut batch = observed_major(&chips);
-        let (mut wt, mut chip_major) = (Vec::new(), Vec::new());
-        conditioner
-            .condition_mean_batch_chipmajor_into(&mut batch, n_chips, &mut wt, &mut chip_major)
-            .unwrap();
-        assert_eq!(chip_major.len(), n_chips * n_rem);
-        for c in 0..n_chips {
-            for r in 0..n_rem {
-                assert_eq!(
-                    chip_major[c * n_rem + r].to_bits(),
-                    path_major[r * n_chips + c].to_bits(),
-                    "chip {c} remaining {r} diverged from per-vector conditioning"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn condition_mean_batch_validates_shape_and_handles_empty() {
-        let g = three_var();
-        let conditioner = g.conditioner(&[1]).unwrap();
-        let (mut wt, mut means) = (Vec::new(), Vec::new());
-        let mut wrong = vec![0.0; 3];
-        assert!(matches!(
-            conditioner.condition_mean_batch_chipmajor_into(&mut wrong, 2, &mut wt, &mut means),
-            Err(LinalgError::ShapeMismatch { .. })
-        ));
-        let mut empty: Vec<f64> = Vec::new();
-        conditioner
-            .condition_mean_batch_chipmajor_into(&mut empty, 0, &mut wt, &mut means)
-            .unwrap();
-        assert!(means.is_empty());
-    }
-
     #[test]
     fn conditioner_rejects_bad_inputs() {
         let g = three_var();
@@ -738,20 +550,6 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
-        }
-        // Batch conditioning goes through `cross_t`, which from_parts
-        // recomputes — exercise it too.
-        let mut batch = observed_major(&[[2.5, 2.0], [1.0, 4.5]]);
-        let (mut wt_a, mut out_a) = (Vec::new(), Vec::new());
-        let (mut wt_b, mut out_b) = (Vec::new(), Vec::new());
-        rebuilt
-            .condition_mean_batch_chipmajor_into(&mut batch.clone(), 2, &mut wt_a, &mut out_a)
-            .unwrap();
-        conditioner
-            .condition_mean_batch_chipmajor_into(&mut batch, 2, &mut wt_b, &mut out_b)
-            .unwrap();
-        for (x, y) in out_a.iter().zip(&out_b) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

@@ -24,9 +24,6 @@
 //!   covariance accessor, and only the entries conditioning needs: the
 //!   observed block, the cross block and the unobserved variances. It
 //!   keeps no conditional covariance matrix.
-//! * [`kernels`] — cache-blocked batch kernels (`gemm_into`) whose columns
-//!   are bitwise identical to the vector operations they replace, the
-//!   substrate of the population-level prediction path.
 //!
 //! Everything is hand-rolled on purpose: the reproduction brief requires all
 //! substrates to be built from scratch, and the matrices involved (path
@@ -55,7 +52,6 @@ mod cholesky;
 mod eigen;
 mod error;
 mod gaussian;
-pub mod kernels;
 mod lu;
 mod matrix;
 mod pca;

@@ -228,42 +228,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Matrix product `self * rhs` written into `out`, which is reshaped to
-    /// `self.rows() x rhs.cols()` and fully overwritten, so hot loops can
-    /// reuse one output matrix across calls.
-    ///
-    /// Runs the cache-blocked [`kernels::gemm_into`](crate::kernels::gemm_into)
-    /// kernel: every column of the result is **bitwise identical** to
-    /// [`matvec`](Self::matvec) applied to the matching column of `rhs`,
-    /// which is what lets the batched prediction engine stand in for the
-    /// per-chip path without changing a single bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if the inner dimensions do not
-    /// agree.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) -> Result<()> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        out.rows = self.rows;
-        out.cols = rhs.cols;
-        out.data.resize(self.rows * rhs.cols, 0.0);
-        crate::kernels::gemm_into(
-            self.rows,
-            self.cols,
-            rhs.cols,
-            &self.data,
-            &rhs.data,
-            &mut out.data,
-        );
-        Ok(())
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Errors

@@ -302,6 +302,26 @@ mod tests {
     }
 
     #[test]
+    fn tiny_and_huge_covariances_keep_the_same_components() {
+        // Procedure 1 must not fail on a group whose covariance entries sit
+        // far from 1: it keeps the unscaled covariance's components.
+        let cov = clustered_cov();
+        let reference = Pca::from_covariance(&cov, 0.5).unwrap();
+        for factor in [1e-200, 1e250] {
+            let pca = Pca::from_covariance(&cov.scale(factor), 0.5).unwrap();
+            assert_eq!(pca.components().len(), reference.components().len(), "x{factor:e}");
+            for (c, r) in pca.components().iter().zip(reference.components()) {
+                assert!((c.variance / factor - r.variance).abs() <= 1e-14 * r.variance);
+                let dot: f64 = c.direction.iter().zip(&r.direction).map(|(x, y)| x * y).sum();
+                for (x, y) in c.direction.iter().zip(&r.direction) {
+                    assert!((x - dot.signum() * y).abs() <= 1e-12, "x{factor:e}: {x} vs {y}");
+                }
+            }
+            assert_eq!(pca.dominant_variable(0, &[]), reference.dominant_variable(0, &[]));
+        }
+    }
+
+    #[test]
     fn negative_roundoff_eigenvalues_clamped() {
         // Rank-1 matrix: residual eigenvalues may round to tiny negatives.
         let cov = Matrix::filled(4, 4, 1.0);

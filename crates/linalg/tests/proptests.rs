@@ -278,104 +278,6 @@ proptest! {
     }
 
     #[test]
-    fn gemm_columns_match_matvec_bitwise(
-        a in nonsingular_matrix(6),
-        n_cols in 1_usize..300,
-        seed in 0_u64..1000,
-    ) {
-        // The batch kernel must agree with the per-column matvec to the
-        // last bit — this is the contract the batched prediction engine
-        // relies on for chip-count-independent results.
-        let n = a.rows();
-        let b = Matrix::from_fn(n, n_cols, |i, j| {
-            ((i * 7 + 3 * j) as f64 + seed as f64 * 0.13).sin() * 2.0
-        });
-        let mut out = Matrix::zeros(0, 0);
-        a.matmul_into(&b, &mut out).unwrap();
-        prop_assert_eq!(out.shape(), (n, n_cols));
-        for j in 0..n_cols {
-            let reference = a.matvec(&b.col(j)).unwrap();
-            for (i, want) in reference.iter().enumerate() {
-                prop_assert_eq!(
-                    out.as_slice()[i * n_cols + j].to_bits(),
-                    want.to_bits(),
-                    "element ({}, {}) diverged from matvec", i, j
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cholesky_batch_solve_matches_vector_solve_bitwise(
-        a in spd_matrix(6),
-        n_cols in 1_usize..40,
-        seed in 0_u64..1000,
-    ) {
-        let n = a.rows();
-        let chol = CholeskyDecomposition::new(&a).expect("strategy produces SPD");
-        let b = Matrix::from_fn(n, n_cols, |i, j| {
-            ((2 * i + 5 * j) as f64 - seed as f64 * 0.29).cos() * 3.0
-        });
-        let mut batch = b.as_slice().to_vec();
-        chol.solve_columns_in_place(&mut batch, n_cols).unwrap();
-        for j in 0..n_cols {
-            let reference = chol.solve_vec(&b.col(j)).unwrap();
-            for i in 0..n {
-                prop_assert_eq!(
-                    batch[i * n_cols + j].to_bits(),
-                    reference[i].to_bits(),
-                    "column {} row {} diverged from solve_vec", j, i
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_conditioning_matches_per_vector_bitwise(
-        a in spd_matrix(6),
-        n_chips in 1_usize..20,
-        seed in 0_u64..1000,
-    ) {
-        let n = a.rows();
-        prop_assume!(n >= 2);
-        let mean: Vec<f64> = (0..n).map(|i| ((seed as f64) * 0.53 + i as f64).sin()).collect();
-        let g = MultivariateGaussian::new(mean, a).expect("valid");
-        let n_obs = (n / 2).max(1);
-        let observed: Vec<usize> = (0..n_obs).collect();
-        let conditioner = g.conditioner(&observed).expect("SPD observed block");
-        let per_chip: Vec<Vec<f64>> = (0..n_chips)
-            .map(|c| {
-                (0..n_obs)
-                    .map(|r| ((c * 11 + r * 3) as f64 + seed as f64 * 0.17).cos() * 2.5)
-                    .collect()
-            })
-            .collect();
-        // Row-major observed x chips.
-        let mut batch = vec![0.0; n_obs * n_chips];
-        for (c, obs) in per_chip.iter().enumerate() {
-            for (r, &v) in obs.iter().enumerate() {
-                batch[r * n_chips + c] = v;
-            }
-        }
-        let (mut wt, mut means) = (Vec::new(), Vec::new());
-        conditioner
-            .condition_mean_batch_chipmajor_into(&mut batch, n_chips, &mut wt, &mut means)
-            .unwrap();
-        let n_rem = conditioner.remaining_indices().len();
-        prop_assert_eq!(means.len(), n_rem * n_chips);
-        for (c, obs) in per_chip.iter().enumerate() {
-            let reference = conditioner.condition_mean(obs).unwrap();
-            for r in 0..n_rem {
-                prop_assert_eq!(
-                    means[c * n_rem + r].to_bits(),
-                    reference[r].to_bits(),
-                    "chip {} remaining {} diverged from per-vector path", c, r
-                );
-            }
-        }
-    }
-
-    #[test]
     fn matmul_is_associative(
         a in nonsingular_matrix(5),
         seed in 0_u64..100,

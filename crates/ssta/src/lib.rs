@@ -56,7 +56,6 @@
 mod canonical;
 mod chip;
 mod drift;
-mod incremental;
 mod model;
 mod sampler;
 mod variation;
@@ -64,7 +63,6 @@ mod variation;
 pub use canonical::CanonicalDelay;
 pub use chip::ChipInstance;
 pub use drift::DriftModel;
-pub use incremental::ChangeTracker;
 pub use model::TimingModel;
 pub use sampler::{hash_normal, mix_stream, NormalSampler};
 pub use variation::{FactorSpace, VariationConfig, VariationProfile};

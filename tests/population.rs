@@ -172,24 +172,26 @@ fn outcome_key(o: &ChipOutcome) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
-/// The batched prediction kernel, fed each outcome's measured bounds
+/// The whole-population prediction, fed each outcome's measured bounds
 /// (the aligned-test bounds the per-chip engine predicted from), must
 /// reproduce every outcome's ranges bit for bit at `threads` workers.
-fn assert_batched_kernel_matches(plan: &FlowPlan<'_>, outcomes: &[ChipOutcome], threads: usize) {
-    let tested: Vec<HashMap<usize, DelayBounds>> = outcomes
-        .iter()
-        .map(|o| {
-            o.measured
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m)
-                .map(|(p, _)| (p, o.ranges[p]))
-                .collect()
-        })
-        .collect();
-    let matrix = ChipMatrix::gather(&plan.predictor, &tested);
+fn assert_population_prediction_matches(
+    plan: &FlowPlan<'_>,
+    outcomes: &[ChipOutcome],
+    threads: usize,
+) {
+    let mut matrix = ChipMatrix::new(&plan.predictor, outcomes.len());
+    for (k, o) in outcomes.iter().enumerate() {
+        let tested: HashMap<usize, DelayBounds> = o
+            .measured
+            .iter()
+            .enumerate()
+            .filter(|(_, &m)| m)
+            .map(|(p, _)| (p, o.ranges[p]))
+            .collect();
+        matrix.set_chip(k, &tested);
+    }
     let batch = plan.predictor.predict_population(&matrix, threads);
-    assert_eq!(batch.n_chips(), outcomes.len());
     for (k, o) in outcomes.iter().enumerate() {
         let batched: Vec<(u64, u64)> = batch
             .chip_lower(k)
@@ -200,15 +202,14 @@ fn assert_batched_kernel_matches(plan: &FlowPlan<'_>, outcomes: &[ChipOutcome], 
         let per_chip: Vec<(u64, u64)> =
             o.ranges.iter().map(|b| (b.lower.to_bits(), b.upper.to_bits())).collect();
         assert_eq!(batched, per_chip, "chip {k} drifted at {threads} threads");
-        assert_eq!(batch.measured(), o.measured.as_slice(), "chip {k} measured flags");
     }
 }
 
 #[test]
 fn both_engines_survive_degenerate_population_shapes() {
     // n_chips == 0, n_chips == 1, and threads far above n_chips must not
-    // panic in the per-chip engine or the batched prediction kernel, and
-    // the kernel must stay bitwise identical to the per-chip engine.
+    // panic in the per-chip engine or the whole-population prediction,
+    // and the latter must stay bitwise identical to the per-chip engine.
     let bench = GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(20), 1);
     let model = TimingModel::build(&bench, &VariationConfig::paper());
     let flow = EffiTestFlow::new(FlowConfig::default());
@@ -224,7 +225,7 @@ fn both_engines_survive_degenerate_population_shapes() {
             let per_chip: Vec<_> =
                 run_flow_population(&flow, &plan, td, &pop).iter().map(outcome_key).collect();
             assert_eq!(per_chip, reference, "per-chip engine drifted at {threads} threads");
-            assert_batched_kernel_matches(&plan, &outcomes, threads);
+            assert_population_prediction_matches(&plan, &outcomes, threads);
         }
     }
 }
@@ -232,7 +233,7 @@ fn both_engines_survive_degenerate_population_shapes() {
 #[test]
 fn batched_engine_matches_per_chip_across_the_scenario_matrix() {
     // The full 24-cell smoke matrix (6 topologies x 4 variation profiles):
-    // on every cell the batched prediction kernel, fed the cell's aligned
+    // on every cell the whole-population prediction, fed the cell's aligned
     // bounds, must reproduce the per-chip engine's ranges bitwise, at 1
     // and 4 worker threads.
     let mut axes = ScenarioAxes::smoke(40);
@@ -254,7 +255,7 @@ fn batched_engine_matches_per_chip_across_the_scenario_matrix() {
         let serial = PopulationConfig { n_chips: cell.n_chips, base_seed: cell.seed, threads: 1 };
         let outcomes = run_flow_population(&flow, &plan, td, &serial);
         for threads in [1, 4] {
-            assert_batched_kernel_matches(&plan, &outcomes, threads);
+            assert_population_prediction_matches(&plan, &outcomes, threads);
         }
     }
 }
