@@ -5,11 +5,14 @@
 //! Three bars per circuit: path-wise frequency stepping, path multiplexing
 //! with all buffers at zero, and multiplexing with delay alignment (the
 //! proposed method). Every required path is tested — this isolates the
-//! §3.2/§3.3 techniques from the statistical prediction of §3.1.
+//! §3.2/§3.3 techniques from the statistical prediction of §3.1. The
+//! required paths are batched once per circuit, against a conflict oracle
+//! over all of them, and every chip is tested against those batches.
 
 use criterion::{criterion_group, Criterion};
 use effitest_bench::bench_config;
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
+use effitest_core::batch::ConflictOracle;
 use effitest_core::experiments::fig8_row;
 use effitest_core::{EffiTestFlow, FlowConfig};
 use effitest_ssta::{TimingModel, VariationConfig};
@@ -53,15 +56,17 @@ fn bench_multiplexed(c: &mut Criterion) {
     let prepared = flow.plan(&bench, &model).expect("non-empty benchmark");
     let chip = model.sample_chip(5);
     let paths: Vec<usize> = (0..model.path_count()).collect();
+    let oracle = ConflictOracle::new(&bench, &paths, 1);
+    let batches = flow.batch_paths(&oracle, &model, &paths);
 
     c.bench_function("fig8/multiplexed_aligned_all_paths/s9234", |b| {
         b.iter(|| {
-            black_box(flow.test_paths_multiplexed(&prepared, black_box(&chip), &paths, true).0)
+            black_box(flow.test_paths_multiplexed(&prepared, black_box(&chip), &batches, true).0)
         })
     });
     c.bench_function("fig8/multiplexed_plain_all_paths/s9234", |b| {
         b.iter(|| {
-            black_box(flow.test_paths_multiplexed(&prepared, black_box(&chip), &paths, false).0)
+            black_box(flow.test_paths_multiplexed(&prepared, black_box(&chip), &batches, false).0)
         })
     });
 }

@@ -28,9 +28,8 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use effitest_circuit::fingerprint::mix64;
 use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
-use effitest_core::cache::encode_plan;
+use effitest_core::cache::plan_fingerprint;
 use effitest_core::select::SelectConfig;
 use effitest_core::{EffiTestFlow, FlowConfig, PlanStageTimes};
 use effitest_ssta::{TimingModel, VariationConfig};
@@ -38,45 +37,11 @@ use effitest_ssta::{TimingModel, VariationConfig};
 /// Criticality cut for the large tier (see `benches/scale.rs`).
 const CRITICALITY_FRACTION: f64 = 0.93;
 
-/// [`fingerprint_without_oracle_and_sigmas`] of the guard circuit:
-/// `large(2_000)`, seed 7, built with [`plan_variation`] and
-/// [`plan_flow_config`]. Its correlation groups are exchangeable, so each
-/// pick rests on `Pca::dominant_variable`'s lowest-index tie rule rather
-/// than on eigensolver round-off.
+/// `plan_fingerprint` of the guard circuit: `large(2_000)`, seed 7, built
+/// with [`plan_variation`] and [`plan_flow_config`]. Its correlation groups
+/// are exchangeable, so each pick rests on `Pca::dominant_variable`'s
+/// lowest-index tie rule rather than on eigensolver round-off.
 const GUARD_FINGERPRINT: u64 = 0x780d_89d6_3a08_a869;
-
-/// `mix64` of the plan's canonical encoding with its conflict-oracle and
-/// predicted-sigma sections cut out, byte for byte: the fingerprint of a
-/// plan that keeps neither.
-fn fingerprint_without_oracle_and_sigmas(plan: &effitest_core::FlowPlan<'_>) -> u64 {
-    let bytes = encode_plan(plan);
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    // End of a length-prefixed sequence of `elem`-byte elements at `at`.
-    let seq = |at: usize, elem: usize| at + 8 + elem * word(at);
-    let mut at = 8;
-    for _ in 0..word(0) {
-        // Group: members, selected, threshold, n_pcs.
-        at = seq(seq(at, 8), 8) + 16;
-    }
-    let n_batches = word(at);
-    at += 8;
-    for _ in 0..n_batches {
-        at = seq(at, 8);
-    }
-    // Slot fills, then the hold bounds' (path, lambda) pairs.
-    at = seq(seq(at, 8), 16);
-    let oracle = at;
-    // Oracle paths, CSR offsets and adjacency, then the exclusion lists.
-    at = seq(seq(seq(at, 8), 4), 4);
-    let n_lists = word(at);
-    at += 8;
-    for _ in 0..n_lists {
-        at = seq(at, 8);
-    }
-    // Predicted sigmas: (path, sigma) pairs.
-    at = seq(at, 16);
-    mix64(&[&bytes[..oracle], &bytes[at..]].concat())
-}
 
 /// Coarsened variation model, matching the scale sweep: 4x4 grid cells
 /// keep model memory path-count-proportional at 100k paths.
@@ -103,7 +68,7 @@ fn assert_plan_matches_golden() {
     for threads in [1, 4, 8] {
         let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
         assert_eq!(
-            fingerprint_without_oracle_and_sigmas(&plan),
+            plan_fingerprint(&plan),
             GUARD_FINGERPRINT,
             "plan diverged from its golden fingerprint at {threads} threads"
         );

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 
 use effitest_parallel::{default_chunk, par_map_scratch};
 
-use crate::{CircuitError, GateId, Netlist, PathView, Result, Signal};
+use crate::{GateId, Netlist, PathView, Result, Signal};
 
 /// A stability requirement on a side-input signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -327,37 +327,6 @@ impl MutualExclusions {
     /// Total number of excluded pairs.
     pub fn pair_count(&self) -> usize {
         self.excluded.iter().map(|v| v.len()).sum()
-    }
-
-    /// The raw upper-triangle exclusion lists (`lists()[i]` holds the
-    /// positions `j > i` incompatible with `i`, ascending) — the
-    /// serialization surface for persistent plan stores.
-    pub fn lists(&self) -> &[Vec<usize>] {
-        &self.excluded
-    }
-
-    /// Reassembles exclusions from previously extracted [`lists`](Self::lists).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::Invalid`] if a list entry is not strictly above its
-    /// own index, not strictly ascending, or not below the list count —
-    /// the invariants `build` guarantees and `excludes`' binary search
-    /// relies on.
-    pub fn from_lists(excluded: Vec<Vec<usize>>) -> Result<Self> {
-        let n = excluded.len();
-        for (i, list) in excluded.iter().enumerate() {
-            let mut prev = i;
-            for &j in list {
-                if j <= prev || j >= n {
-                    return Err(CircuitError::Invalid {
-                        what: "mutual-exclusion list entry out of order or out of range",
-                    });
-                }
-                prev = j;
-            }
-        }
-        Ok(MutualExclusions { excluded })
     }
 }
 

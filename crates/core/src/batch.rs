@@ -101,7 +101,6 @@ pub struct ConflictOracle<'a> {
     /// Position of each benchmark path in the oracle's path list, indexed
     /// by path index; `usize::MAX` marks unregistered paths.
     position: Vec<usize>,
-    paths: Vec<usize>,
     /// Symmetric CSR adjacency over the stored sensitization exclusions,
     /// indexed by oracle position. Entries are *benchmark* path indices.
     sens_off: Vec<u32>,
@@ -175,7 +174,7 @@ impl<'a> ConflictOracle<'a> {
         for row in rows {
             sens_adj.extend_from_slice(&row);
         }
-        ConflictOracle { bench, exclusions, position, paths: paths.to_vec(), sens_off, sens_adj }
+        ConflictOracle { bench, exclusions, position, sens_off, sens_adj }
     }
 
     /// Oracle position of path `p`, panicking on unregistered paths.
@@ -208,69 +207,6 @@ impl<'a> ConflictOracle<'a> {
     pub fn sens_neighbors(&self, p: usize) -> &[u32] {
         let pos = self.pos(p);
         &self.sens_adj[self.sens_off[pos] as usize..self.sens_off[pos + 1] as usize]
-    }
-
-    /// The paths this oracle knows about.
-    pub fn paths(&self) -> &[usize] {
-        &self.paths
-    }
-
-    /// Serializes the oracle's derived structure — registered paths, the
-    /// symmetrized sensitization CSR, and the raw exclusion lists. The
-    /// `position` index is *not* written; it is a pure function of `paths`
-    /// and is rebuilt by [`decode`](Self::decode).
-    pub(crate) fn encode(&self, w: &mut crate::codec::Writer) {
-        w.put_usize_slice(&self.paths);
-        w.put_u32_slice(&self.sens_off);
-        w.put_u32_slice(&self.sens_adj);
-        let lists = self.exclusions.lists();
-        w.put_usize(lists.len());
-        for list in lists {
-            w.put_usize_slice(list);
-        }
-    }
-
-    /// Inverse of [`encode`](Self::encode), reattached to `bench`. Every
-    /// structural invariant the constructors guarantee is re-checked, so a
-    /// corrupt blob cannot smuggle an oracle that later panics.
-    pub(crate) fn decode(
-        bench: &'a GeneratedBenchmark,
-        r: &mut crate::codec::Reader<'_>,
-    ) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::CodecError;
-        let paths = r.get_usize_vec()?;
-        let sens_off = r.get_u32_vec()?;
-        let sens_adj = r.get_u32_vec()?;
-        let n_lists = r.get_usize()?;
-        let mut lists = Vec::with_capacity(n_lists.min(1 << 20));
-        for _ in 0..n_lists {
-            lists.push(r.get_usize_vec()?);
-        }
-        let exclusions = MutualExclusions::from_lists(lists)
-            .map_err(|_| CodecError::Invalid("exclusion lists rejected"))?;
-        let n = paths.len();
-        if exclusions.lists().len() != n {
-            return Err(CodecError::Invalid("exclusion list count disagrees with oracle paths"));
-        }
-        if sens_off.len() != n + 1
-            || sens_off[0] != 0
-            || sens_off.windows(2).any(|w| w[0] > w[1])
-            || *sens_off.last().unwrap_or(&0) as usize != sens_adj.len()
-        {
-            return Err(CodecError::Invalid("sensitization CSR offsets inconsistent"));
-        }
-        let n_bench = bench.paths.len();
-        if sens_adj.iter().any(|&p| p as usize >= n_bench) {
-            return Err(CodecError::Invalid("sensitization neighbor out of range"));
-        }
-        let mut position = vec![usize::MAX; n_bench];
-        for (pos, &p) in paths.iter().enumerate() {
-            if p >= n_bench || position[p] != usize::MAX {
-                return Err(CodecError::Invalid("oracle path out of range or duplicated"));
-            }
-            position[p] = pos;
-        }
-        Ok(ConflictOracle { bench, exclusions, position, paths, sens_off, sens_adj })
     }
 }
 

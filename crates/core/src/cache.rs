@@ -7,20 +7,22 @@
 //! factored artifacts are serialized once ([`encode_plan`]) into a
 //! versioned binary blob and stored on disk under a content key
 //! ([`plan_cache_key`]) derived from everything the plan is a function of
-//! — the generated benchmark (spec + full netlist text), the timing-model
-//! parameters, and the flow configuration. Any later process holding the
-//! same inputs reloads the plan in milliseconds instead of re-deriving it.
+//! — the generated benchmark (spec, flip-flops, gates and paths, walked
+//! word by word), the timing-model parameters, and the flow
+//! configuration. Any later process holding the same inputs reloads the
+//! plan in milliseconds instead of re-deriving it.
 //!
 //! # Bitwise identity
 //!
 //! A reloaded plan is **bitwise identical** to a fresh `flow.plan()`
 //! build: every serialized artifact round-trips by IEEE bit pattern, and
-//! everything *not* serialized (the buffer index, the conditioners'
-//! transposed cross blocks) is rebuilt by running the same arithmetic on
-//! the same inputs. Each conditioner is stored as its Cholesky factor, its
-//! cross block and its conditional sigmas — eq. 5 reads nothing else — so
-//! the blob of full-size s13207 is about 0.8 MB and that of ac97_ctrl
-//! about 0.5 MB. [`plan_fingerprint`] — an FNV-64 over the canonical
+//! the one artifact *not* serialized, the buffer index, is rebuilt from
+//! the model. Each conditioner is stored as its Cholesky factor, its
+//! cross block and its conditional sigmas — eq. 5 reads nothing else. The
+//! conflict oracle and the predicted sigmas only form the batches, so the
+//! plan keeps neither and the blob holds what the per-chip flow reads:
+//! 104,248 bytes of payload for full-size s13207 and 157,816 for
+//! ac97_ctrl. [`plan_fingerprint`] — a `mix64` over the canonical
 //! encoding — is the proof handle: tests assert
 //! `plan_fingerprint(fresh) == plan_fingerprint(cached)` on every
 //! topology, and the canonical encoding itself is byte-compared.
@@ -69,8 +71,9 @@ pub const PLAN_MAGIC: [u8; 4] = *b"EFPC";
 /// rule is rebuilt rather than served. Version 2: tied PCA loadings pick
 /// the lowest index (`Pca::dominant_variable`). Version 3: each
 /// conditioner carries its conditional sigmas instead of the full
-/// conditional covariance.
-pub const PLAN_CODEC_VERSION: u32 = 3;
+/// conditional covariance. Version 4: no conflict oracle and no predicted
+/// sigmas.
+pub const PLAN_CODEC_VERSION: u32 = 4;
 
 /// Content key of a plan: a fingerprint of everything `flow.plan(bench,
 /// model)` is a function of. Two invocations with the same key build
@@ -140,12 +143,12 @@ pub fn flow_config_fingerprint(config: &FlowConfig) -> u64 {
 }
 
 /// Canonical binary encoding of a plan's persistent artifacts: groups,
-/// batch schedule, hold bounds, conflict-oracle CSR, predicted sigmas,
-/// and the predictor's factored conditioners. Wall-clock fields
-/// (`prep_time`, `stage_times`) and everything rebuilt from `(bench,
-/// model)` on load are deliberately excluded, so the encoding — and
-/// therefore [`plan_fingerprint`] — is a pure function of the plan's
-/// semantic content.
+/// batch schedule, hold bounds, the sigma-fallback count, the predictor's
+/// factored conditioners and epsilon. Wall-clock fields (`prep_time`,
+/// `stage_times`) and the buffer index, which is rebuilt from the model on
+/// load, are deliberately excluded, so the encoding — and therefore
+/// [`plan_fingerprint`] — is a pure function of the plan's semantic
+/// content.
 pub fn encode_plan(plan: &FlowPlan<'_>) -> Vec<u8> {
     let mut w = Writer::with_capacity(1 << 16);
     w.put_usize(plan.groups.len());
@@ -157,12 +160,6 @@ pub fn encode_plan(plan: &FlowPlan<'_>) -> Vec<u8> {
     }
     plan.batches.encode(&mut w);
     plan.lambda.encode(&mut w);
-    plan.oracle.encode(&mut w);
-    w.put_usize(plan.predicted_sigmas.len());
-    for &(p, s) in &plan.predicted_sigmas {
-        w.put_usize(p);
-        w.put_f64(s);
-    }
     w.put_u64(plan.sigma_fallbacks);
     plan.predictor.encode(&mut w);
     w.put_f64(plan.epsilon);
@@ -170,8 +167,8 @@ pub fn encode_plan(plan: &FlowPlan<'_>) -> Vec<u8> {
 }
 
 /// Decodes a canonical plan payload back into a [`FlowPlan`] borrowing
-/// `bench` and `model`. The buffer index is rebuilt from the model and the
-/// wall-clock fields are zeroed (the caller may stamp the load time into
+/// `model`. The buffer index is rebuilt from the model and the wall-clock
+/// fields are zeroed (the caller may stamp the load time into
 /// `prep_time`).
 ///
 /// # Errors
@@ -179,11 +176,7 @@ pub fn encode_plan(plan: &FlowPlan<'_>) -> Vec<u8> {
 /// Any structural violation — truncation, out-of-range indices,
 /// inconsistent dimensions — surfaces as a [`CodecError`]; nothing in the
 /// decode path panics on malformed bytes.
-pub fn decode_plan<'a>(
-    bytes: &[u8],
-    bench: &'a GeneratedBenchmark,
-    model: &'a TimingModel,
-) -> Result<FlowPlan<'a>, CodecError> {
+pub fn decode_plan<'a>(bytes: &[u8], model: &'a TimingModel) -> Result<FlowPlan<'a>, CodecError> {
     let mut r = Reader::new(bytes);
     let n_paths = model.path_count();
     let n_groups = r.get_usize()?;
@@ -200,16 +193,6 @@ pub fn decode_plan<'a>(
     }
     let batches = crate::batch::Batches::decode(&mut r, n_paths)?;
     let lambda = HoldBounds::decode(&mut r, n_paths)?;
-    let oracle = crate::batch::ConflictOracle::decode(bench, &mut r)?;
-    let n_sigmas = r.get_usize()?;
-    let mut predicted_sigmas = Vec::with_capacity(n_sigmas.min(1 << 20));
-    for _ in 0..n_sigmas {
-        let p = r.get_usize()?;
-        if p >= n_paths {
-            return Err(CodecError::Invalid("predicted-sigma path index out of range"));
-        }
-        predicted_sigmas.push((p, r.get_f64()?));
-    }
     let sigma_fallbacks = r.get_u64()?;
     let predictor = Predictor::decode(model, &mut r)?;
     let epsilon = r.get_f64()?;
@@ -217,14 +200,11 @@ pub fn decode_plan<'a>(
         return Err(CodecError::Invalid("trailing bytes after plan payload"));
     }
     Ok(FlowPlan {
-        bench,
         model,
         groups,
         batches,
         lambda,
         buffers: BufferIndex::new(model),
-        oracle,
-        predicted_sigmas,
         sigma_fallbacks,
         predictor,
         epsilon,
@@ -388,8 +368,7 @@ impl PlanCache {
         let started = Instant::now();
         let mut rejection: Option<CodecError> = None;
         match fs::read(self.path_for(key)) {
-            Ok(bytes) => match unframe_blob(&bytes, key).and_then(|p| decode_plan(p, bench, model))
-            {
+            Ok(bytes) => match unframe_blob(&bytes, key).and_then(|p| decode_plan(p, model)) {
                 Ok(mut plan) => {
                     self.stats.hits += 1;
                     plan.prep_time = started.elapsed();
@@ -462,7 +441,7 @@ mod tests {
         let flow = EffiTestFlow::new(FlowConfig::default());
         let plan = flow.plan(&bench, &model).expect("plan");
         let bytes = encode_plan(&plan);
-        let decoded = decode_plan(&bytes, &bench, &model).expect("decode");
+        let decoded = decode_plan(&bytes, &model).expect("decode");
         assert_eq!(bytes, encode_plan(&decoded), "canonical encoding must round-trip");
         assert_eq!(plan_fingerprint(&plan), plan_fingerprint(&decoded));
         // And the decoded plan behaves identically on a chip.

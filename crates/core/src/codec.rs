@@ -1,7 +1,7 @@
 //! Versioned little-endian binary codec for persistent plan artifacts.
 //!
 //! The plan cache (see [`crate::cache`]) stores a [`FlowPlan`]'s factored
-//! artifacts — Cholesky factors, conditioning gains, CSR adjacency, batch
+//! artifacts — Cholesky factors, cross blocks, conditional sigmas, batch
 //! schedules, hold bounds — as one compact blob. This module is the byte
 //! layer underneath: a [`Writer`] that appends fixed-width little-endian
 //! primitives and length-prefixed sequences, and a [`Reader`] that
@@ -97,19 +97,9 @@ impl Writer {
         self.buf
     }
 
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Appends raw bytes verbatim.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
     }
 
     /// Appends a `u32`, little-endian.
@@ -137,14 +127,6 @@ impl Writer {
         self.put_usize(vs.len());
         for &v in vs {
             self.put_usize(v);
-        }
-    }
-
-    /// Appends a length-prefixed `u32` sequence.
-    pub fn put_u32_slice(&mut self, vs: &[u32]) {
-        self.put_usize(vs.len());
-        for &v in vs {
-            self.put_u32(v);
         }
     }
 
@@ -203,11 +185,6 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
-    /// Reads one byte.
-    pub fn get_u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
     /// Reads a little-endian `u32`.
     pub fn get_u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
@@ -258,16 +235,6 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    /// Reads a length-prefixed `u32` sequence.
-    pub fn get_u32_vec(&mut self) -> Result<Vec<u32>, CodecError> {
-        let len = self.get_len(4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_u32()?);
-        }
-        Ok(out)
-    }
-
     /// Reads a length-prefixed `f64` sequence (bit patterns).
     pub fn get_f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
         let len = self.get_len(8)?;
@@ -289,7 +256,6 @@ mod tests {
     #[test]
     fn primitives_round_trip() {
         let mut w = Writer::new();
-        w.put_u8(0xAB);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_usize(12345);
@@ -297,7 +263,6 @@ mod tests {
         w.put_f64(f64::NAN);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_usize().unwrap(), 12345);
@@ -310,12 +275,10 @@ mod tests {
     fn sequences_round_trip() {
         let mut w = Writer::new();
         w.put_usize_slice(&[0, 7, usize::MAX >> 1]);
-        w.put_u32_slice(&[1, 2, 3]);
         w.put_f64_slice(&[1.5, -2.25, f64::INFINITY]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_usize_vec().unwrap(), vec![0, 7, usize::MAX >> 1]);
-        assert_eq!(r.get_u32_vec().unwrap(), vec![1, 2, 3]);
         let fs = r.get_f64_vec().unwrap();
         assert_eq!(fs.len(), 3);
         assert_eq!(fs[0], 1.5);

@@ -18,6 +18,7 @@ use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
 use effitest_linalg::stats::empirical_quantile;
 use effitest_ssta::{TimingModel, VariationConfig};
 
+use crate::batch::ConflictOracle;
 use crate::configure::{ideal_configure_and_check, untuned_check};
 use crate::parallel::threads::{default_threads, env_count, threads_from_env};
 use crate::population::{run_population, run_population_scratch, PopulationConfig};
@@ -343,13 +344,17 @@ pub struct Fig8Row {
     pub proposed: f64,
 }
 
-/// Regenerates one Fig. 8 group.
+/// Regenerates one Fig. 8 group. Every required path is batched once,
+/// against a conflict oracle over all of them, and each chip is tested
+/// against those batches.
 pub fn fig8_row(spec: &BenchmarkSpec, config: &ExperimentConfig) -> Fig8Row {
     let bench = GeneratedBenchmark::generate(spec, config.seed);
     let model = TimingModel::build(&bench, &config.variation);
     let flow = EffiTestFlow::new(config.flow.clone());
     let plan = flow.plan(&bench, &model).expect("non-empty benchmark");
     let paths: Vec<usize> = (0..model.path_count()).collect();
+    let oracle = ConflictOracle::new(&bench, &paths, config.threads);
+    let batches = flow.batch_paths(&oracle, &model, &paths);
 
     // Iteration counts are tightly concentrated across chips; a small
     // sample gives stable per-path averages.
@@ -361,8 +366,8 @@ pub fn fig8_row(spec: &BenchmarkSpec, config: &ExperimentConfig) -> Fig8Row {
         |ws, _k, chip| {
             (
                 flow.run_chip_path_wise(&plan, chip).iterations,
-                flow.test_paths_multiplexed_with(ws, &plan, chip, &paths, false).0,
-                flow.test_paths_multiplexed_with(ws, &plan, chip, &paths, true).0,
+                flow.test_paths_multiplexed_with(ws, &plan, chip, &batches, false).0,
+                flow.test_paths_multiplexed_with(ws, &plan, chip, &batches, true).0,
             )
         },
     );

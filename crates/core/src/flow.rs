@@ -131,21 +131,21 @@ pub struct PlanStageTimes {
 }
 
 /// The chip-independent **flow plan**: everything computed *offline*, once
-/// per `(benchmark, model, config)` triple (the paper's `T_p`).
+/// per `(benchmark, model, config)` triple (the paper's `T_p`), that the
+/// per-chip flow reads.
 ///
 /// The plan bundles Procedure 1's correlation groups and representative
 /// selection, the Welsh–Powell test batches with their slot fills, the
-/// sensitization [`ConflictOracle`], the predicted sigmas driving slot
-/// filling, the hold-time tuning bounds, the dense buffer indexing, and
-/// the convergence threshold. None of it depends on any individual chip,
-/// so one plan is shared — by reference, across threads — over the whole
-/// Monte-Carlo population (the paper evaluates 10 000 chips per circuit);
-/// see [`crate::population`].
+/// hold-time tuning bounds, the dense buffer indexing, the prediction
+/// engine and the convergence threshold. The sensitization
+/// [`ConflictOracle`] and the predicted sigmas that drive slot filling
+/// are used only while the batches are formed, so the plan keeps neither.
+/// None of it depends on any individual chip, so one plan is shared — by
+/// reference, across threads — over the whole Monte-Carlo population (the
+/// paper evaluates 10 000 chips per circuit); see [`crate::population`].
 #[derive(Debug)]
 pub struct FlowPlan<'a> {
-    /// The benchmark under test.
-    pub bench: &'a GeneratedBenchmark,
-    /// Its timing model.
+    /// The timing model of the benchmark under test.
     pub model: &'a TimingModel,
     /// Correlation groups with selected representatives.
     pub groups: Vec<PathGroup>,
@@ -155,12 +155,6 @@ pub struct FlowPlan<'a> {
     pub lambda: HoldBounds,
     /// Dense buffer indexing.
     pub buffers: BufferIndex,
-    /// Sensitization conflict oracle over **all** required paths (valid
-    /// for any path subset).
-    pub oracle: ConflictOracle<'a>,
-    /// Predicted standard deviation per unselected path (paper eq. 5),
-    /// the slot-filling priority.
-    pub predicted_sigmas: Vec<(usize, f64)>,
     /// Groups whose predicted-sigma conditioning fell back to the prior
     /// sigmas because the observed covariance block could not be
     /// factorized (counted, never a panic — the same downgrade semantics
@@ -345,14 +339,13 @@ impl EffiTestFlow {
         stage_times.oracle = stage.elapsed();
 
         let stage = Instant::now();
-        let width_of = |p: usize| 2.0 * self.config.bound_sigma * model.path_sigma(p);
-        let widths: Vec<f64> = selected.iter().map(|&p| width_of(p)).collect();
-        let mut raw_batches = build_batches(&oracle, &selected, Some(&widths));
+        let width_of = |p: usize| self.range_width(model, p);
+        let mut raw_batches = self.batch_paths(&oracle, model, &selected);
         let buffers = BufferIndex::new(model);
         let (sigmas, sigma_fallbacks) = predicted_sigmas(model, &groups, threads);
         let slot_filled = if self.config.slot_fill {
             let candidates: Vec<(usize, f64, f64)> =
-                sigmas.iter().map(|&(p, sigma)| (p, sigma, width_of(p))).collect();
+                sigmas.into_iter().map(|(p, sigma)| (p, sigma, width_of(p))).collect();
             // A series batch holds at most one source and one sink per
             // buffered flip-flop, so 2 * nb is the structural slot count
             // for buffer-incident paths (which required paths all are).
@@ -380,14 +373,11 @@ impl EffiTestFlow {
         stage_times.predictor = stage.elapsed();
 
         Ok(FlowPlan {
-            bench,
             model,
             groups,
             batches,
             lambda,
             buffers,
-            oracle,
-            predicted_sigmas: sigmas,
             sigma_fallbacks,
             predictor,
             epsilon,
@@ -398,10 +388,33 @@ impl EffiTestFlow {
 
     /// The convergence threshold derived from the model.
     pub fn epsilon_for(&self, model: &TimingModel) -> f64 {
-        let max_width = (0..model.path_count())
-            .map(|p| 2.0 * self.config.bound_sigma * model.path_sigma(p))
-            .fold(0.0_f64, f64::max);
+        let max_width =
+            (0..model.path_count()).map(|p| self.range_width(model, p)).fold(0.0_f64, f64::max);
         max_width / self.config.epsilon_divisor
+    }
+
+    /// Width `2 * bound_sigma * sigma_p` of path `p`'s initial delay range.
+    fn range_width(&self, model: &TimingModel, p: usize) -> f64 {
+        2.0 * self.config.bound_sigma * model.path_sigma(p)
+    }
+
+    /// Packs `paths` into conflict-free test batches against `oracle`,
+    /// grouping paths of similar initial range width (see
+    /// [`build_batches`]). The plan batches its selected paths this way;
+    /// the Fig. 8 ablation batches every required path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a path is listed twice or was not registered with
+    /// `oracle`.
+    pub fn batch_paths(
+        &self,
+        oracle: &ConflictOracle<'_>,
+        model: &TimingModel,
+        paths: &[usize],
+    ) -> Vec<Vec<usize>> {
+        let widths: Vec<f64> = paths.iter().map(|&p| self.range_width(model, p)).collect();
+        build_batches(oracle, paths, Some(&widths))
     }
 
     /// Phase 1+2 on a chip: aligned test of all batches, then statistical
@@ -544,21 +557,22 @@ impl EffiTestFlow {
         PathWiseOutcome { iterations: tester.iterations(), bounds }
     }
 
-    /// Tests an arbitrary path list with multiplexing (and optionally
-    /// alignment) but **no statistical prediction** — the Fig. 8 ablation.
-    /// Returns the iterations consumed and the measured bounds.
+    /// Tests the paths of `batches` (from [`batch_paths`](Self::batch_paths))
+    /// with multiplexing (and optionally alignment) but **no statistical
+    /// prediction** — the Fig. 8 ablation. Returns the iterations consumed
+    /// and the measured bounds.
     pub fn test_paths_multiplexed(
         &self,
         prepared: &FlowPlan<'_>,
         chip: &ChipInstance,
-        paths: &[usize],
+        batches: &[Vec<usize>],
         use_alignment: bool,
     ) -> (u64, HashMap<usize, DelayBounds>) {
         self.test_paths_multiplexed_with(
             &mut FlowWorkspace::new(),
             prepared,
             chip,
-            paths,
+            batches,
             use_alignment,
         )
     }
@@ -571,16 +585,9 @@ impl EffiTestFlow {
         ws: &mut FlowWorkspace,
         prepared: &FlowPlan<'_>,
         chip: &ChipInstance,
-        paths: &[usize],
+        batches: &[Vec<usize>],
         use_alignment: bool,
     ) -> (u64, HashMap<usize, DelayBounds>) {
-        // The plan's oracle covers all required paths, so any subset can be
-        // batched against it — no per-call conflict-graph rebuild.
-        let widths: Vec<f64> = paths
-            .iter()
-            .map(|&p| 2.0 * self.config.bound_sigma * prepared.model.path_sigma(p))
-            .collect();
-        let batches = build_batches(&prepared.oracle, paths, Some(&widths));
         let mut tester = VirtualTester::with_model(chip, self.config.tester);
         let mut config = self.aligned_config(prepared.epsilon);
         config.use_alignment = use_alignment;
@@ -588,7 +595,7 @@ impl EffiTestFlow {
             &mut ws.aligned,
             prepared.model,
             &mut tester,
-            &batches,
+            batches,
             &prepared.lambda,
             &config,
         );
@@ -645,16 +652,12 @@ mod tests {
         let (bench, model) = fixture();
         let flow = EffiTestFlow::new(FlowConfig::default());
         let plan = flow.plan(&bench, &model).unwrap();
-        // The oracle spans every required path, so any subset can be
-        // re-batched against it without rebuilding the conflict graph.
-        assert_eq!(plan.oracle.paths().len(), model.path_count());
-        // Predicted sigmas cover exactly the unselected paths.
+        // Every selected path is tested; slot fills are unselected paths.
         let selected = crate::select::all_selected(&plan.groups);
-        assert_eq!(plan.predicted_sigmas.len(), model.path_count() - selected.len());
-        for &(p, sigma) in &plan.predicted_sigmas {
-            assert!(!selected.contains(&p));
-            assert!(sigma >= 0.0);
-        }
+        let tested = plan.batches.tested_paths();
+        assert!(selected.iter().all(|p| tested.contains(p)));
+        assert!(plan.batches.slot_filled.iter().all(|p| !selected.contains(p)));
+        assert_eq!(tested.len(), selected.len() + plan.batches.slot_filled.len());
         // Planning is deterministic: a second plan is identical.
         let prepared = flow.plan(&bench, &model).unwrap();
         assert_eq!(prepared.batches.batches, plan.batches.batches);
@@ -687,10 +690,6 @@ mod tests {
                 lambda_key(&threaded.lambda),
                 lambda_key(&reference.lambda),
                 "hold bounds diverged ({threads})"
-            );
-            assert_eq!(
-                threaded.predicted_sigmas, reference.predicted_sigmas,
-                "predicted sigmas diverged ({threads})"
             );
             assert_eq!(threaded.epsilon, reference.epsilon);
             // The predictors must behave identically on silicon.
@@ -873,10 +872,12 @@ mod tests {
         let prepared = flow.plan(&bench, &model).unwrap();
         let chip = model.sample_chip(77);
         let paths: Vec<usize> = (0..model.path_count()).collect();
+        let oracle = ConflictOracle::new(&bench, &paths, 1);
+        let batches = flow.batch_paths(&oracle, &model, &paths);
         let (iters_plain, bounds_plain) =
-            flow.test_paths_multiplexed(&prepared, &chip, &paths, false);
+            flow.test_paths_multiplexed(&prepared, &chip, &batches, false);
         let (iters_aligned, bounds_aligned) =
-            flow.test_paths_multiplexed(&prepared, &chip, &paths, true);
+            flow.test_paths_multiplexed(&prepared, &chip, &batches, true);
         assert_eq!(bounds_plain.len(), paths.len());
         assert_eq!(bounds_aligned.len(), paths.len());
         for b in bounds_aligned.values() {

@@ -4,8 +4,9 @@
 //! point, so `EFFITEST_THREADS` governs the worker count) for every paper
 //! topology plus a reduced large-tier circuit, and prints every
 //! observable component — correlation groups, test batches, slot fills,
-//! hold bounds, predicted sigmas (the conditioning-gain outputs), and the
-//! convergence threshold — with floats as exact bit patterns.
+//! hold bounds, the convergence threshold, and the predicted sigmas that
+//! ranked the slot fills (recomputed from the plan's groups at the same
+//! worker count) — with floats as exact bit patterns.
 //!
 //! CI runs this at `EFFITEST_THREADS=1` and `4` and diffs the outputs:
 //! the plan pipeline's contract is that they are **byte identical**. Set
@@ -18,10 +19,12 @@
 use std::fmt::Write as _;
 
 use effitest::circuit::Topology;
+use effitest::flow::batch::predicted_sigmas;
+use effitest::flow::parallel::threads::threads_from_env;
 use effitest::flow::select::SelectConfig;
 use effitest::prelude::*;
 
-fn fingerprint(out: &mut String, label: &str, plan: &FlowPlan<'_>) {
+fn fingerprint(out: &mut String, label: &str, plan: &FlowPlan<'_>, threads: usize) {
     writeln!(out, "[{label}]").unwrap();
     for (i, g) in plan.groups.iter().enumerate() {
         writeln!(
@@ -41,7 +44,8 @@ fn fingerprint(out: &mut String, label: &str, plan: &FlowPlan<'_>) {
     let mut lambda: Vec<(usize, u64)> = plan.lambda.iter().map(|(p, l)| (p, l.to_bits())).collect();
     lambda.sort_unstable();
     writeln!(out, "hold_bounds: {lambda:?}").unwrap();
-    for &(p, s) in &plan.predicted_sigmas {
+    let (sigmas, _) = predicted_sigmas(plan.model, &plan.groups, threads);
+    for (p, s) in sigmas {
         writeln!(out, "sigma {p}: {:016x}", s.to_bits()).unwrap();
     }
     writeln!(out, "epsilon: {:016x}", plan.epsilon.to_bits()).unwrap();
@@ -49,6 +53,7 @@ fn fingerprint(out: &mut String, label: &str, plan: &FlowPlan<'_>) {
 }
 
 fn main() {
+    let threads = threads_from_env().expect("EFFITEST_THREADS");
     let mut out = String::new();
     let flow = EffiTestFlow::new(FlowConfig::default());
     for &topology in Topology::all().iter() {
@@ -56,7 +61,7 @@ fn main() {
         let bench = GeneratedBenchmark::generate(&spec, 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
         let plan = flow.plan(&bench, &model).expect("plan");
-        fingerprint(&mut out, topology.name(), &plan);
+        fingerprint(&mut out, topology.name(), &plan, threads);
     }
     // A reduced large-tier circuit exercises the sparse/threaded paths the
     // paper topologies cannot reach (hub cliques, planted criticality).
@@ -69,7 +74,7 @@ fn main() {
     let variation = VariationConfig { grid_dim: 4, ..VariationConfig::paper() };
     let model = TimingModel::build(&bench, &variation);
     let plan = large_flow.plan(&bench, &model).expect("plan");
-    fingerprint(&mut out, "large_2000", &plan);
+    fingerprint(&mut out, "large_2000", &plan, threads);
 
     match std::env::var("EFFITEST_PLAN_FINGERPRINT_OUT") {
         Ok(path) => {

@@ -7,18 +7,17 @@
 //! oracle, predicted sigmas, hold-bound sampling, and the prediction
 //! engine's per-group factorization. At one thread that utility runs each
 //! closure inline, so a serial copy of the same closure would only check
-//! itself. Instead this suite pins a fingerprint of the plan's canonical
-//! encoding — groups, batches, slot fills, hold bounds, the predictor's
-//! factored conditioners, and epsilon, without the conflict-oracle and
-//! predicted-sigma sections, which nothing after planning reads — to
-//! constants captured from the original serial pipeline, at threads 1, 4
-//! and 8, across all six paper topologies and a reduced large-tier
-//! circuit, and at one thread on two full-size paper circuits whose large
-//! correlation groups exercise the PCA eigensolver. The large tier also
-//! pins its generated netlist's content fingerprint and checks that the
-//! timing model does not depend on the thread count.
+//! itself. Instead this suite pins
+//! [`plan_fingerprint`](effitest::flow::cache::plan_fingerprint) — groups,
+//! batches and slot fills (which the conflict oracle and the predicted
+//! sigmas decide), hold bounds, the predictor's factored conditioners, and
+//! epsilon — to constants captured from the original serial pipeline, at
+//! threads 1, 4 and 8, across all six paper topologies and a reduced
+//! large-tier circuit, and at one thread on two full-size paper circuits
+//! whose large correlation groups exercise the PCA eigensolver. The large
+//! tier also pins its generated netlist's content fingerprint and checks
+//! that the timing model does not depend on the thread count.
 
-use effitest::circuit::fingerprint::mix64;
 use effitest::circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
 use effitest::flow::cache::encode_plan;
 use effitest::flow::select::SelectConfig;
@@ -27,46 +26,7 @@ use effitest::ssta::TimingModel;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
 
-/// The plan's canonical encoding with its conflict-oracle and
-/// predicted-sigma sections cut out, byte for byte. Every other section is
-/// kept as `encode_plan` wrote it, so this is the encoding of a plan that
-/// keeps neither.
-fn encoding_without_oracle_and_sigmas(plan: &FlowPlan<'_>) -> Vec<u8> {
-    let bytes = encode_plan(plan);
-    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    // End of a length-prefixed sequence of `elem`-byte elements at `at`.
-    let seq = |at: usize, elem: usize| at + 8 + elem * word(at);
-    let mut at = 8;
-    for _ in 0..word(0) {
-        // Group: members, selected, threshold, n_pcs.
-        at = seq(seq(at, 8), 8) + 16;
-    }
-    let n_batches = word(at);
-    at += 8;
-    for _ in 0..n_batches {
-        at = seq(at, 8);
-    }
-    // Slot fills, then the hold bounds' (path, lambda) pairs.
-    at = seq(seq(at, 8), 16);
-    let oracle = at;
-    // Oracle paths, CSR offsets and adjacency, then the exclusion lists.
-    at = seq(seq(seq(at, 8), 4), 4);
-    let n_lists = word(at);
-    at += 8;
-    for _ in 0..n_lists {
-        at = seq(at, 8);
-    }
-    // Predicted sigmas: (path, sigma) pairs.
-    at = seq(at, 16);
-    [&bytes[..oracle], &bytes[at..]].concat()
-}
-
-/// `mix64` of [`encoding_without_oracle_and_sigmas`].
-fn fingerprint_without_oracle_and_sigmas(plan: &FlowPlan<'_>) -> u64 {
-    mix64(&encoding_without_oracle_and_sigmas(plan))
-}
-
-/// [`fingerprint_without_oracle_and_sigmas`] per paper topology of
+/// `plan_fingerprint` per paper topology of
 /// `iscas89_s9234().scaled_down(10)` (seed 1, default flow config).
 const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
     ("paper", 0xe5bb_75ac_7dc5_f48c),
@@ -77,25 +37,24 @@ const GOLDEN_PAPER_PLANS: [(&str, u64); 6] = [
     ("sparse", 0x38d9_d266_e9d1_3c79),
 ];
 
-/// [`fingerprint_without_oracle_and_sigmas`] of full-size paper circuits at
-/// one thread (seed 1, paper variation, default flow config). These run
-/// PCA on large groups (470 members in s13207; 35 groups of up to 108 in
-/// ac97_ctrl), so they catch an eigensolver change that flips a
-/// representative.
+/// `plan_fingerprint` of full-size paper circuits at one thread (seed 1,
+/// paper variation, default flow config). These run PCA on large groups
+/// (470 members in s13207; 35 groups of up to 108 in ac97_ctrl), so they
+/// catch an eigensolver change that flips a representative.
 const GOLDEN_FULL_SIZE_PLANS: [(&str, u64); 2] =
     [("s13207", 0xb83b_b4c1_ec78_3ab4), ("ac97_ctrl", 0xbeed_cccf_bab5_3ac9)];
 
-/// Encoded size caps of the same plans, in bytes. A conditioner that
-/// stored its full conditional covariance would break both: that matrix
-/// alone takes 1.63 MB for s13207 and 0.31 MB for ac97_ctrl.
-const FULL_SIZE_MAX_BYTES: [usize; 2] = [850_000, 550_000];
+/// Encoded size caps of the same plans, in bytes; they encode to 104,248
+/// and 157,816. A plan that kept its conflict oracle would break both (it
+/// took 689,928 and 341,604 bytes), and so would a conditioner that
+/// stored its full conditional covariance (1.63 MB and 0.31 MB).
+const FULL_SIZE_MAX_BYTES: [usize; 2] = [110_000, 165_000];
 
 /// `content_fingerprint` of `GeneratedBenchmark::generate(&large(256), 1)`.
 const GOLDEN_LARGE_CONTENT: u64 = 0x8f57_e6b5_f400_eab4;
 
-/// [`fingerprint_without_oracle_and_sigmas`] of the large-tier plan:
-/// criticality cut 0.93, 4x4 variation grid, buffer range 0.07 of the
-/// period over 8 steps.
+/// `plan_fingerprint` of the large-tier plan: criticality cut 0.93, 4x4
+/// variation grid, buffer range 0.07 of the period over 8 steps.
 const GOLDEN_LARGE_PLAN: u64 = 0x5bdd_9b9c_ab1a_0cdf;
 
 #[test]
@@ -110,7 +69,7 @@ fn plan_is_bitwise_thread_count_independent_on_every_paper_topology() {
         for threads in THREAD_COUNTS {
             let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
             assert_eq!(
-                fingerprint_without_oracle_and_sigmas(&plan),
+                plan_fingerprint(&plan),
                 golden,
                 "plan diverged from its golden fingerprint on {name} at {threads} threads"
             );
@@ -129,11 +88,7 @@ fn full_size_plans_match_their_golden_fingerprints() {
         let bench = GeneratedBenchmark::generate(spec, 1);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
         let plan = flow.plan_threaded(&bench, &model, 1).expect("plan");
-        assert_eq!(
-            fingerprint_without_oracle_and_sigmas(&plan),
-            golden,
-            "{name} plan diverged from its golden value"
-        );
+        assert_eq!(plan_fingerprint(&plan), golden, "{name} plan diverged from its golden value");
         let bytes = encode_plan(&plan).len();
         assert!(bytes <= max_bytes, "{name} plan encodes to {bytes} bytes, over {max_bytes}");
     }
@@ -168,7 +123,7 @@ fn plan_is_bitwise_thread_count_independent_on_the_large_tier() {
     for threads in THREAD_COUNTS {
         let plan = flow.plan_threaded(&bench, &model, threads).expect("plan");
         assert_eq!(
-            fingerprint_without_oracle_and_sigmas(&plan),
+            plan_fingerprint(&plan),
             GOLDEN_LARGE_PLAN,
             "large-tier plan diverged from its golden fingerprint at {threads} threads"
         );

@@ -22,7 +22,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 fn assert_round_trip(bench: &GeneratedBenchmark, model: &TimingModel, flow: &EffiTestFlow) -> u64 {
     let plan = flow.plan(bench, model).expect("plan");
     let bytes = encode_plan(&plan);
-    let decoded = decode_plan(&bytes, bench, model).expect("decode");
+    let decoded = decode_plan(&bytes, model).expect("decode");
     assert_eq!(bytes, encode_plan(&decoded), "canonical encoding must round-trip byte-for-byte");
     let fp = plan_fingerprint(&plan);
     assert_eq!(fp, plan_fingerprint(&decoded), "plan fingerprints must match");
@@ -202,7 +202,7 @@ proptest! {
         let flow = EffiTestFlow::new(FlowConfig::default());
         let plan = flow.plan(&bench, &model).expect("plan");
         let bytes = encode_plan(&plan);
-        let decoded = decode_plan(&bytes, &bench, &model).expect("decode");
+        let decoded = decode_plan(&bytes, &model).expect("decode");
         prop_assert_eq!(&bytes, &encode_plan(&decoded));
         prop_assert_eq!(plan_fingerprint(&plan), plan_fingerprint(&decoded));
     }
