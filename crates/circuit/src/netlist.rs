@@ -177,19 +177,6 @@ impl Netlist {
         self.flip_flops().filter(|(_, ff)| ff.has_buffer()).map(|(id, _)| id).collect()
     }
 
-    /// Sets the same buffer range on every buffered flip-flop.
-    ///
-    /// The paper derives buffer ranges from the design clock period (1/8 of
-    /// it, 20 steps); the range is therefore known only after timing
-    /// analysis, which calls this to finalize the specs.
-    pub fn set_uniform_buffer_ranges(&mut self, spec: TuningBufferSpec) {
-        for ff in &mut self.ffs {
-            if ff.buffer.is_some() {
-                ff.buffer = Some(spec);
-            }
-        }
-    }
-
     /// Validates structural invariants: signal ids in range, gate arity
     /// matching the kind, topological ordering of gate inputs, placements
     /// on the die.
@@ -258,19 +245,6 @@ impl Netlist {
         let gate = &mut self.gates[id.index()];
         debug_assert_eq!(gate.kind.input_count(), 2, "side input requires a 2-input gate");
         gate.inputs[1] = signal;
-    }
-
-    /// Nominal (mean) propagation delay of a gate chain, in ps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::UnknownGate`] if any id is invalid.
-    pub fn nominal_chain_delay(&self, gates: &[GateId]) -> Result<f64> {
-        let mut sum = 0.0;
-        for &g in gates {
-            sum += self.gate(g)?.kind.nominal_delay();
-        }
-        Ok(sum)
     }
 }
 
@@ -358,21 +332,6 @@ mod tests {
         let b = n.add_flip_flop(FlipFlop::new("b", Point::new(2.0, 2.0)).with_buffer(spec));
         assert_eq!(n.buffer_count(), 1);
         assert_eq!(n.buffered_flip_flops(), vec![b]);
-
-        let wider = TuningBufferSpec::centered(4.0, 20);
-        n.set_uniform_buffer_ranges(wider);
-        assert_eq!(n.flip_flop(b).unwrap().buffer, Some(wider));
-        // Unbuffered flip-flops stay unbuffered.
-        assert_eq!(n.buffer_count(), 1);
-    }
-
-    #[test]
-    fn nominal_chain_delay_sums_kinds() {
-        let mut n = Netlist::new("t", die());
-        let ff = n.add_flip_flop(FlipFlop::new("a", Point::new(1.0, 1.0)));
-        let g0 = n.add_gate(Gate::new(GateKind::Inv, Point::new(2.0, 2.0), vec![Signal::Ff(ff)]));
-        let g1 = n.add_gate(Gate::new(GateKind::Buf, Point::new(3.0, 3.0), vec![Signal::Gate(g0)]));
-        let d = n.nominal_chain_delay(&[g0, g1]).unwrap();
-        assert_eq!(d, GateKind::Inv.nominal_delay() + GateKind::Buf.nominal_delay());
+        assert_eq!(n.flip_flop(b).unwrap().buffer, Some(spec));
     }
 }

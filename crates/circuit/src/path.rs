@@ -208,11 +208,6 @@ impl PathTable {
         self.source.is_empty()
     }
 
-    /// Total gates across all chains.
-    pub fn total_gates(&self) -> usize {
-        self.gate_data.len()
-    }
-
     /// The view of path `idx`.
     ///
     /// # Panics
@@ -322,11 +317,6 @@ impl PathSet {
         (0..self.table.len() as u32).map(PathId::new)
     }
 
-    /// Paths of the given kind.
-    pub fn of_kind(&self, kind: PathKind) -> Vec<PathId> {
-        self.iter().filter(|p| p.kind == kind).map(|p| p.id).collect()
-    }
-
     /// Map from flip-flop to the paths touching it (as source or sink).
     pub fn incidence(&self) -> HashMap<FlipFlopId, Vec<PathId>> {
         let mut map: HashMap<FlipFlopId, Vec<PathId>> = HashMap::new();
@@ -422,7 +412,6 @@ mod tests {
         set.add_slice(ffs[1], ffs[2], &[gates[1]], PathKind::Min);
         let t = set.table();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.total_gates(), 3);
         assert_eq!(t.sources(), &[ffs[0], ffs[1]]);
         assert_eq!(t.sinks(), &[ffs[1], ffs[2]]);
         assert_eq!(t.view(0).gates, &[gates[0], gates[1]]);
@@ -506,16 +495,6 @@ mod tests {
         assert_eq!(inc[&ffs[0]].len(), 2);
         assert_eq!(inc[&ffs[1]].len(), 1);
         assert_eq!(inc[&ffs[2]].len(), 1);
-    }
-
-    #[test]
-    fn of_kind_filters() {
-        let (_, ffs, gates) = fixture();
-        let mut set = PathSet::new();
-        set.add(ffs[0], ffs[1], vec![gates[0]], PathKind::Max);
-        let m = set.add(ffs[0], ffs[1], vec![gates[0]], PathKind::Min);
-        assert_eq!(set.of_kind(PathKind::Min), vec![m]);
-        assert_eq!(set.of_kind(PathKind::Max).len(), 1);
     }
 
     #[test]

@@ -253,11 +253,6 @@ fn make_group(
     PathGroup { members, selected, threshold, n_pcs }
 }
 
-/// Total number of selected representatives across groups.
-pub fn selected_count(groups: &[PathGroup]) -> usize {
-    groups.iter().map(|g| g.selected.len()).sum()
-}
-
 /// Flat list of all selected path indices.
 pub fn all_selected(groups: &[PathGroup]) -> Vec<usize> {
     let mut v: Vec<usize> = groups.iter().flat_map(|g| g.selected.iter().copied()).collect();
@@ -316,7 +311,7 @@ mod tests {
         // synthetic benchmarks should show a clear reduction.
         let m = model();
         let groups = select_paths(&m, &SelectConfig::default(), 1);
-        let selected = selected_count(&groups);
+        let selected = all_selected(&groups).len();
         assert!(
             selected * 2 <= m.path_count(),
             "selected {selected} of {} paths — prediction saves nothing",
@@ -360,7 +355,7 @@ mod tests {
             select_paths(&m, &SelectConfig { pca_energy: 0.999, ..SelectConfig::default() }, 1);
         let loose =
             select_paths(&m, &SelectConfig { pca_energy: 0.5, ..SelectConfig::default() }, 1);
-        assert!(selected_count(&loose) <= selected_count(&tight));
+        assert!(all_selected(&loose).len() <= all_selected(&tight).len());
     }
 
     #[test]
@@ -528,6 +523,6 @@ mod tests {
         for w in sel.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert_eq!(sel.len(), selected_count(&groups));
+        assert_eq!(sel.len(), groups.iter().map(|g| g.selected.len()).sum::<usize>());
     }
 }

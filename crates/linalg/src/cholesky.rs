@@ -242,15 +242,6 @@ impl CholeskyDecomposition {
         Ok(out)
     }
 
-    /// Computes the inverse matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors (none expected once factorization succeeded).
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.dim()))
-    }
-
     /// Log-determinant `ln det A = 2 sum ln L_ii`.
     pub fn log_determinant(&self) -> f64 {
         (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
@@ -325,14 +316,6 @@ mod tests {
         let chol = CholeskyDecomposition::new(&a).unwrap();
         let det = crate::LuDecomposition::new(&a).unwrap().determinant();
         assert!((chol.log_determinant() - det.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = spd_example();
-        let inv = CholeskyDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        assert!((&prod - &Matrix::identity(3)).max_abs() < 1e-10);
     }
 
     #[test]

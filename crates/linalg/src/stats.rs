@@ -1,8 +1,8 @@
 //! Scalar statistics helpers shared across the workspace.
 //!
-//! Small, dependency-free routines: summary statistics, the standard normal
-//! CDF and quantile function (used to place the designated clock periods at
-//! the paper's 50% / 84.13% no-buffer yield points), and empirical quantiles.
+//! Small, dependency-free routines: summary statistics and empirical
+//! quantiles (the designated clock periods sit at quantiles of the sampled
+//! chips' untuned periods).
 
 /// Arithmetic mean; 0.0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -46,94 +46,6 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
         return 0.0;
     }
     sxy / (sxx.sqrt() * syy.sqrt())
-}
-
-/// Standard normal cumulative distribution function.
-///
-/// Uses the complementary-error-function identity with an Abramowitz–Stegun
-/// style rational approximation accurate to ~1e-7, far below the statistical
-/// noise of any experiment in this repository.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function (rational approximation, |error| < 1.2e-7).
-fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
-}
-
-/// Standard normal quantile function (inverse CDF).
-///
-/// Acklam's algorithm; relative error below 1.15e-9 over the open unit
-/// interval.
-///
-/// # Panics
-///
-/// Panics if `p` is not strictly inside `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile probability must be in (0, 1), got {p}");
-
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
 }
 
 /// Empirical quantile by linear interpolation on the sorted sample.
@@ -187,30 +99,6 @@ mod tests {
         assert!((correlation(&xs, &neg) + 1.0).abs() < 1e-12);
         assert_eq!(correlation(&xs, &[1.0, 1.0, 1.0, 1.0]), 0.0);
         assert_eq!(correlation(&xs, &ys[..3]), 0.0);
-    }
-
-    #[test]
-    fn normal_cdf_known_points() {
-        assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((normal_cdf(1.0) - 0.841344746).abs() < 1e-6);
-        assert!((normal_cdf(-1.0) - 0.158655254).abs() < 1e-6);
-        assert!((normal_cdf(3.0) - 0.998650102).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.05, 0.1587, 0.5, 0.8413, 0.95, 0.999] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-6, "p={p}");
-        }
-        // The paper's T2 point: 84.13% is the +1 sigma quantile.
-        assert!((normal_quantile(0.8413) - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile probability")]
-    fn quantile_rejects_out_of_range() {
-        normal_quantile(1.0);
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl NormalSampler {
             }
         }
     }
-
-    /// Draws a uniform value in `[0, 1)`.
-    pub fn next_uniform(&mut self) -> f64 {
-        self.rng.random()
-    }
 }
 
 #[cfg(test)]
@@ -211,14 +206,5 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!(mean.abs() < 0.01, "mean {mean}");
         assert!((var - 1.0).abs() < 0.02, "variance {var}");
-    }
-
-    #[test]
-    fn uniform_in_unit_interval() {
-        let mut s = NormalSampler::seeded(5);
-        for _ in 0..1000 {
-            let u = s.next_uniform();
-            assert!((0.0..1.0).contains(&u));
-        }
     }
 }

@@ -362,7 +362,7 @@ impl TesterModel {
 /// The virtual automatic test equipment.
 ///
 /// Holds a chip under test and counts every frequency-stepping iteration
-/// (one applied `(period, configuration)` probe) and every scan load. One
+/// (one applied `(period, configuration)` probe, with its scan load). One
 /// probe may test a whole batch of paths — that is exactly the
 /// multiplexing advantage the paper exploits.
 #[derive(Debug)]
@@ -373,7 +373,6 @@ pub struct VirtualTester<'a> {
     /// model — the noise stream needs it, the ideal fast path does not).
     probe_counts: Vec<u64>,
     iterations: u64,
-    scan_loads: u64,
 }
 
 impl<'a> VirtualTester<'a> {
@@ -385,7 +384,7 @@ impl<'a> VirtualTester<'a> {
     /// Mounts a chip on a tester with the given measurement-error model.
     pub fn with_model(chip: &'a ChipInstance, model: TesterModel) -> Self {
         let probe_counts = if model.is_ideal() { Vec::new() } else { vec![0; chip.path_count()] };
-        VirtualTester { chip, model, probe_counts, iterations: 0, scan_loads: 0 }
+        VirtualTester { chip, model, probe_counts, iterations: 0 }
     }
 
     /// The chip under test.
@@ -402,8 +401,8 @@ impl<'a> VirtualTester<'a> {
     /// shift `x_i - x_j`, and reports pass/fail per path.
     ///
     /// Counts as **one** frequency-stepping iteration regardless of the
-    /// batch size, plus one scan load for the configuration bits and test
-    /// vectors.
+    /// batch size, which includes the one scan load of its configuration
+    /// bits and test vectors.
     ///
     /// A path passes when its frozen effective delay satisfies the setup
     /// constraint (paper eq. 1): `D_ij + shift <= period`.
@@ -433,7 +432,6 @@ impl<'a> VirtualTester<'a> {
         results: &mut Vec<bool>,
     ) {
         self.iterations += 1;
-        self.scan_loads += 1;
         results.clear();
         if self.model.is_ideal() {
             // Bit-identical to the historical noise-free tester: no extra
@@ -465,19 +463,6 @@ impl<'a> VirtualTester<'a> {
     pub fn iterations(&self) -> u64 {
         self.iterations
     }
-
-    /// Total scan loads so far.
-    pub fn scan_loads(&self) -> u64 {
-        self.scan_loads
-    }
-
-    /// Resets the cost counters (e.g. between experiment phases). The
-    /// noise stream's probe counts are **not** reset: they identify
-    /// physical probes, not accounting periods.
-    pub fn reset_counters(&mut self) {
-        self.iterations = 0;
-        self.scan_loads = 0;
-    }
 }
 
 /// Consecutive non-shrinking probes a binary search tolerates before
@@ -502,9 +487,9 @@ const MAX_PROBES_PER_PATH: u64 = 8192;
 /// exact. With a noisy [`TesterModel`] the loop runs under
 /// [`ContradictionPolicy::Widen`]: contradictory observations re-open the
 /// interval instead of asserting, and the search gives up — leaving the
-/// current (conservative) interval in place — after
-/// [`MAX_STALLED_PROBES`] consecutive probes without a width reduction or
-/// [`MAX_PROBES_PER_PATH`] probes in total.
+/// current (conservative) interval in place — after a fixed budget of
+/// consecutive probes without a width reduction (`MAX_STALLED_PROBES`) or
+/// of probes in total (`MAX_PROBES_PER_PATH`).
 pub fn path_wise_binary_search(
     tester: &mut VirtualTester<'_>,
     path: usize,
@@ -889,11 +874,8 @@ mod tests {
         let r = t.apply_batch(8.0, &[(0, 0.0), (1, 0.0), (2, 0.0)]);
         assert_eq!(r, vec![true, true, false]);
         assert_eq!(t.iterations(), 1);
-        assert_eq!(t.scan_loads(), 1);
         t.apply_single(6.0, 2, -4.0);
         assert_eq!(t.iterations(), 2);
-        t.reset_counters();
-        assert_eq!(t.iterations(), 0);
     }
 
     #[test]

@@ -43,14 +43,7 @@ pub fn quickstart_fixture() -> (GeneratedBenchmark, TimingModel) {
 }
 
 /// FNV-1a 64-bit hash, used to pin golden netlist dumps compactly.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use effitest_circuit::fingerprint::fnv64;
 
 /// Asserts `|actual - expected| <= tol`, with a readable failure message.
 #[track_caller]
