@@ -37,6 +37,10 @@ use effitest_tester::{ContradictionPolicy, DelayBounds, Observation, VirtualTest
 
 use crate::hold::HoldBounds;
 
+/// Hard cap on frequency-stepping iterations per batch (defensive;
+/// generous).
+const MAX_ITERATIONS_PER_BATCH: usize = 10_000;
+
 /// Knobs of the aligned-test loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlignedTestConfig {
@@ -59,8 +63,6 @@ pub struct AlignedTestConfig {
     /// coordinate-descent heuristic — never a silently suboptimal
     /// "exact" alignment.
     pub exact_node_limit: usize,
-    /// Hard cap on iterations per batch (defensive; generous).
-    pub max_iterations_per_batch: usize,
     /// `true` (the default) runs the slot-array loop, which resolves buffer
     /// hookups and hold bounds once per batch; `false` routes through the
     /// original per-iteration HashMap implementation, kept as the bitwise
@@ -90,7 +92,6 @@ impl Default for AlignedTestConfig {
             use_alignment: true,
             exact_alignment: false,
             exact_node_limit: effitest_solver::DEFAULT_NODE_LIMIT,
-            max_iterations_per_batch: 10_000,
             incremental: true,
             tolerate_contradictions: false,
         }
@@ -213,7 +214,7 @@ fn align_path_for(
 /// iteration. The differential conformance suite
 /// (`tests/conformance.rs`) solves this construction with both the exact
 /// MILP and the production heuristic — it is assembled from the loop's
-/// own building blocks ([`align_path_for`], `index_batch_buffers`) so
+/// own building blocks (`align_path_for`, `index_batch_buffers`) so
 /// the oracle cannot drift from what production actually solves.
 ///
 /// # Panics
@@ -375,7 +376,7 @@ fn test_one_batch_slots(
 
     let mut iterations = 0_usize;
 
-    while !ws.active_slots.is_empty() && iterations < config.max_iterations_per_batch {
+    while !ws.active_slots.is_empty() && iterations < MAX_ITERATIONS_PER_BATCH {
         iterations += 1;
         ws.centers.clear();
         ws.centers.extend(ws.active_slots.iter().map(|&s| ws.slot_bounds[s].center()));
@@ -513,7 +514,7 @@ fn test_one_batch_reference(
 
     let mut iterations = 0_usize;
 
-    while !ws.active.is_empty() && iterations < config.max_iterations_per_batch {
+    while !ws.active.is_empty() && iterations < MAX_ITERATIONS_PER_BATCH {
         iterations += 1;
         // --- Rebuild the alignment problem in place and solve it. ---
         ws.centers.clear();

@@ -517,8 +517,9 @@ fn group_sigmas_conditioned(
 /// Predicted standard deviation of every unselected path after the
 /// selected set is measured (paper eq. 5) — the slot-filling priority —
 /// plus the number of groups downgraded to their prior sigmas because the
-/// observed covariance block could not be factorized (see
-/// [`group_predicted_sigmas`]'s fallback semantics).
+/// observed covariance block could not be factorized: such a group's
+/// unselected members keep their prior sigmas, and the downgrade is
+/// counted, never a panic.
 ///
 /// Computed group-locally: conditioning path `k` on the selected members
 /// of its own group (cross-group correlations are below the group's

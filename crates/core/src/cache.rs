@@ -133,7 +133,6 @@ pub fn flow_config_fingerprint(config: &FlowConfig) -> u64 {
         .write_f64(config.kd)
         .write_u64(config.use_alignment as u64)
         .write_u64(config.exact_alignment as u64)
-        .write_u64(config.slot_fill as u64)
         .write_u64(config.incremental as u64)
         .write_f64(config.tester.noise_sigma)
         .write_f64(config.tester.quantization_lsb)

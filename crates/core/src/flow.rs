@@ -76,8 +76,6 @@ pub struct FlowConfig {
     pub use_alignment: bool,
     /// Solve each alignment exactly (MILP) instead of coordinate descent.
     pub exact_alignment: bool,
-    /// Fill empty batch slots with high-variance unselected paths (§3.2).
-    pub slot_fill: bool,
     /// Run the aligned test's slot-array loop (see
     /// [`AlignedTestConfig::incremental`]); `false` selects the
     /// per-iteration HashMap reference loop. Both produce bitwise-identical
@@ -105,7 +103,6 @@ impl Default for FlowConfig {
             kd: 1.0,
             use_alignment: true,
             exact_alignment: false,
-            slot_fill: true,
             incremental: true,
             tester: TesterModel::ideal(),
             tolerate_contradictions: false,
@@ -343,18 +340,14 @@ impl EffiTestFlow {
         let mut raw_batches = self.batch_paths(&oracle, model, &selected);
         let buffers = BufferIndex::new(model);
         let (sigmas, sigma_fallbacks) = predicted_sigmas(model, &groups, threads);
-        let slot_filled = if self.config.slot_fill {
-            let candidates: Vec<(usize, f64, f64)> =
-                sigmas.into_iter().map(|(p, sigma)| (p, sigma, width_of(p))).collect();
-            // A series batch holds at most one source and one sink per
-            // buffered flip-flop, so 2 * nb is the structural slot count
-            // for buffer-incident paths (which required paths all are).
-            let capacity =
-                (2 * buffers.len()).max(raw_batches.iter().map(Vec::len).max().unwrap_or(1));
-            fill_slots(&oracle, &mut raw_batches, &candidates, Some(capacity), &width_of)
-        } else {
-            Vec::new()
-        };
+        let candidates: Vec<(usize, f64, f64)> =
+            sigmas.into_iter().map(|(p, sigma)| (p, sigma, width_of(p))).collect();
+        // A series batch holds at most one source and one sink per buffered
+        // flip-flop, so 2 * nb is the structural slot count for
+        // buffer-incident paths (which required paths all are).
+        let capacity = (2 * buffers.len()).max(raw_batches.iter().map(Vec::len).max().unwrap_or(1));
+        let slot_filled =
+            fill_slots(&oracle, &mut raw_batches, &candidates, Some(capacity), &width_of);
         let batches = Batches { batches: raw_batches, slot_filled };
         stage_times.batch = stage.elapsed();
 
@@ -611,7 +604,6 @@ impl EffiTestFlow {
             use_alignment: self.config.use_alignment,
             exact_alignment: self.config.exact_alignment,
             exact_node_limit: effitest_solver::DEFAULT_NODE_LIMIT,
-            max_iterations_per_batch: 10_000,
             incremental: self.config.incremental,
             tolerate_contradictions: self.config.tolerate_contradictions,
         }

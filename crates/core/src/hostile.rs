@@ -13,11 +13,10 @@
 //! This module sweeps three hostility axes over the existing scenario
 //! cells:
 //!
-//! 1. **Measurement error** — a non-ideal
-//!    [`TesterModel`](effitest_tester::TesterModel) (deterministic seeded
-//!    Gaussian noise plus period quantization) on every probe. Noise makes
-//!    contradictory observations *routine*, so the flow runs its bounds
-//!    updates under the widening contradiction policy and the report
+//! 1. **Measurement error** — a non-ideal [`TesterModel`] (deterministic
+//!    seeded Gaussian noise plus period quantization) on every probe. Noise
+//!    makes contradictory observations *routine*, so the flow runs its
+//!    bounds updates under the widening contradiction policy and the report
 //!    counts both contradictions and proven-bound widenings.
 //! 2. **Aging drift** — a [`DriftModel`] ages every chip after tuning;
 //!    the report compares the shipped configuration's survival against a

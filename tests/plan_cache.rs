@@ -166,7 +166,7 @@ fn cache_keys_change_with_any_plan_input() {
 
     // Flow configuration (a flipped bool, an Option toggle, a float).
     for other in [
-        FlowConfig { slot_fill: !config.slot_fill, ..config.clone() },
+        FlowConfig { use_alignment: !config.use_alignment, ..config.clone() },
         FlowConfig {
             select: SelectConfig { criticality_fraction: Some(0.0), ..SelectConfig::default() },
             ..config.clone()
