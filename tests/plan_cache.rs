@@ -6,6 +6,7 @@
 use effitest::flow::cache::{
     decode_plan, encode_plan, plan_cache_key, plan_fingerprint, CacheOutcome, PlanCache,
 };
+use effitest::flow::hold::HoldConfig;
 use effitest::flow::select::SelectConfig;
 use effitest::prelude::*;
 use proptest::prelude::*;
@@ -164,9 +165,9 @@ fn cache_keys_change_with_any_plan_input() {
     );
     assert_ne!(key, plan_cache_key(&bench, &model3, &config));
 
-    // Flow configuration (a flipped bool, an Option toggle, a float).
+    // Flow configuration (a sample count, an Option toggle, a float).
     for other in [
-        FlowConfig { use_alignment: !config.use_alignment, ..config.clone() },
+        FlowConfig { hold: HoldConfig { samples: 256, ..config.hold.clone() }, ..config.clone() },
         FlowConfig {
             select: SelectConfig { criticality_fraction: Some(0.0), ..SelectConfig::default() },
             ..config.clone()
