@@ -6,6 +6,13 @@
 //! PCA on each group's covariance, and selects one representative path per
 //! retained principal component — the path with the largest absolute
 //! loading on that component.
+//!
+//! The PCA runs on the group's canonical forms, never on its dense
+//! covariance: [`SparseGram::dominant_variables`](effitest_linalg::SparseGram::dominant_variables)
+//! returns the retained count and the representatives once it has
+//! certified that the dense [`Pca`] would return the same. Where it
+//! declines, the dense route decides, so the groups are identical either
+//! way.
 
 use effitest_linalg::Pca;
 use effitest_ssta::TimingModel;
@@ -37,10 +44,11 @@ pub struct SelectConfig {
     /// must reach. Only the retained components' directions are computed.
     pub pca_energy: f64,
     /// Oversized groups are chunked to at most this many members before
-    /// PCA. The PCA is O(n^3), about 55 ms at 470 members (s13207's
-    /// largest group) on one core of a 2-vCPU host, nearly all of it the
-    /// Householder reduction. Chunking a high-correlation group costs at
-    /// most a few extra representatives.
+    /// PCA. Chunking a high-correlation group costs at most a few extra
+    /// representatives. The certified Lanczos PCA no longer needs the cap
+    /// to stay fast (s13207's 470-member group takes under 1 ms); it stays
+    /// because lifting it would regroup circuits whose groups exceed it,
+    /// such as mem_ctrl's five 500-member chunks.
     pub max_group_size: usize,
     /// Criticality pre-selection: when set, only paths whose criticality
     /// score (`mu + criticality_sigma * sigma`) reaches this fraction of
@@ -238,19 +246,31 @@ fn make_group(
     if members.len() == 1 {
         return PathGroup { selected: members.clone(), members, threshold, n_pcs: 1 };
     }
-    let cov = model.covariance_matrix(&members);
-    let pca = Pca::from_covariance(&cov, pca_energy).expect("model covariances are symmetric");
-    let n_pcs = pca.components().len();
-    // Select, per retained PC, the member with the largest |loading| not
-    // yet selected (paper §3.1, last paragraph).
-    let mut selected_local: Vec<usize> = Vec::with_capacity(n_pcs);
-    for c in 0..n_pcs {
-        if let Some(var) = pca.dominant_variable(c, &selected_local) {
-            selected_local.push(var);
-        }
-    }
+    let (n_pcs, selected_local) =
+        match model.covariance_gram(&members).dominant_variables(pca_energy) {
+            Some(picks) => (picks.len(), picks),
+            None => dense_picks(model, &members, pca_energy),
+        };
     let selected: Vec<usize> = selected_local.iter().map(|&v| members[v]).collect();
     PathGroup { members, selected, threshold, n_pcs }
+}
+
+/// Procedure 1's PCA on the group's dense covariance: the retained
+/// component count and, per retained component, the member with the
+/// largest |loading| not yet selected (paper §3.1, last paragraph), as
+/// positions in `members`. [`make_group`] falls back to it where the
+/// Lanczos route cannot certify its answer.
+fn dense_picks(model: &TimingModel, members: &[usize], pca_energy: f64) -> (usize, Vec<usize>) {
+    let cov = model.covariance_matrix(members);
+    let pca = Pca::from_covariance(&cov, pca_energy).expect("model covariances are symmetric");
+    let n_pcs = pca.components().len();
+    let mut picks: Vec<usize> = Vec::with_capacity(n_pcs);
+    for c in 0..n_pcs {
+        if let Some(var) = pca.dominant_variable(c, &picks) {
+            picks.push(var);
+        }
+    }
+    (n_pcs, picks)
 }
 
 /// Flat list of all selected path indices.
@@ -513,6 +533,32 @@ mod tests {
     fn select_paths_asserts_a_valid_config() {
         let cfg = SelectConfig { threshold_step: 1e-300, ..SelectConfig::default() };
         let _ = select_paths(&model(), &cfg, 1);
+    }
+
+    #[test]
+    fn s13207_groups_are_certified_without_the_dense_fallback() {
+        // Every multi-member group of full-size s13207 is decided by the
+        // Lanczos route, with the dense route's count and picks. A route
+        // that always declined would leave every plan unchanged and lose
+        // the speed-up silently.
+        let bench = GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s13207(), 1);
+        let m = TimingModel::build(&bench, &VariationConfig::paper());
+        let config = SelectConfig::default();
+        let groups = select_paths(&m, &config, 1);
+        let multi: Vec<&PathGroup> = groups.iter().filter(|g| g.members.len() > 1).collect();
+        assert!(multi.iter().any(|g| g.members.len() == 470), "the 470-path group is missing");
+        for g in multi {
+            let picks = m
+                .covariance_gram(&g.members)
+                .dominant_variables(config.pca_energy)
+                .unwrap_or_else(|| panic!("{}-member group fell back", g.members.len()));
+            assert_eq!(
+                (picks.len(), picks.clone()),
+                dense_picks(&m, &g.members, config.pca_energy)
+            );
+            let selected: Vec<usize> = picks.iter().map(|&v| g.members[v]).collect();
+            assert_eq!((selected, picks.len()), (g.selected.clone(), g.n_pcs));
+        }
     }
 
     #[test]

@@ -14,11 +14,17 @@ use crate::{LinalgError, Matrix, Result};
 /// left in place (the `dsyevx` route).
 ///
 /// The reduction costs about `2n^3` flops and the recurrence `O(n^2)`;
-/// each eigenvector costs `O(n)` on `T` plus `2n^2` to map back. Procedure
-/// 1 decomposes every correlation group's covariance, up to 470 paths in
-/// full-size s13207, and reads the directions of only the few components
-/// it keeps (one of the 470 there), so rotating all `n` eigenvectors
+/// each eigenvector costs `O(n)` on `T` plus `2n^2` to map back. [`Pca`]
+/// reads the directions of only the few components it keeps (one of 470
+/// in full-size s13207's largest group), so rotating all `n` eigenvectors
 /// through QL, another `6n^3`, would be mostly wasted.
+///
+/// Procedure 1 reaches this solver only through [`Pca`], as the fallback
+/// and oracle of its Lanczos route
+/// ([`SparseGram`](crate::SparseGram)); that route runs the same QL
+/// recurrence and inverse iteration on its own small tridiagonals.
+///
+/// [`Pca`]: crate::Pca
 ///
 /// # Example
 ///
@@ -235,7 +241,7 @@ fn tridiagonalize(a: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 /// unsorted. Each plane rotation, of rows `i` and `i + 1` by `(c, s)`, is
 /// reported as `rotate(i, c, s)` for a caller that accumulates
 /// eigenvectors; the recurrence itself never reads them.
-fn diagonalize(
+pub(crate) fn diagonalize(
     d: &mut [f64],
     e: &mut [f64],
     mut rotate: impl FnMut(usize, f64, f64),
@@ -312,7 +318,11 @@ fn diagonalize(
 /// `1e-3 ||T||_1` of their predecessor form a cluster, whose earlier
 /// vectors every iterate is reorthogonalized against (modified
 /// Gram–Schmidt).
-fn tridiagonal_eigenvectors(diag: &[f64], off: &[f64], values: &[f64]) -> Result<Vec<f64>> {
+pub(crate) fn tridiagonal_eigenvectors(
+    diag: &[f64],
+    off: &[f64],
+    values: &[f64],
+) -> Result<Vec<f64>> {
     let n = diag.len();
     let mut norm = 0.0_f64;
     for i in 0..n {
@@ -327,12 +337,7 @@ fn tridiagonal_eigenvectors(diag: &[f64], off: &[f64], values: &[f64]) -> Result
     let cluster_gap = 1e-3 * norm;
     let growth = (0.1 / n as f64).sqrt();
     let mut lu = ShiftedLu::new(n, f64::EPSILON * norm);
-    // Start vectors: a fixed 64-bit LCG mapped to [-1, 1).
-    let mut state = 0_u64;
-    let mut draw = || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (state >> 11) as f64 / (1_u64 << 52) as f64 - 1.0
-    };
+    let mut start = Lcg::default();
     let mut rows = vec![0.0; values.len() * n];
     let (mut prev, mut cluster) = (f64::INFINITY, 0);
     for (j, &lambda) in values.iter().enumerate() {
@@ -347,7 +352,7 @@ fn tridiagonal_eigenvectors(diag: &[f64], off: &[f64], values: &[f64]) -> Result
         lu.factor(diag, off, x);
         let (done, rest) = rows.split_at_mut(j * n);
         let y = &mut rest[..n];
-        y.iter_mut().for_each(|v| *v = draw());
+        y.iter_mut().for_each(|v| *v = start.draw());
         let (mut steps, mut passed) = (0, 0);
         while passed <= EXTRA_INVERSE_ITERATIONS {
             steps += 1;
@@ -447,9 +452,21 @@ impl ShiftedLu {
     }
 }
 
+/// The fixed pseudo-random start vectors of inverse iteration and of the
+/// Lanczos iteration: a 64-bit LCG from state 0, mapped to `[-1, 1)`.
+#[derive(Debug, Default)]
+pub(crate) struct Lcg(u64);
+
+impl Lcg {
+    pub(crate) fn draw(&mut self) -> f64 {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (self.0 >> 11) as f64 / (1_u64 << 52) as f64 - 1.0
+    }
+}
+
 /// Dot product over four interleaved partial sums, which lets the loop
 /// pipeline instead of waiting on a single accumulator.
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = [0.0; 4];
     let (a4, b4) = (a.chunks_exact(4), b.chunks_exact(4));
     let tail: f64 = a4.remainder().iter().zip(b4.remainder()).map(|(x, y)| x * y).sum();

@@ -15,6 +15,12 @@
 //! * [`Pca`] — principal component analysis on covariance matrices
 //!   (paper §3.1, used to pick representative paths per correlation
 //!   group), computing directions for the retained components only.
+//! * [`SparseGram`] — a covariance `B B^T + diag(d)` held as sparse rows
+//!   and applied without forming it, with a Lanczos iteration that
+//!   returns Procedure 1's kept count and representatives only once it
+//!   has certified that [`Pca`] on the dense matrix would return the same.
+//!   Procedure 1 runs it on every group and falls back to [`Pca`] where it
+//!   declines.
 //! * [`MultivariateGaussian`] — a joint Gaussian held as a dense mean and
 //!   covariance (paper eqs. 4–5 condition it).
 //! * [`GaussianConditioner`] — the reusable, value-independent half of a
@@ -26,9 +32,13 @@
 //!   keeps no conditional covariance matrix.
 //!
 //! Everything is hand-rolled on purpose: the reproduction brief requires all
-//! substrates to be built from scratch, and the matrices involved (path
-//! groups, per-batch optimization) are small enough that dense `O(n^3)`
-//! algorithms are the right tool.
+//! substrates to be built from scratch. Most matrices involved (observed
+//! blocks, per-batch optimization) are small enough that dense `O(n^3)`
+//! algorithms are the right tool. Correlation groups are the exception: a
+//! full-size group has hundreds of paths but only a few dozen nonzero
+//! canonical-form coefficients per path, so Procedure 1 works on those
+//! coefficients through [`SparseGram`] and keeps the dense [`Pca`] as its
+//! fallback and test oracle.
 //!
 //! # Example
 //!
@@ -52,6 +62,7 @@ mod cholesky;
 mod eigen;
 mod error;
 mod gaussian;
+mod lanczos;
 mod lu;
 mod matrix;
 mod pca;
@@ -61,6 +72,7 @@ pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use gaussian::{ConditionerParts, GaussianConditioner, MultivariateGaussian};
+pub use lanczos::SparseGram;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use pca::{Pca, PrincipalComponent};

@@ -4,7 +4,11 @@ use crate::{Matrix, Result, SymmetricEigen};
 /// as tied. Eigensolver round-off is orders of magnitude smaller, and the
 /// smallest non-zero gap between the top two candidate loadings on the
 /// eight paper circuits is 3.9e-4 (pci_bridge32).
-const LOADING_TIE: f64 = 1e-9;
+pub(crate) const LOADING_TIE: f64 = 1e-9;
+
+/// Round-off slack of [`Pca::components_for_energy`], relative to the total
+/// variance (or to 1 when the total is larger).
+pub(crate) const ENERGY_SLACK: f64 = 1e-12;
 
 /// One principal component of a covariance matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +28,12 @@ pub struct PrincipalComponent {
 /// component's variance, for the energy bookkeeping that decides how many
 /// components matter, but the directions and per-variable *loadings* of
 /// the retained components only: only those are ever computed.
+///
+/// Procedure 1 itself selects through
+/// [`SparseGram::dominant_variables`](crate::SparseGram::dominant_variables),
+/// which certifies that it returns what `Pca` would on the dense
+/// covariance. `Pca` is that route's definition: its fallback wherever
+/// the certificates cannot hold, and the oracle its tests compare against.
 ///
 /// # Example
 ///
@@ -134,7 +144,7 @@ impl Pca {
             return 0;
         }
         let target = energy.clamp(0.0, 1.0) * self.total_variance;
-        let slack = 1e-12 * self.total_variance.min(1.0);
+        let slack = ENERGY_SLACK * self.total_variance.min(1.0);
         let mut acc = 0.0;
         for (k, variance) in self.variances.iter().enumerate() {
             acc += variance;

@@ -1,5 +1,5 @@
 use effitest_circuit::{FlipFlopId, GeneratedBenchmark, TuningBufferSpec};
-use effitest_linalg::{Matrix, MultivariateGaussian};
+use effitest_linalg::{Matrix, MultivariateGaussian, SparseGram};
 
 use crate::{CanonicalDelay, ChipInstance, FactorSpace, NormalSampler, VariationConfig};
 
@@ -287,6 +287,25 @@ impl TimingModel {
             }
         }
         m
+    }
+
+    /// The covariance over the listed paths as the sparse operator
+    /// `B B^T + diag(d)`, never formed: row `a` of `B` holds path `idx[a]`'s
+    /// shared-factor coefficients (column `k` for factor `k`) and gate
+    /// coefficients (column `factors + g` for gate `g`), and `d_a` is the
+    /// square of its `extra` term. In exact arithmetic it is
+    /// [`covariance_matrix`](Self::covariance_matrix) entry for entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn covariance_gram(&self, idx: &[usize]) -> SparseGram {
+        let factors = self.factor_space.len() as u32;
+        SparseGram::new(idx.iter().map(|&p| {
+            let form = &self.setup_forms[p];
+            let gates = form.indep.iter().map(move |&(g, c)| (factors + g, c));
+            (form.coeffs.iter().copied().chain(gates), form.extra * form.extra)
+        }))
     }
 
     /// Joint Gaussian of `D` over the listed paths (means + covariance).
