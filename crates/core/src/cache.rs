@@ -78,8 +78,9 @@ pub const PLAN_CODEC_VERSION: u32 = 4;
 /// Content key of a plan: a fingerprint of everything `flow.plan(bench,
 /// model)` is a function of. Two invocations with the same key build
 /// bitwise-identical plans; any relevant input change — a different
-/// netlist, a nudged variation sigma, another tuning range, a flipped flow
-/// flag — changes the key.
+/// netlist, a nudged variation sigma, another tuning range, another
+/// selection or hold setting — changes the key, and a change to a per-chip
+/// knob does not.
 pub fn plan_cache_key(bench: &GeneratedBenchmark, model: &TimingModel, config: &FlowConfig) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(PLAN_CODEC_VERSION as u64);
@@ -111,9 +112,12 @@ pub fn model_fingerprint(model: &TimingModel) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of a [`FlowConfig`], field by field (floats by bit
-/// pattern, the criticality option tagged so `None` and `Some(0.0)`
-/// differ).
+/// Fingerprint of the [`FlowConfig`] fields a plan is built from: the
+/// selection and hold configurations, `epsilon_divisor` and `bound_sigma`
+/// (floats by bit pattern, the criticality option tagged so `None` and
+/// `Some(0.0)` differ). The per-chip fields (`k0`, `kd`, the alignment
+/// and incremental flags, the tester model, `tolerate_contradictions`)
+/// shape no plan, so flows that differ only there share one cached plan.
 pub fn flow_config_fingerprint(config: &FlowConfig) -> u64 {
     let mut h = Fnv64::new();
     let s = &config.select;
@@ -127,17 +131,7 @@ pub fn flow_config_fingerprint(config: &FlowConfig) -> u64 {
         .write_f64(s.criticality_sigma);
     let hd = &config.hold;
     h.write_f64(hd.yield_target).write_usize(hd.samples).write_u64(hd.seed);
-    h.write_f64(config.epsilon_divisor)
-        .write_f64(config.bound_sigma)
-        .write_f64(config.k0)
-        .write_f64(config.kd)
-        .write_u64(config.use_alignment as u64)
-        .write_u64(config.exact_alignment as u64)
-        .write_u64(config.incremental as u64)
-        .write_f64(config.tester.noise_sigma)
-        .write_f64(config.tester.quantization_lsb)
-        .write_u64(config.tester.noise_seed)
-        .write_u64(config.tolerate_contradictions as u64);
+    h.write_f64(config.epsilon_divisor).write_f64(config.bound_sigma);
     h.finish()
 }
 

@@ -173,12 +173,25 @@ fn cache_keys_change_with_any_plan_input() {
             ..config.clone()
         },
         FlowConfig { bound_sigma: config.bound_sigma + 0.5, ..config.clone() },
+    ] {
+        assert_ne!(key, plan_cache_key(&bench, &model, &other));
+    }
+
+    // Per-chip knobs shape no plan, so they leave the key alone: a flow
+    // that differs only there reuses the cached plan.
+    for per_chip in [
+        FlowConfig { k0: config.k0 * 2.0, ..config.clone() },
+        FlowConfig { kd: config.kd + 1.0, ..config.clone() },
+        FlowConfig { use_alignment: !config.use_alignment, ..config.clone() },
+        FlowConfig { exact_alignment: !config.exact_alignment, ..config.clone() },
+        FlowConfig { incremental: !config.incremental, ..config.clone() },
         FlowConfig {
             tester: TesterModel { noise_sigma: 0.1, quantization_lsb: 0.0, noise_seed: 1 },
             ..config.clone()
         },
+        FlowConfig { tolerate_contradictions: !config.tolerate_contradictions, ..config.clone() },
     ] {
-        assert_ne!(key, plan_cache_key(&bench, &model, &other));
+        assert_eq!(key, plan_cache_key(&bench, &model, &per_chip), "{per_chip:?}");
     }
 }
 
