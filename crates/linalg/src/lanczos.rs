@@ -175,12 +175,17 @@ impl SparseGram {
             starts.push(entries.len());
             extra.push(d);
         }
-        let width = renumber_columns(&mut entries);
-        SparseGram { starts, entries, extra, width }
+        let mut distinct: Vec<u32> = entries.iter().map(|&(c, _)| c).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for (c, _) in &mut entries {
+            *c = distinct.binary_search(c).expect("listed above") as u32;
+        }
+        SparseGram { starts, entries, extra, width: distinct.len() }
     }
 
     /// Number of rows, the dimension of `C`.
-    pub fn dim(&self) -> usize {
+    fn dim(&self) -> usize {
         self.extra.len()
     }
 
@@ -387,36 +392,6 @@ impl Margins {
     }
 }
 
-/// Renumbers the entries' columns densely from 0 and returns how many
-/// there are. Where the columns span at most 64 per entry, a table indexed
-/// by column numbers them in order of first appearance in `O(nnz)`;
-/// otherwise they are numbered in sorted order through a sorted list of
-/// the distinct ones. The numbering changes no arithmetic, only where a
-/// product keeps each column's partial sum.
-fn renumber_columns(entries: &mut [(u32, f64)]) -> usize {
-    let span = entries.iter().map(|&(c, _)| c as usize + 1).max().unwrap_or(0);
-    if span <= 64 * entries.len() {
-        let mut table = vec![u32::MAX; span];
-        let mut width = 0;
-        for (c, _) in entries.iter_mut() {
-            let slot = &mut table[*c as usize];
-            if *slot == u32::MAX {
-                *slot = width;
-                width += 1;
-            }
-            *c = *slot;
-        }
-        return width as usize;
-    }
-    let mut distinct: Vec<u32> = entries.iter().map(|&(c, _)| c).collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    for (c, _) in entries.iter_mut() {
-        *c = distinct.binary_search(c).expect("listed above") as u32;
-    }
-    distinct.len()
-}
-
 /// Projects `w` off the rows of `basis` (classical Gram–Schmidt, with `h`
 /// as scratch for the projections) and returns its norm afterwards.
 fn reorthogonalize(basis: &[f64], w: &mut [f64], h: &mut Vec<f64>) -> f64 {
@@ -592,27 +567,6 @@ mod tests {
                     .collect(),
             );
             assert!(agree_or_decline(&rows, energy).is_some(), "energy {energy}");
-        }
-    }
-
-    #[test]
-    fn column_numbering_leaves_the_picks_alone() {
-        // Columns spread far apart are renumbered through a sorted list
-        // instead of a table; either numbering gives the same products.
-        let mut rng = Uniform(13);
-        for n in [3, 12, 30] {
-            let rows = group_like(n, 3, &mut rng);
-            let spread = Rows::new(
-                rows.rows
-                    .iter()
-                    .map(|r| r.iter().map(|&(c, v)| (c * 100_003 + 7, v)).collect())
-                    .collect(),
-            );
-            for energy in [0.5, 0.95, 0.999] {
-                let compact = agree_or_decline(&rows, energy);
-                assert!(compact.is_some(), "n = {n}, energy {energy}");
-                assert_eq!(spread.gram().dominant_variables(energy), compact);
-            }
         }
     }
 
