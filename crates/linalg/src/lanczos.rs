@@ -134,7 +134,12 @@
 //! scaled by a power of two and products of this module's entries could
 //! underflow or overflow; on an energy sum or a loading inside its
 //! margin; and on a kept direction whose eigenvalue it cannot separate
-//! from its neighbors before the Krylov space is exhausted.
+//! from its neighbors before the Krylov space is exhausted. A converged
+//! direction whose pick fails even at the widest gap the iteration could
+//! still reach, `θ_c + R`, is declined at once instead of iterating on:
+//! an exchangeable group of more than a few dozen paths ties its loadings
+//! exactly, closer than the dense route's round-off allowance can
+//! resolve.
 
 use crate::eigen::{diagonalize, dot, tridiagonal_eigenvectors, Lcg};
 use crate::pca::{ENERGY_SLACK, LOADING_TIE};
@@ -281,8 +286,10 @@ impl SparseGram {
             // late, and keeps the checks' QL runs at O(n^2) in all.
             if exhausted || j + 1 == next_check {
                 next_check = j + 1 + (j + 1).div_ceil(4);
-                if let Some(picks) = self.certify(&basis, &alpha, &beta, &margins) {
-                    return Some(picks);
+                match self.certify(&basis, &alpha, &beta, &margins) {
+                    Check::Certified(picks) => return Some(picks),
+                    Check::Hopeless => return None,
+                    Check::Undecided => {}
                 }
             }
             if exhausted {
@@ -293,23 +300,21 @@ impl SparseGram {
         }
     }
 
-    /// The certified picks from the Lanczos basis `basis` (`j` rows) and its
-    /// tridiagonal `(alpha, beta)`, or `None` while a test is undecided.
-    fn certify(
-        &self,
-        basis: &[f64],
-        alpha: &[f64],
-        beta: &[f64],
-        margins: &Margins,
-    ) -> Option<Vec<usize>> {
+    /// Checks the certificates on the Lanczos basis `basis` (`j` rows) and
+    /// its tridiagonal `(alpha, beta)`.
+    fn certify(&self, basis: &[f64], alpha: &[f64], beta: &[f64], margins: &Margins) -> Check {
         let (n, j) = (self.dim(), alpha.len());
         let mut off = beta.to_vec();
         off.push(0.0);
         let mut theta = alpha.to_vec();
-        diagonalize(&mut theta, &mut off.clone(), |_, _, _| {}).ok()?;
+        if diagonalize(&mut theta, &mut off.clone(), |_, _, _| {}).is_err() {
+            return Check::Undecided;
+        }
         theta.sort_by(|a, b| b.total_cmp(a));
         let rest = margins.trace - alpha.iter().sum::<f64>();
-        let kept = margins.kept_count(&theta, rest, n)?;
+        let Some(kept) = margins.kept_count(&theta, rest, n) else {
+            return Check::Undecided;
+        };
         // Each kept Ritz value's separation `δ_c - M` from the eigenvalues
         // of the others; a residual is at least `ρ`, so each must exceed
         // `2ρ` before the Ritz vectors are worth forming.
@@ -321,10 +326,17 @@ impl SparseGram {
             })
             .collect();
         if gaps.iter().any(|&gap| gap <= 2.0 * margins.rho) {
-            return None;
+            return Check::Undecided;
         }
 
-        let ritz = tridiagonal_eigenvectors(alpha, &off, &theta[..kept]).ok()?;
+        let Ok(ritz) = tridiagonal_eigenvectors(alpha, &off, &theta[..kept]) else {
+            return Check::Undecided;
+        };
+        let error_at = |residual: f64, gap: f64| {
+            std::f64::consts::SQRT_2
+                * (residual / gap + 2.0 * margins.rho / (gap - residual - margins.rho))
+                + n as f64 * f64::EPSILON
+        };
         let (mut y, mut cy, mut z) = (vec![0.0; n], vec![0.0; n], vec![0.0; self.width]);
         let mut picks = Vec::with_capacity(kept);
         for ((c, s), &gap) in ritz.chunks_exact(j).enumerate().zip(&gaps) {
@@ -340,15 +352,37 @@ impl SparseGram {
             let residual = dot(&cy, &cy).sqrt() + margins.rho;
             let separated = residual + margins.rho < gap;
             if !separated {
-                return None;
+                return Check::Undecided;
             }
-            let error = std::f64::consts::SQRT_2
-                * (residual / gap + 2.0 * margins.rho / (gap - residual - margins.rho))
-                + n as f64 * f64::EPSILON;
-            picks.push(certified_pick(&y, &picks, error)?);
+            match certified_pick(&y, &picks, error_at(residual, gap)) {
+                Some(pick) => picks.push(pick),
+                // Once the direction has converged, more steps can only
+                // widen its gap, and no gap exceeds `θ_c + R`: a pick that
+                // fails there fails for good, as an exact tie in a large
+                // exchangeable group does against the dense round-off.
+                None if residual <= 2.0 * margins.rho
+                    && certified_pick(&y, &picks, error_at(margins.rho, theta[c] + rest))
+                        .is_none() =>
+                {
+                    return Check::Hopeless
+                }
+                None => return Check::Undecided,
+            }
         }
-        Some(picks)
+        Check::Certified(picks)
     }
+}
+
+/// What one check of the certificates concludes.
+#[derive(Debug)]
+enum Check {
+    /// Every certificate holds, with these picks.
+    Certified(Vec<usize>),
+    /// A certificate may still come to hold after more steps.
+    Undecided,
+    /// A kept direction has converged, yet its pick cannot be certified at
+    /// any gap the iteration can still reach.
+    Hopeless,
 }
 
 /// Smallest and largest diagonal entry, over the whole of `C`, the dense
