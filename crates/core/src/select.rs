@@ -246,31 +246,28 @@ fn make_group(
     if members.len() == 1 {
         return PathGroup { selected: members.clone(), members, threshold, n_pcs: 1 };
     }
-    let (n_pcs, selected_local) =
-        match model.covariance_gram(&members).dominant_variables(pca_energy) {
-            Some(picks) => (picks.len(), picks),
-            None => dense_picks(model, &members, pca_energy),
-        };
-    let selected: Vec<usize> = selected_local.iter().map(|&v| members[v]).collect();
-    PathGroup { members, selected, threshold, n_pcs }
+    let picks = model
+        .covariance_gram(&members)
+        .dominant_variables(pca_energy)
+        .unwrap_or_else(|| dense_picks(model, &members, pca_energy));
+    let selected: Vec<usize> = picks.iter().map(|&v| members[v]).collect();
+    PathGroup { members, selected, threshold, n_pcs: picks.len() }
 }
 
-/// Procedure 1's PCA on the group's dense covariance: the retained
-/// component count and, per retained component, the member with the
-/// largest |loading| not yet selected (paper §3.1, last paragraph), as
-/// positions in `members`. [`make_group`] falls back to it where the
-/// Lanczos route cannot certify its answer.
-fn dense_picks(model: &TimingModel, members: &[usize], pca_energy: f64) -> (usize, Vec<usize>) {
+/// Procedure 1's PCA on the group's dense covariance: per retained
+/// component, the member with the largest |loading| not yet selected
+/// (paper §3.1, last paragraph), as positions in `members`. A group keeps
+/// at most as many components as it has members, so every component
+/// finds one. [`make_group`] falls back to it where the Lanczos route
+/// cannot certify its answer.
+fn dense_picks(model: &TimingModel, members: &[usize], pca_energy: f64) -> Vec<usize> {
     let cov = model.covariance_matrix(members);
     let pca = Pca::from_covariance(&cov, pca_energy).expect("model covariances are symmetric");
-    let n_pcs = pca.components().len();
-    let mut picks: Vec<usize> = Vec::with_capacity(n_pcs);
-    for c in 0..n_pcs {
-        if let Some(var) = pca.dominant_variable(c, &picks) {
-            picks.push(var);
-        }
+    let mut picks = Vec::with_capacity(pca.components().len());
+    for c in 0..pca.components().len() {
+        picks.extend(pca.dominant_variable(c, &picks));
     }
-    (n_pcs, picks)
+    picks
 }
 
 /// Flat list of all selected path indices.
@@ -552,10 +549,7 @@ mod tests {
                 .covariance_gram(&g.members)
                 .dominant_variables(config.pca_energy)
                 .unwrap_or_else(|| panic!("{}-member group fell back", g.members.len()));
-            assert_eq!(
-                (picks.len(), picks.clone()),
-                dense_picks(&m, &g.members, config.pca_energy)
-            );
+            assert_eq!(picks, dense_picks(&m, &g.members, config.pca_energy));
             let selected: Vec<usize> = picks.iter().map(|&v| g.members[v]).collect();
             assert_eq!((selected, picks.len()), (g.selected.clone(), g.n_pcs));
         }

@@ -149,7 +149,7 @@ use crate::pca::{ENERGY_SLACK, LOADING_TIE};
 ///
 /// Its rows are stored compressed, with the columns some row touches
 /// renumbered from 0, so one product costs two passes over the nonzeros.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SparseGram {
     /// `starts[i]..starts[i + 1]` indexes row `i`'s entries.
     starts: Vec<usize>,
