@@ -69,9 +69,10 @@
 //!   with `||E_1||_F <= 2(n - 2) γ̃_n ||C||_F`: its `n - 2` reflectors are
 //!   applied from both sides, and each costs `γ̃_n = c n u / (1 - c n u)`
 //!   (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-//!   Lemma 19.3). The QL recurrence, about two sweeps of plane rotations
-//!   per eigenvalue, adds a backward error of `γ̃_{4n} ||C||_F`, since each
-//!   row meets two rotations per sweep (Lemma 19.9). Inverse iteration
+//!   ch. 19, on sequences of Householder transformations). The QL
+//!   recurrence, about two sweeps of plane rotations per eigenvalue, adds a
+//!   backward error of `γ̃_{4n} ||C||_F`, since each row meets two rotations
+//!   per sweep (the same chapter, on sequences of rotations). Inverse iteration
 //!   accepts an iterate once it has grown past `(0.1 / n)^{1/2}` from a
 //!   right-hand side of 1-norm `n ||T||_1 ε`, so the accepted vector's
 //!   residual is at most `√10 n^{3/2} ε ||T||_1 <= 3 √10 n^{3/2} ε ||C||_2`;
@@ -119,10 +120,11 @@
 //!     taken, or is the only one not surely passed over (the largest
 //!     `|v̂_l|` always reaches the threshold).
 //!
-//! The constants are generous on purpose: on the full-size paper circuits
-//! the smallest energy slack seen is thousands of `ρ`, and the smallest
-//! gap between the top two candidate loadings is `3.9e-4` relative. The
-//! tests that matter are exact ties, such as an exchangeable group's
+//! The constants are generous on purpose: no multi-member group of the
+//! 88 configurations `examples/select_sweep` prints falls inside these
+//! margins, and the smallest gap between the top two candidate loadings on
+//! the paper circuits is `3.9e-4` relative. The tests that matter are
+//! exact ties, such as an exchangeable group's
 //! uniform top direction: there every tied `|y_l|` sits within round-off of
 //! `m`, and the pick is certified while `f` stays below about
 //! `τ m / 2`.
