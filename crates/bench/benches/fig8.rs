@@ -56,7 +56,7 @@ fn bench_multiplexed(c: &mut Criterion) {
     let prepared = flow.plan(&bench, &model).expect("non-empty benchmark");
     let chip = model.sample_chip(5);
     let paths: Vec<usize> = (0..model.path_count()).collect();
-    let oracle = ConflictOracle::new(&bench, &paths, 1);
+    let oracle = ConflictOracle::new(&bench, 1);
     let batches = flow.batch_paths(&oracle, &model, &paths);
 
     c.bench_function("fig8/multiplexed_aligned_all_paths/s9234", |b| {

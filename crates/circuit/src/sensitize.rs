@@ -33,11 +33,14 @@
 //! inverts the requirements into per-id adjacency lists — counting-sort
 //! CSR tables over the netlist's dense gate and flip-flop id spaces — and
 //! gathers each path's conflict neighbours from the handful of lists it
-//! appears in: `O(n + edges)` instead of `O(n²)`. The per-path requirement
-//! computation and the gather fan out over worker threads, with results
-//! committed in path order. The pairwise loop survives in the unit tests
-//! as the independent oracle the sparse build is pinned against at
-//! several thread counts.
+//! appears in: `O(n + edges)` instead of `O(n²)`. Every rule files both
+//! paths of a pair, so a path's gather finds all of its neighbours, and
+//! the result is the symmetric conflict graph as one CSR with a sorted
+//! row per path. The per-path requirement computation and the gather fan
+//! out over worker threads, with rows committed in path order. The
+//! pairwise loop survives as test code
+//! (`crates/circuit/tests/support/dense_exclusions.rs`), the independent
+//! oracle the sparse build is pinned against at several thread counts.
 
 use std::collections::HashMap;
 
@@ -216,12 +219,15 @@ fn sorted_intersects(a: &[GateId], b: &[GateId]) -> bool {
     false
 }
 
-/// Precomputed pairwise mutual exclusions over a set of paths.
-#[derive(Debug, Clone)]
+/// Precomputed pairwise mutual exclusions over a set of paths: the
+/// symmetric conflict graph as one CSR.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MutualExclusions {
-    /// `excluded[i]` holds the indices `j > i` that are incompatible with
-    /// `i` (by position in the input slice, not `PathId`).
-    excluded: Vec<Vec<usize>>,
+    /// Row `i` is `neighbors[offsets[i]..offsets[i + 1]]`: the positions
+    /// `j != i` (in the input slice, not `PathId`s) incompatible with `i`,
+    /// ascending.
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
 }
 
 impl MutualExclusions {
@@ -250,27 +256,26 @@ impl MutualExclusions {
         let ix = DenseIndexes::build(netlist, paths, &reqs);
         let ff_count = netlist.flip_flop_count();
 
-        // Gather each path's conflict candidates from the lists it appears
-        // in. Every rule indexes both participants, so collecting only
-        // `j > i` from `i`'s side still yields every pair exactly once.
-        // Each worker keeps a `mark` stamp vector as scratch (stamps are
-        // the path index, unique per path, so stale stamps from other
-        // paths never collide) and the per-path result is committed back
-        // in index order.
-        let excluded = par_map_scratch(
+        // Gather each path's conflict neighbours from the lists it appears
+        // in. Every rule files both participants, so `i`'s side alone finds
+        // every `j != i` it conflicts with. Each worker keeps a `mark`
+        // stamp vector as scratch (stamps are the path index, unique per
+        // path, so stale stamps from other paths never collide) and the
+        // rows are committed in index order.
+        let rows = par_map_scratch(
             threads,
             default_chunk(n, threads),
             n,
             || vec![u32::MAX; n],
             |mark, i| {
                 let req = &reqs[i];
-                let mut list: Vec<usize> = Vec::new();
+                let mut row: Vec<u32> = Vec::new();
                 let mark: &mut [u32] = mark;
                 let mut gather = |cands: &[u32]| {
                     for &j in cands {
-                        if j as usize > i && mark[j as usize] != i as u32 {
+                        if j as usize != i && mark[j as usize] != i as u32 {
                             mark[j as usize] = i as u32;
-                            list.push(j as usize);
+                            row.push(j);
                         }
                     }
                 };
@@ -303,30 +308,34 @@ impl MutualExclusions {
                 // Source rule (mirrored): another path needs our source
                 // stable.
                 gather(ix.stable_ff.list(paths[i].source.index()));
-                list.sort_unstable();
-                list
+                row.sort_unstable();
+                row
             },
         );
-        Ok(MutualExclusions { excluded })
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        for row in rows {
+            neighbors.extend_from_slice(&row);
+            offsets.push(neighbors.len());
+        }
+        Ok(MutualExclusions { offsets, neighbors })
     }
 
     /// `true` if paths at positions `i` and `j` are mutually exclusive.
     pub fn excludes(&self, i: usize, j: usize) -> bool {
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        // Lists are built in ascending order, so binary search applies.
-        self.excluded.get(lo).is_some_and(|v| v.binary_search(&hi).is_ok())
+        let n = self.offsets.len() - 1;
+        // Rows are ascending, so binary search applies.
+        i < n && j < n && self.neighbors(i).binary_search(&(j as u32)).is_ok()
     }
 
-    /// The positions `j > i` excluded with `i`, ascending (the upper
-    /// triangle of the conflict graph; callers wanting full adjacency
-    /// symmetrize it).
-    pub fn excluded_after(&self, i: usize) -> &[usize] {
-        &self.excluded[i]
-    }
-
-    /// Total number of excluded pairs.
-    pub fn pair_count(&self) -> usize {
-        self.excluded.iter().map(|v| v.len()).sum()
+    /// The positions excluded with `i`, ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
     }
 }
 
@@ -496,37 +505,22 @@ impl DenseIndexes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FlipFlop, FlipFlopId, Gate, GateKind, PathKind, PathSet, Point, Rect};
+    use crate::{FlipFlop, Gate, GateKind, PathKind, PathSet, Point, Rect};
+
+    include!("../tests/support/dense_exclusions.rs");
 
     impl MutualExclusions {
         /// The all-pairs construction: the independent oracle the
         /// differential tests pin the sparse [`build`](Self::build) against.
-        ///
-        /// # Errors
-        ///
-        /// Propagates requirement-computation errors.
-        pub(crate) fn build_dense(netlist: &Netlist, paths: &[PathView<'_>]) -> Result<Self> {
-            let reqs: Vec<PathRequirements> = paths
-                .iter()
-                .map(|p| PathRequirements::compute(netlist, *p))
-                .collect::<Result<_>>()?;
-            let mut excluded = vec![Vec::new(); paths.len()];
-            for i in 0..paths.len() {
-                for j in (i + 1)..paths.len() {
-                    let incompatible = !reqs[i].compatible(&reqs[j])
-                        || stable_blocks_source(&reqs[i], paths[j].source)
-                        || stable_blocks_source(&reqs[j], paths[i].source);
-                    if incompatible {
-                        excluded[i].push(j);
-                    }
-                }
+        pub(crate) fn build_dense(netlist: &Netlist, paths: &[PathView<'_>]) -> Self {
+            let mut offsets = vec![0];
+            let mut neighbors = Vec::new();
+            for row in dense_exclusion_rows(netlist, paths) {
+                neighbors.extend(row);
+                offsets.push(neighbors.len());
             }
-            Ok(MutualExclusions { excluded })
+            MutualExclusions { offsets, neighbors }
         }
-    }
-
-    fn stable_blocks_source(reqs: &PathRequirements, source: FlipFlopId) -> bool {
-        reqs.stable.iter().any(|&(sig, _)| sig == Signal::Ff(source))
     }
 
     /// Two disjoint inverter chains (always compatible) and one NAND whose
@@ -627,7 +621,8 @@ mod tests {
         assert!(mx.excludes(0, 2));
         assert!(mx.excludes(2, 0));
         assert!(!mx.excludes(0, 1));
-        assert!(mx.pair_count() >= 1);
+        let rows: Vec<&[u32]> = (0..3).map(|i| mx.neighbors(i)).collect();
+        assert_eq!(rows, [&[2][..], &[], &[0]]);
     }
 
     #[test]
@@ -667,8 +662,7 @@ mod tests {
         let (n, paths) = fixture();
         let refs: Vec<PathView<'_>> = paths.iter().collect();
         let sparse = MutualExclusions::build(&n, &refs, 1).unwrap();
-        let dense = MutualExclusions::build_dense(&n, &refs).unwrap();
-        assert_eq!(sparse.excluded, dense.excluded);
+        assert_eq!(sparse, MutualExclusions::build_dense(&n, &refs));
     }
 
     #[test]
@@ -681,8 +675,8 @@ mod tests {
             let bench = GeneratedBenchmark::generate(&spec, 1);
             let refs: Vec<PathView<'_>> = bench.paths.iter().collect();
             let sparse = MutualExclusions::build(&bench.netlist, &refs, 1).unwrap();
-            let dense = MutualExclusions::build_dense(&bench.netlist, &refs).unwrap();
-            assert_eq!(sparse.excluded, dense.excluded, "topology {}", topology.name());
+            let dense = MutualExclusions::build_dense(&bench.netlist, &refs);
+            assert_eq!(sparse, dense, "topology {}", topology.name());
         }
     }
 
@@ -718,12 +712,7 @@ mod tests {
             let serial = MutualExclusions::build(&bench.netlist, &refs, 1).unwrap();
             for threads in [4, 8] {
                 let threaded = MutualExclusions::build(&bench.netlist, &refs, threads).unwrap();
-                assert_eq!(
-                    threaded.excluded,
-                    serial.excluded,
-                    "topology {} threads {threads}",
-                    topology.name()
-                );
+                assert_eq!(threaded, serial, "topology {} threads {threads}", topology.name());
             }
         }
     }
@@ -732,10 +721,10 @@ mod tests {
     fn threaded_build_matches_dense_on_fixture() {
         let (n, paths) = fixture();
         let refs: Vec<PathView<'_>> = paths.iter().collect();
-        let dense = MutualExclusions::build_dense(&n, &refs).unwrap();
+        let dense = MutualExclusions::build_dense(&n, &refs);
         for threads in [1, 3, 16] {
             let threaded = MutualExclusions::build(&n, &refs, threads).unwrap();
-            assert_eq!(threaded.excluded, dense.excluded, "threads {threads}");
+            assert_eq!(threaded, dense, "threads {threads}");
         }
     }
 }

@@ -54,15 +54,14 @@ pub struct AlignedTestConfig {
     pub kd: f64,
     /// `false` pins all buffers to zero (multiplexing-only ablation).
     pub use_alignment: bool,
-    /// `true` solves each alignment exactly (MILP) instead of coordinate
-    /// descent.
+    /// `true` solves each iteration's alignment exactly: a cold branch and
+    /// bound over the MILP of paper eqs. 7–14
+    /// ([`AlignmentProblem::solve_exact`]), rebuilt from scratch every
+    /// iteration. An iteration whose MILP is infeasible or reaches the
+    /// node limit falls back to the coordinate descent. This is an
+    /// ablation and an oracle, not a production mode: it takes seconds
+    /// per ac97_ctrl chip where the descent takes milliseconds.
     pub exact_alignment: bool,
-    /// Branch-and-bound node cap per exact alignment solve. A solve that
-    /// exhausts it ([`effitest_solver::MilpStatus::NodeLimitReached`])
-    /// returns no solution and the iteration falls back to the
-    /// coordinate-descent heuristic — never a silently suboptimal
-    /// "exact" alignment.
-    pub exact_node_limit: usize,
     /// `true` (the default) runs the slot-array loop, which resolves buffer
     /// hookups and hold bounds once per batch; `false` routes through the
     /// original per-iteration HashMap implementation, kept as the bitwise
@@ -91,7 +90,6 @@ impl Default for AlignedTestConfig {
             kd: 1.0,
             use_alignment: true,
             exact_alignment: false,
-            exact_node_limit: effitest_solver::DEFAULT_NODE_LIMIT,
             incremental: true,
             tolerate_contradictions: false,
         }
@@ -345,7 +343,6 @@ fn test_one_batch_slots(
     }));
     ws.zeros.clear();
     ws.zeros.resize(ws.buffers.len(), 0.0);
-    ws.engine.set_node_limit(config.exact_node_limit);
     ws.engine
         .begin_batch(&ws.buffers)
         .expect("the model's buffer spec is finite with two or more steps");
@@ -400,8 +397,11 @@ fn test_one_batch_slots(
                 sink_buffer: ws.slot_snk[s],
                 hold_lower_bound: ws.slot_hold[s],
             }));
-            let solved_exact = config.exact_alignment && ws.engine.solve_exact().is_some();
-            let sol = if solved_exact { ws.engine.last_solution() } else { ws.engine.solve() };
+            let exact = if config.exact_alignment { ws.engine.solve_exact() } else { None };
+            let sol = match exact {
+                Some(sol) => sol,
+                None => ws.engine.solve(),
+            };
             (sol.period, &sol.buffer_values)
         } else {
             ws.pts.clear();
@@ -498,7 +498,6 @@ fn test_one_batch_reference(
     ws.zeros.resize(ws.buffers.len(), 0.0);
     // The engine resets its warm start here: nothing carries over from
     // the previous batch (or chip), by construction.
-    ws.engine.set_node_limit(config.exact_node_limit);
     ws.engine
         .begin_batch(&ws.buffers)
         .expect("the model's buffer spec is finite with two or more steps");
@@ -534,8 +533,11 @@ fn test_one_batch_reference(
             paths.extend(ws.active.iter().zip(&ws.weights).map(|(&p, &w)| {
                 align_path_for(model, &ws.buffer_index, lambda, p, ws.bounds[&p].center(), w)
             }));
-            let solved_exact = config.exact_alignment && ws.engine.solve_exact().is_some();
-            let sol = if solved_exact { ws.engine.last_solution() } else { ws.engine.solve() };
+            let exact = if config.exact_alignment { ws.engine.solve_exact() } else { None };
+            let sol = match exact {
+                Some(sol) => sol,
+                None => ws.engine.solve(),
+            };
             (sol.period, &sol.buffer_values)
         } else {
             // Multiplexing-only ablation (paper Fig. 8, middle bars): "all
@@ -641,10 +643,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
 
         let chip = model.sample_chip(7);
         let mut tester = VirtualTester::new(&chip);
@@ -720,10 +721,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model);
 
         let mut total_aligned = 0_u64;
@@ -768,10 +768,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let mut batches = build_batches(&oracle, &selected, Some(&widths));
+        let mut batches = build_batches(&oracle, &selected, &widths);
         let candidates: Vec<(usize, f64, f64)> = crate::batch::predicted_sigmas(&model, &groups, 1)
             .0
             .into_iter()
@@ -779,7 +778,7 @@ mod tests {
             .collect();
         // Give every batch room for several paths.
         let width_of = |p: usize| 6.0 * model.path_sigma(p);
-        crate::batch::fill_slots(&oracle, &mut batches, &candidates, Some(6), &width_of);
+        crate::batch::fill_slots(&oracle, &mut batches, &candidates, 6, &width_of);
         let tested: Vec<usize> = batches.iter().flatten().copied().collect();
         assert!(batches.iter().any(|b| b.len() >= 2), "fixture produced only singleton batches");
         let epsilon = default_epsilon(&model);
@@ -816,10 +815,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model);
 
         let mut ws_inc = AlignedTestWorkspace::new();
@@ -863,45 +861,37 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_exact_node_limit_falls_back_to_the_heuristic_bitwise() {
-        // With a zero node budget every exact solve reports
-        // NodeLimitReached and the loop must take the heuristic branch —
-        // producing *exactly* the run a heuristic-only config produces,
-        // not a degraded hybrid.
+    fn failed_exact_solves_fall_back_to_the_heuristic_bitwise() {
+        // A hold bound above any shift the buffers can reach makes every
+        // exact solve fail, so every iteration must take the heuristic
+        // branch — producing *exactly* the run a heuristic-only config
+        // produces, not a degraded hybrid.
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected: Vec<usize> = all_selected(&groups).into_iter().take(6).collect();
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model);
+        let spec = model.buffer_spec();
+        let unreachable =
+            HoldBounds::from_lambdas(vec![Some(spec.max() - spec.min() + 1.0); model.path_count()]);
 
         let chip = model.sample_chip(21);
         let mut t1 = VirtualTester::new(&chip);
-        let starved = run_aligned_test(
+        let config = AlignedTestConfig { epsilon, ..AlignedTestConfig::default() };
+        let fallen_back = run_aligned_test(
             &model,
             &mut t1,
             &batches,
-            &HoldBounds::default(),
-            &AlignedTestConfig {
-                epsilon,
-                exact_alignment: true,
-                exact_node_limit: 0,
-                ..AlignedTestConfig::default()
-            },
+            &unreachable,
+            &AlignedTestConfig { exact_alignment: true, ..config.clone() },
         );
         let mut t2 = VirtualTester::new(&chip);
-        let heuristic = run_aligned_test(
-            &model,
-            &mut t2,
-            &batches,
-            &HoldBounds::default(),
-            &AlignedTestConfig { epsilon, ..AlignedTestConfig::default() },
-        );
-        assert_eq!(starved.iterations, heuristic.iterations);
-        assert_eq!(starved.bounds.len(), heuristic.bounds.len());
-        for (p, b) in &starved.bounds {
+        let heuristic = run_aligned_test(&model, &mut t2, &batches, &unreachable, &config);
+        assert_eq!(fallen_back.iterations, heuristic.iterations);
+        assert_eq!(fallen_back.bounds.len(), heuristic.bounds.len());
+        for (p, b) in &fallen_back.bounds {
             let h = &heuristic.bounds[p];
             assert_eq!(
                 (b.lower.to_bits(), b.upper.to_bits()),
@@ -922,10 +912,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model);
         let sigma_scale = selected.iter().map(|&p| model.path_sigma(p)).fold(0.0_f64, f64::max);
 
@@ -962,10 +951,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model);
         let noise = effitest_tester::TesterModel {
             noise_sigma: epsilon,
@@ -1012,10 +1000,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected: Vec<usize> = all_selected(&groups).into_iter().take(6).collect();
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = selected.iter().map(|&p| 6.0 * model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &selected, Some(&widths));
+        let batches = build_batches(&oracle, &selected, &widths);
         let epsilon = default_epsilon(&model) * 4.0; // keep the MILP cheap
 
         let chip = model.sample_chip(13);

@@ -5,8 +5,10 @@
 //! either, so paths sharing a source or sink flip-flop conflict. Logic
 //! masking adds further mutual exclusions (computed by
 //! `effitest_circuit::sensitize`). Batching is then graph coloring on the
-//! conflict graph; we use the classic Welsh–Powell greedy, which the paper
-//! deems sufficient ("a depth-first search or a simple ILP").
+//! conflict graph, by a greedy first fit (the paper deems a simple
+//! heuristic sufficient: "a depth-first search or a simple ILP"). Paths
+//! are placed widest initial range first, each into the conflict-free
+//! batch whose mean width is closest to its own (see [`build_batches`]).
 //!
 //! After the batches are formed, unselected paths with the largest
 //! *predicted* variance (paper eq. 5 — independent of any measured value)
@@ -17,14 +19,14 @@
 //!
 //! The conflict graph is never materialized densely. Endpoint conflicts
 //! form cliques over the paths sharing a flip-flop, so they are resolved
-//! through per-endpoint lists; sensitization exclusions are stored once as
-//! a symmetric CSR adjacency built from the sparse
-//! [`MutualExclusions`] lists. Placement then only visits a path's actual
-//! neighbors (to stamp their batches as forbidden) instead of probing
-//! every batch member, which drops coloring from quadratic to
-//! O(paths + conflict edges + batches). The quadratic loops survive in the
-//! unit tests as `build_batches_dense` / `fill_slots_dense`, the reference
-//! oracles the sparse placement is pinned against.
+//! through per-endpoint lists; sensitization exclusions are read from the
+//! symmetric CSR of [`MutualExclusions`], stored once. Placement then only
+//! visits a path's actual neighbors (to stamp their batches as forbidden)
+//! instead of probing every batch member, which drops coloring from
+//! quadratic to O(paths + conflict edges + batches). The quadratic loops
+//! survive in the unit tests as `build_batches_dense` /
+//! `fill_slots_dense`, the reference oracles the sparse placement is
+//! pinned against.
 
 use std::collections::HashMap;
 
@@ -92,121 +94,45 @@ impl Batches {
     }
 }
 
-/// Builds the conflict relation for a set of paths: shared endpoint
+/// The conflict relation over a benchmark's paths: shared endpoint
 /// flip-flops or sensitization mutual exclusion.
 #[derive(Debug)]
 pub struct ConflictOracle<'a> {
     bench: &'a GeneratedBenchmark,
+    /// Sensitization exclusions over every path, indexed by path index.
     exclusions: MutualExclusions,
-    /// Position of each benchmark path in the oracle's path list, indexed
-    /// by path index; `usize::MAX` marks unregistered paths.
-    position: Vec<usize>,
-    /// Symmetric CSR adjacency over the stored sensitization exclusions,
-    /// indexed by oracle position. Entries are *benchmark* path indices.
-    sens_off: Vec<u32>,
-    sens_adj: Vec<u32>,
 }
 
 impl<'a> ConflictOracle<'a> {
-    /// Precomputes sensitization requirements for the listed paths on
-    /// `threads` workers: the mutual-exclusion build runs on
-    /// [`MutualExclusions::build`]'s counting-sort gather and the
-    /// symmetrized CSR rows are assembled in parallel. Row `k` is its
-    /// ascending predecessors (the positions `i < k` whose
-    /// `excluded_after` list contains `k`) followed by its own
-    /// `excluded_after` list, mapped to benchmark path indices, so the
-    /// oracle is bitwise identical at every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a path index is out of range for the benchmark or listed
-    /// twice.
-    pub fn new(bench: &'a GeneratedBenchmark, paths: &[usize], threads: usize) -> Self {
-        let views: Vec<PathView<'_>> =
-            paths.iter().map(|&p| bench.paths.path(PathId::new(p as u32))).collect();
+    /// Computes the sensitization exclusions of every path of `bench` on
+    /// `threads` workers ([`MutualExclusions::build`]); the oracle is
+    /// bitwise identical at every thread count.
+    pub fn new(bench: &'a GeneratedBenchmark, threads: usize) -> Self {
+        let views: Vec<PathView<'_>> = bench.paths.iter().collect();
         let exclusions = MutualExclusions::build(&bench.netlist, &views, threads)
             .expect("generated paths are valid");
-        let mut position = vec![usize::MAX; bench.paths.len()];
-        for (pos, &p) in paths.iter().enumerate() {
-            assert!(position[p] == usize::MAX, "path {p} registered twice with the oracle");
-            position[p] = pos;
-        }
-        let n = paths.len();
-        // Predecessor CSR: pred(k) = the positions i < k whose
-        // `excluded_after` contains k, ascending (one counting pass + one
-        // ascending fill).
-        let mut pred_deg = vec![0_u32; n];
-        for i in 0..n {
-            for &j in exclusions.excluded_after(i) {
-                pred_deg[j] += 1;
-            }
-        }
-        let mut pred_off = vec![0_u32; n + 1];
-        for k in 0..n {
-            pred_off[k + 1] = pred_off[k] + pred_deg[k];
-        }
-        let mut pred_adj = vec![0_u32; *pred_off.last().unwrap_or(&0) as usize];
-        let mut pred_cur: Vec<u32> = pred_off[..n].to_vec();
-        for i in 0..n {
-            for &j in exclusions.excluded_after(i) {
-                pred_adj[pred_cur[j] as usize] = i as u32;
-                pred_cur[j] += 1;
-            }
-        }
-        // Row offsets of the symmetrized adjacency.
-        let mut sens_off = Vec::with_capacity(n + 1);
-        sens_off.push(0_u32);
-        for k in 0..n {
-            let d = pred_deg[k] + exclusions.excluded_after(k).len() as u32;
-            sens_off.push(sens_off[k] + d);
-        }
-        // Each row is independent: predecessors (ascending) then the own
-        // list, both mapped to benchmark path indices.
-        let rows = effitest_parallel::par_map(threads, n, |k| {
-            let own = exclusions.excluded_after(k);
-            let preds = &pred_adj[pred_off[k] as usize..pred_off[k + 1] as usize];
-            let mut row: Vec<u32> = Vec::with_capacity(preds.len() + own.len());
-            row.extend(preds.iter().map(|&i| paths[i as usize] as u32));
-            row.extend(own.iter().map(|&j| paths[j] as u32));
-            row
-        });
-        let mut sens_adj = Vec::with_capacity(*sens_off.last().expect("non-empty") as usize);
-        for row in rows {
-            sens_adj.extend_from_slice(&row);
-        }
-        ConflictOracle { bench, exclusions, position, sens_off, sens_adj }
-    }
-
-    /// Oracle position of path `p`, panicking on unregistered paths.
-    fn pos(&self, p: usize) -> usize {
-        let pos = self.position[p];
-        assert!(pos != usize::MAX, "path {p} was not registered with the oracle");
-        pos
+        ConflictOracle { bench, exclusions }
     }
 
     /// `true` if the two paths cannot share a test batch.
     ///
     /// # Panics
     ///
-    /// Panics if either path was not registered with the oracle.
+    /// Panics if either path is out of range for the benchmark.
     pub fn conflicts(&self, a: usize, b: usize) -> bool {
         if a == b {
             return true;
         }
         let pa = self.bench.paths.path(PathId::new(a as u32));
         let pb = self.bench.paths.path(PathId::new(b as u32));
-        if pa.conflicts_with(pb) {
-            return true;
-        }
-        self.exclusions.excludes(self.pos(a), self.pos(b))
+        pa.conflicts_with(pb) || self.exclusions.excludes(a, b)
     }
 
-    /// Benchmark path indices whose stored sensitization exclusion
-    /// involves `p`. Endpoint conflicts are cliques over shared flip-flops
-    /// and are *not* stored; resolve them through the endpoints.
+    /// Path indices whose sensitization exclusion involves `p`, ascending.
+    /// Endpoint conflicts are cliques over shared flip-flops and are *not*
+    /// stored; resolve them through the endpoints.
     pub fn sens_neighbors(&self, p: usize) -> &[u32] {
-        let pos = self.pos(p);
-        &self.sens_adj[self.sens_off[pos] as usize..self.sens_off[pos + 1] as usize]
+        self.exclusions.neighbors(p)
     }
 }
 
@@ -264,122 +190,70 @@ impl EndpointIndex {
 
 /// Packs the selected paths into batches by greedy first-fit coloring.
 ///
-/// When `widths` is provided (one initial range width per entry of
-/// `selected`, same order), paths are placed in descending width order and
-/// each path prefers the conflict-free batch whose members' mean width is
-/// closest to its own. Width-homogeneous batches matter for test
-/// efficiency: a continuous clock period bisects *all* aligned ranges of a
-/// batch simultaneously only while the ranges keep similar widths (the
-/// discrete buffers cannot compensate sub-step divergence), so mixing wide
-/// and narrow ranges wastes probes on the narrow ones.
-///
-/// Without `widths`, the classic Welsh–Powell order (conflict degree
-/// descending) is used.
+/// `widths` holds one initial range width per entry of `selected`, in the
+/// same order. Paths are placed in descending width order (ties by path
+/// index), and each path prefers the conflict-free batch whose members'
+/// mean width is closest to its own, the first such batch in index order.
+/// Width-homogeneous batches matter for test efficiency: a continuous
+/// clock period bisects *all* aligned ranges of a batch simultaneously
+/// only while the ranges keep similar widths (the discrete buffers cannot
+/// compensate sub-step divergence), so mixing wide and narrow ranges
+/// wastes probes on the narrow ones. With uniform widths every batch is
+/// equally close, so placement is plain first fit in path index order.
 ///
 /// Placement walks each path's conflict neighborhood (endpoint lists plus
 /// the stored sensitization adjacency) to stamp forbidden batches, then
 /// takes the first best feasible batch in index order — bitwise the same
 /// batches as the quadratic `build_batches_dense` test oracle.
+///
+/// # Panics
+///
+/// Panics if `widths` and `selected` differ in length, or a path is listed
+/// twice or is out of range for the oracle's benchmark.
 pub fn build_batches(
     oracle: &ConflictOracle<'_>,
     selected: &[usize],
-    widths: Option<&[f64]>,
+    widths: &[f64],
 ) -> Vec<Vec<usize>> {
-    let n = selected.len();
-    if let Some(w) = widths {
-        assert_eq!(w.len(), n, "one width per selected path required");
-    }
-    // Position of each benchmark path inside `selected`, also asserting
-    // the no-duplicates contract the sparse bookkeeping relies on.
-    let mut sel_pos = vec![u32::MAX; oracle.position.len()];
-    for (i, &p) in selected.iter().enumerate() {
-        assert!(sel_pos[p] == u32::MAX, "duplicate path {p} in `selected`");
-        sel_pos[p] = i as u32;
-    }
-
-    let mut order: Vec<usize> = (0..n).collect();
-    match widths {
-        Some(w) => {
-            order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(selected[a].cmp(&selected[b])));
-        }
-        None => {
-            // Welsh–Powell degree: distinct conflicting partners within
-            // `selected`, counted through endpoint lists and the stored
-            // sensitization adjacency with stamp-based deduplication.
-            let mut all = EndpointIndex::default();
-            for &p in selected {
-                all.insert(oracle.bench.paths.path(PathId::new(p as u32)));
-            }
-            let mut degree = vec![0_usize; n];
-            let mut mark = vec![u32::MAX; n];
-            for (i, &p) in selected.iter().enumerate() {
-                let view = oracle.bench.paths.path(PathId::new(p as u32));
-                let stamp = i as u32;
-                let mut count = 0_usize;
-                for list in [all.by_source.get(&view.source), all.by_sink.get(&view.sink)] {
-                    for &q in list.into_iter().flatten() {
-                        let j = sel_pos[q as usize] as usize;
-                        if j != i && mark[j] != stamp {
-                            mark[j] = stamp;
-                            count += 1;
-                        }
-                    }
-                }
-                for &q in oracle.sens_neighbors(p) {
-                    let j = sel_pos[q as usize];
-                    if j != u32::MAX && j as usize != i && mark[j as usize] != stamp {
-                        mark[j as usize] = stamp;
-                        count += 1;
-                    }
-                }
-                degree[i] = count;
-            }
-            order.sort_by(|&a, &b| degree[b].cmp(&degree[a]).then(selected[a].cmp(&selected[b])));
-        }
-    }
+    assert_eq!(widths.len(), selected.len(), "one width per selected path required");
+    let mut order: Vec<usize> = (0..selected.len()).collect();
+    order.sort_by(|&a, &b| widths[b].total_cmp(&widths[a]).then(selected[a].cmp(&selected[b])));
 
     let mut batches: Vec<Vec<usize>> = Vec::new();
     let mut batch_widths: Vec<(f64, usize)> = Vec::new(); // (sum, count)
-    let mut batch_of = vec![u32::MAX; oracle.position.len()];
+    let mut batch_of = vec![u32::MAX; oracle.bench.paths.len()];
     let mut placed = EndpointIndex::default();
     let mut forbidden: Vec<u64> = Vec::new();
     let mut stamp = 0_u64;
     for &pos in &order {
         let p = selected[pos];
+        assert!(batch_of[p] == u32::MAX, "duplicate path {p} in `selected`");
         let view = oracle.bench.paths.path(PathId::new(p as u32));
         stamp += 1;
         placed.stamp_forbidden(oracle, view, &batch_of, &mut forbidden, stamp);
-        let slot = match widths {
-            Some(w) => {
-                let width = w[pos];
-                // First strict minimum in batch index order — the same
-                // batch `Iterator::min_by` returns over the feasible set.
-                let mut best: Option<(usize, f64)> = None;
-                for b in 0..batches.len() {
-                    if forbidden[b] == stamp {
-                        continue;
-                    }
-                    let d = mean_width_distance(batch_widths[b].0, batch_widths[b].1, width);
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((b, d));
-                    }
-                }
-                best.map(|(b, _)| b)
+        let width = widths[pos];
+        // First strict minimum in batch index order — the same batch
+        // `Iterator::min_by` returns over the feasible set.
+        let mut best: Option<(usize, f64)> = None;
+        for b in 0..batches.len() {
+            if forbidden[b] == stamp {
+                continue;
             }
-            None => (0..batches.len()).find(|&b| forbidden[b] != stamp),
-        };
-        let b = match slot {
-            Some(b) => {
+            let d = mean_width_distance(batch_widths[b].0, batch_widths[b].1, width);
+            if best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((b, d));
+            }
+        }
+        let b = match best {
+            Some((b, _)) => {
                 batches[b].push(p);
-                if let Some(w) = widths {
-                    batch_widths[b].0 += w[pos];
-                    batch_widths[b].1 += 1;
-                }
+                batch_widths[b].0 += width;
+                batch_widths[b].1 += 1;
                 b
             }
             None => {
                 batches.push(vec![p]);
-                batch_widths.push((widths.map_or(0.0, |w| w[pos]), 1));
+                batch_widths.push((width, 1));
                 forbidden.push(0);
                 batches.len() - 1
             }
@@ -394,10 +268,9 @@ pub fn build_batches(
 ///
 /// Candidates are `(path, predicted_sigma, initial_width)` triples; they
 /// are consumed in descending `predicted_sigma` order, each placed in the
-/// conflict-free batch with space whose members' mean width best matches
-/// the candidate's (see [`build_batches`] for why width homogeneity
-/// matters). `capacity` defaults to the largest batch size. Every
-/// candidate is used at most once.
+/// conflict-free batch with fewer than `capacity` members whose members'
+/// mean width best matches the candidate's (see [`build_batches`] for why
+/// width homogeneity matters). Every candidate is used at most once.
 ///
 /// Like [`build_batches`], feasibility is resolved through the sparse
 /// conflict neighborhood; `fill_slots_dense` is the quadratic test oracle.
@@ -405,16 +278,15 @@ pub fn fill_slots(
     oracle: &ConflictOracle<'_>,
     batches: &mut [Vec<usize>],
     candidates: &[(usize, f64, f64)],
-    capacity: Option<usize>,
+    capacity: usize,
     widths_of_batched: &dyn Fn(usize) -> f64,
 ) -> Vec<usize> {
-    let cap = capacity.unwrap_or_else(|| batches.iter().map(Vec::len).max().unwrap_or(0)).max(1);
     let mut ranked: Vec<(usize, f64, f64)> = candidates.to_vec();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     let mut filled = Vec::new();
     let mut means: Vec<(f64, usize)> =
         batches.iter().map(|b| (b.iter().map(|&p| widths_of_batched(p)).sum(), b.len())).collect();
-    let mut batch_of = vec![u32::MAX; oracle.position.len()];
+    let mut batch_of = vec![u32::MAX; oracle.bench.paths.len()];
     let mut placed = EndpointIndex::default();
     for (b, batch) in batches.iter().enumerate() {
         for &q in batch.iter() {
@@ -434,7 +306,7 @@ pub fn fill_slots(
         placed.stamp_forbidden(oracle, view, &batch_of, &mut forbidden, stamp);
         let mut best: Option<(usize, f64)> = None;
         for b in 0..batches.len() {
-            if batches[b].len() >= cap || forbidden[b] == stamp {
+            if batches[b].len() >= capacity || forbidden[b] == stamp {
                 continue;
             }
             let d = mean_width_distance(means[b].0, means[b].1, width);
@@ -548,8 +420,11 @@ pub fn predicted_sigmas(
 mod tests {
     use super::*;
     use crate::select::{select_paths, SelectConfig};
-    use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark, Topology};
+    use effitest_circuit::sensitize::PathRequirements;
+    use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark, Netlist, Signal, Topology};
     use effitest_ssta::VariationConfig;
+
+    include!("../../circuit/tests/support/dense_exclusions.rs");
 
     /// Large enough that batches hold several paths and slot filling has
     /// real work (batch size is capped near `2 * nb` by the source/sink
@@ -562,73 +437,41 @@ mod tests {
     }
 
     /// The original quadratic coloring, kept as the reference oracle for the
-    /// sparse [`build_batches`]: identical order keys, identical first-fit /
-    /// first-min placement, but every feasibility check probes every member of
-    /// every batch through [`ConflictOracle::conflicts`].
+    /// sparse [`build_batches`]: identical order keys, identical first-min
+    /// placement, but every feasibility check probes every member of every
+    /// batch through [`ConflictOracle::conflicts`].
     fn build_batches_dense(
         oracle: &ConflictOracle<'_>,
         selected: &[usize],
-        widths: Option<&[f64]>,
+        widths: &[f64],
     ) -> Vec<Vec<usize>> {
-        let n = selected.len();
-        if let Some(w) = widths {
-            assert_eq!(w.len(), n, "one width per selected path required");
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        match widths {
-            Some(w) => {
-                order.sort_by(|&a, &b| w[b].total_cmp(&w[a]).then(selected[a].cmp(&selected[b])));
-            }
-            None => {
-                let mut degree = vec![0_usize; n];
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if oracle.conflicts(selected[i], selected[j]) {
-                            degree[i] += 1;
-                            degree[j] += 1;
-                        }
-                    }
-                }
-                order.sort_by(|&a, &b| {
-                    degree[b].cmp(&degree[a]).then(selected[a].cmp(&selected[b]))
-                });
-            }
-        }
+        let mut order: Vec<usize> = (0..selected.len()).collect();
+        order.sort_by(|&a, &b| widths[b].total_cmp(&widths[a]).then(selected[a].cmp(&selected[b])));
 
         let mut batches: Vec<Vec<usize>> = Vec::new();
         let mut batch_widths: Vec<(f64, usize)> = Vec::new(); // (sum, count)
         for &pos in &order {
             let p = selected[pos];
-            let feasible = batches
+            let width = widths[pos];
+            let slot = batches
                 .iter()
                 .enumerate()
-                .filter(|(_, batch)| batch.iter().all(|&q| !oracle.conflicts(p, q)));
-            let slot = match widths {
-                Some(w) => {
-                    let width = w[pos];
-                    feasible
-                        .min_by(|(a, _), (b, _)| {
-                            let da =
-                                mean_width_distance(batch_widths[*a].0, batch_widths[*a].1, width);
-                            let db =
-                                mean_width_distance(batch_widths[*b].0, batch_widths[*b].1, width);
-                            da.total_cmp(&db)
-                        })
-                        .map(|(i, _)| i)
-                }
-                None => feasible.map(|(i, _)| i).next(),
-            };
+                .filter(|(_, batch)| batch.iter().all(|&q| !oracle.conflicts(p, q)))
+                .min_by(|(a, _), (b, _)| {
+                    let da = mean_width_distance(batch_widths[*a].0, batch_widths[*a].1, width);
+                    let db = mean_width_distance(batch_widths[*b].0, batch_widths[*b].1, width);
+                    da.total_cmp(&db)
+                })
+                .map(|(i, _)| i);
             match slot {
                 Some(b) => {
                     batches[b].push(p);
-                    if let Some(w) = widths {
-                        batch_widths[b].0 += w[pos];
-                        batch_widths[b].1 += 1;
-                    }
+                    batch_widths[b].0 += width;
+                    batch_widths[b].1 += 1;
                 }
                 None => {
                     batches.push(vec![p]);
-                    batch_widths.push((widths.map_or(0.0, |w| w[pos]), 1));
+                    batch_widths.push((width, 1));
                 }
             }
         }
@@ -641,11 +484,9 @@ mod tests {
         oracle: &ConflictOracle<'_>,
         batches: &mut [Vec<usize>],
         candidates: &[(usize, f64, f64)],
-        capacity: Option<usize>,
+        capacity: usize,
         widths_of_batched: &dyn Fn(usize) -> f64,
     ) -> Vec<usize> {
-        let cap =
-            capacity.unwrap_or_else(|| batches.iter().map(Vec::len).max().unwrap_or(0)).max(1);
         let mut ranked: Vec<(usize, f64, f64)> = candidates.to_vec();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut used: std::collections::HashSet<usize> =
@@ -664,7 +505,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|(_, batch)| {
-                    batch.len() < cap && batch.iter().all(|&q| !oracle.conflicts(p, q))
+                    batch.len() < capacity && batch.iter().all(|&q| !oracle.conflicts(p, q))
                 })
                 .min_by(|(a, _), (b, _)| {
                     let da = mean_width_distance(means[*a].0, means[*a].1, width);
@@ -692,22 +533,19 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
-        for widths in [None, Some(widths_for(&model, &selected))] {
-            let batches = build_batches(&oracle, &selected, widths.as_deref());
-            for batch in &batches {
-                for (i, &a) in batch.iter().enumerate() {
-                    for &b in &batch[i + 1..] {
-                        assert!(!oracle.conflicts(a, b), "conflicting pair ({a}, {b}) in batch");
-                    }
+        let oracle = ConflictOracle::new(&bench, 1);
+        let batches = build_batches(&oracle, &selected, &widths_for(&model, &selected));
+        for batch in &batches {
+            for (i, &a) in batch.iter().enumerate() {
+                for &b in &batch[i + 1..] {
+                    assert!(!oracle.conflicts(a, b), "conflicting pair ({a}, {b}) in batch");
                 }
             }
-            // Every selected path batched exactly once.
-            let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, selected);
         }
+        // Every selected path batched exactly once.
+        let mut seen: Vec<usize> = batches.iter().flatten().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, selected);
     }
 
     #[test]
@@ -715,28 +553,23 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
-        for widths in [None, Some(widths_for(&model, &selected))] {
-            let sparse = build_batches(&oracle, &selected, widths.as_deref());
-            let dense = build_batches_dense(&oracle, &selected, widths.as_deref());
-            assert_eq!(sparse, dense, "coloring diverged (widths: {})", widths.is_some());
-        }
+        let oracle = ConflictOracle::new(&bench, 1);
+        let widths = widths_for(&model, &selected);
+        let sparse = build_batches(&oracle, &selected, &widths);
+        assert_eq!(sparse, build_batches_dense(&oracle, &selected, &widths), "coloring diverged");
 
         // Slot filling must also agree, including the capacity limit.
-        let widths = widths_for(&model, &selected);
         let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups, 1)
             .0
             .into_iter()
             .map(|(p, s)| (p, s, 6.0 * model.path_sigma(p)))
             .collect();
         let width_of = |p: usize| 6.0 * model.path_sigma(p);
-        let base = build_batches(&oracle, &selected, Some(&widths));
-        let cap = base.iter().map(Vec::len).max().unwrap_or(1).max(4);
-        let mut sparse = base.clone();
-        let mut dense = base;
-        let fs = fill_slots(&oracle, &mut sparse, &candidates, Some(cap), &width_of);
-        let fd = fill_slots_dense(&oracle, &mut dense, &candidates, Some(cap), &width_of);
+        let cap = sparse.iter().map(Vec::len).max().unwrap_or(1).max(4);
+        let mut dense = sparse.clone();
+        let mut sparse = sparse;
+        let fs = fill_slots(&oracle, &mut sparse, &candidates, cap, &width_of);
+        let fd = fill_slots_dense(&oracle, &mut dense, &candidates, cap, &width_of);
         assert_eq!(fs, fd, "fill order diverged");
         assert_eq!(sparse, dense, "filled batches diverged");
         assert!(!fs.is_empty(), "differential exercised no fills");
@@ -749,13 +582,11 @@ mod tests {
             let bench = GeneratedBenchmark::generate(&spec, 1);
             let model = TimingModel::build(&bench, &VariationConfig::paper());
             let all: Vec<usize> = (0..model.path_count()).collect();
-            let oracle = ConflictOracle::new(&bench, &all, 1);
+            let oracle = ConflictOracle::new(&bench, 1);
             let widths = widths_for(&model, &all);
-            for widths in [None, Some(widths.clone())] {
-                let sparse = build_batches(&oracle, &all, widths.as_deref());
-                let dense = build_batches_dense(&oracle, &all, widths.as_deref());
-                assert_eq!(sparse, dense, "coloring diverged on {}", topology.name());
-            }
+            let sparse = build_batches(&oracle, &all, &widths);
+            let dense = build_batches_dense(&oracle, &all, &widths);
+            assert_eq!(sparse, dense, "coloring diverged on {}", topology.name());
         }
     }
 
@@ -765,9 +596,11 @@ mod tests {
         // hub endpoint cliques, the exact shape the sparse path targets.
         let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(256), 7);
         let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
-        let sparse = build_batches(&oracle, &all, None);
-        let dense = build_batches_dense(&oracle, &all, None);
+        let oracle = ConflictOracle::new(&bench, 1);
+        // Uniform widths: first fit in path index order.
+        let uniform = vec![1.0; all.len()];
+        let sparse = build_batches(&oracle, &all, &uniform);
+        let dense = build_batches_dense(&oracle, &all, &uniform);
         assert_eq!(sparse, dense);
         for batch in &sparse {
             for (i, &a) in batch.iter().enumerate() {
@@ -783,7 +616,7 @@ mod tests {
         // The large-tier sweep's configuration on 2,000 paths: a 4x4
         // variation grid and the 0.93 criticality cut that keeps exactly
         // the planted critical population. Sparse placement and slot
-        // filling must match the dense oracles in both width modes.
+        // filling must match the dense oracles.
         let np = 2_000;
         let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(np), 7);
         let variation = VariationConfig { grid_dim: 4, ..VariationConfig::paper() };
@@ -791,8 +624,7 @@ mod tests {
         let select = SelectConfig { criticality_fraction: Some(0.93), ..SelectConfig::default() };
         let selected = crate::select::all_selected(&select_paths(&model, &select, 1));
         assert!(!selected.is_empty(), "criticality cut selected nothing");
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         // Filler candidates spread across the index space: paths are laid
         // out hub by hub, so a prefix would share one sink hub and conflict
         // with every batch.
@@ -802,45 +634,32 @@ mod tests {
             .map(|p| (p, model.path_sigma(p), 6.0 * model.path_sigma(p)))
             .collect();
         let width_of = |p: usize| 6.0 * model.path_sigma(p);
-        for widths in [None, Some(widths_for(&model, &selected))] {
-            let sparse = build_batches(&oracle, &selected, widths.as_deref());
-            let dense = build_batches_dense(&oracle, &selected, widths.as_deref());
-            assert_eq!(sparse, dense, "placement diverged (widths: {})", widths.is_some());
-            let cap = sparse.iter().map(Vec::len).max().unwrap_or(1) + 4;
-            let (mut filled_sparse, mut filled_dense) = (sparse, dense);
-            let fs = fill_slots(&oracle, &mut filled_sparse, &candidates, Some(cap), &width_of);
-            let fd =
-                fill_slots_dense(&oracle, &mut filled_dense, &candidates, Some(cap), &width_of);
-            assert_eq!(fs, fd, "fill order diverged (widths: {})", widths.is_some());
-            assert_eq!(filled_sparse, filled_dense, "filled batches diverged");
-            assert!(!fs.is_empty(), "no slot was filled (widths: {})", widths.is_some());
-        }
+        let widths = widths_for(&model, &selected);
+        let mut sparse = build_batches(&oracle, &selected, &widths);
+        let mut dense = build_batches_dense(&oracle, &selected, &widths);
+        assert_eq!(sparse, dense, "placement diverged");
+        let cap = sparse.iter().map(Vec::len).max().unwrap_or(1) + 4;
+        let fs = fill_slots(&oracle, &mut sparse, &candidates, cap, &width_of);
+        let fd = fill_slots_dense(&oracle, &mut dense, &candidates, cap, &width_of);
+        assert_eq!(fs, fd, "fill order diverged");
+        assert_eq!(sparse, dense, "filled batches diverged");
+        assert!(!fs.is_empty(), "no slot was filled");
     }
 
-    /// Checks the oracle's sensitization CSR against its definition at
-    /// threads 1, 4 and 8: row `p` lists the registered paths before `p`
-    /// that exclude it (ascending), then `p`'s own `excluded_after` list,
-    /// as path indices. Returns the number of stored adjacency entries.
-    fn check_csr_is_predecessors_then_exclusions(
-        bench: &GeneratedBenchmark,
-        paths: &[usize],
-    ) -> usize {
-        let mut entries = 0;
+    /// Checks the oracle's sensitization rows against the all-pairs oracle
+    /// at threads 1, 4 and 8: row `p` lists the paths before `p` that
+    /// exclude it, then those after it, ascending. Returns the number of
+    /// stored adjacency entries.
+    fn check_csr_is_predecessors_then_exclusions(bench: &GeneratedBenchmark) -> usize {
+        let views: Vec<PathView<'_>> = bench.paths.iter().collect();
+        let dense = dense_exclusion_rows(&bench.netlist, &views);
         for threads in [1, 4, 8] {
-            let oracle = ConflictOracle::new(bench, paths, threads);
-            entries = 0;
-            for (k, &p) in paths.iter().enumerate() {
-                let mut expected: Vec<u32> = (0..k)
-                    .filter(|&i| oracle.exclusions.excludes(i, k))
-                    .map(|i| paths[i] as u32)
-                    .collect();
-                expected
-                    .extend(oracle.exclusions.excluded_after(k).iter().map(|&j| paths[j] as u32));
-                assert_eq!(oracle.sens_neighbors(p), expected, "path {p} at {threads} threads");
-                entries += expected.len();
+            let oracle = ConflictOracle::new(bench, threads);
+            for (p, row) in dense.iter().enumerate() {
+                assert_eq!(oracle.sens_neighbors(p), row, "path {p} at {threads} threads");
             }
         }
-        entries
+        dense.iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -848,9 +667,8 @@ mod tests {
         let mut entries = 0;
         for &topology in Topology::all().iter() {
             let spec = BenchmarkSpec::iscas89_s9234().scaled_down(10).with_topology(topology);
-            let bench = GeneratedBenchmark::generate(&spec, 1);
-            let all: Vec<usize> = (0..bench.paths.len()).collect();
-            entries += check_csr_is_predecessors_then_exclusions(&bench, &all);
+            entries +=
+                check_csr_is_predecessors_then_exclusions(&GeneratedBenchmark::generate(&spec, 1));
         }
         assert!(entries > 0, "no topology has sensitization exclusions to check");
     }
@@ -858,20 +676,14 @@ mod tests {
     #[test]
     fn oracle_csr_is_predecessors_then_exclusions_on_large_tier() {
         let bench = GeneratedBenchmark::generate(&BenchmarkSpec::large(256), 7);
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
         // One exclusion per fan-in pair, stored once in each direction.
-        assert_eq!(check_csr_is_predecessors_then_exclusions(&bench, &all), all.len());
-        // Registration order is not path order: a reversed list maps every
-        // oracle position to a different path index.
-        let reversed: Vec<usize> = all.iter().rev().copied().collect();
-        assert_eq!(check_csr_is_predecessors_then_exclusions(&bench, &reversed), all.len());
+        assert_eq!(check_csr_is_predecessors_then_exclusions(&bench), bench.paths.len());
     }
 
     #[test]
     fn endpoint_conflicts_respected() {
         let (bench, _) = fixture();
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         // Find two paths sharing an endpoint and confirm the oracle flags
         // them.
         let mut found = false;
@@ -891,18 +703,20 @@ mod tests {
 
     #[test]
     fn sens_neighbors_agree_with_exclusions() {
+        // Rows are ascending and symmetric, and every stored exclusion is a
+        // conflict.
         let (bench, _) = fixture();
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let mut edges = 0_usize;
-        for i in 0..all.len() {
-            let mut from_csr: Vec<usize> =
-                oracle.sens_neighbors(i).iter().map(|&q| q as usize).collect();
-            from_csr.sort_unstable();
-            let from_dense: Vec<usize> =
-                (0..all.len()).filter(|&j| j != i && oracle.exclusions.excludes(i, j)).collect();
-            assert_eq!(from_csr, from_dense, "adjacency mismatch at path {i}");
-            edges += from_csr.len();
+        for i in 0..bench.paths.len() {
+            let row = oracle.sens_neighbors(i);
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {i} is not ascending");
+            for &j in row {
+                let j = j as usize;
+                assert!(oracle.sens_neighbors(j).contains(&(i as u32)), "({i}, {j}) is one-sided");
+                assert!(oracle.exclusions.excludes(i, j) && oracle.conflicts(i, j));
+            }
+            edges += row.len();
         }
         assert!(edges > 0, "fixture has no sensitization exclusions to test");
     }
@@ -912,10 +726,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths = widths_for(&model, &selected);
-        let mut batches = build_batches(&oracle, &selected, Some(&widths));
+        let mut batches = build_batches(&oracle, &selected, &widths);
         let candidates: Vec<(usize, f64, f64)> = predicted_sigmas(&model, &groups, 1)
             .0
             .into_iter()
@@ -923,7 +736,7 @@ mod tests {
             .collect();
         let cap = batches.iter().map(Vec::len).max().unwrap_or(1).max(4);
         let width_of = |p: usize| 6.0 * model.path_sigma(p);
-        let filled = fill_slots(&oracle, &mut batches, &candidates, Some(cap), &width_of);
+        let filled = fill_slots(&oracle, &mut batches, &candidates, cap, &width_of);
         for batch in &batches {
             assert!(batch.len() <= cap);
             for (i, &a) in batch.iter().enumerate() {
@@ -950,12 +763,11 @@ mod tests {
         // empty batches from slot filling entirely, silently wasting their
         // capacity.
         let (bench, _) = fixture();
-        let all: Vec<usize> = (0..bench.paths.len()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let candidates: Vec<(usize, f64, f64)> = vec![(0, 2.0, 1.0), (1, 1.5, 1.0), (2, 1.0, 1.0)];
         for fill in [fill_slots, fill_slots_dense] {
             let mut batches: Vec<Vec<usize>> = vec![vec![], vec![]];
-            let filled = fill(&oracle, &mut batches, &candidates, Some(2), &|_| 1.0);
+            let filled = fill(&oracle, &mut batches, &candidates, 2, &|_| 1.0);
             assert!(!filled.is_empty(), "empty batches must be eligible fill targets");
             let placed: usize = batches.iter().map(Vec::len).sum();
             assert_eq!(placed, filled.len());
@@ -995,9 +807,9 @@ mod tests {
         let (bench, model) = fixture();
         let groups = select_paths(&model, &SelectConfig::default(), 1);
         let selected = crate::select::all_selected(&groups);
-        let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
-        let batches = build_batches(&oracle, &selected, None);
+        let oracle = ConflictOracle::new(&bench, 1);
+        // Uniform widths: first fit in path index order.
+        let batches = build_batches(&oracle, &selected, &vec![1.0; selected.len()]);
         assert!(batches.len() <= selected.len(), "coloring can never exceed one batch per path");
     }
 
@@ -1005,9 +817,9 @@ mod tests {
     fn width_stratified_batches_are_homogeneous() {
         let (bench, model) = fixture();
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths = widths_for(&model, &all);
-        let batches = build_batches(&oracle, &all, Some(&widths));
+        let batches = build_batches(&oracle, &all, &widths);
         // Mean within-batch width spread should be clearly below the
         // global width spread.
         let global_spread = {

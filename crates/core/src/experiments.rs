@@ -353,7 +353,7 @@ pub fn fig8_row(spec: &BenchmarkSpec, config: &ExperimentConfig) -> Fig8Row {
     let flow = EffiTestFlow::new(config.flow.clone());
     let plan = flow.plan(&bench, &model).expect("non-empty benchmark");
     let paths: Vec<usize> = (0..model.path_count()).collect();
-    let oracle = ConflictOracle::new(&bench, &paths, config.threads);
+    let oracle = ConflictOracle::new(&bench, config.threads);
     let batches = flow.batch_paths(&oracle, &model, &paths);
 
     // Iteration counts are tightly concentrated across chips; a small

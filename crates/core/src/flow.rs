@@ -33,8 +33,9 @@ pub enum FlowError {
     /// hard-error contract every other reader of the variable follows.
     Environment(String),
     /// A configuration value the flow cannot run with (see
-    /// [`SelectConfig::validate`]): rejected before any work starts
-    /// instead of looping or panicking inside a stage.
+    /// [`SelectConfig::validate`] and [`EffiTestFlow::plan_threaded`]):
+    /// rejected before any work starts instead of looping, panicking or
+    /// silently degrading inside a stage.
     InvalidConfig(String),
 }
 
@@ -74,7 +75,10 @@ pub struct FlowConfig {
     /// Align delay ranges with the tuning buffers (§3.3). `false` is the
     /// multiplexing-only ablation.
     pub use_alignment: bool,
-    /// Solve each alignment exactly (MILP) instead of coordinate descent.
+    /// Solve each iteration's alignment by cold branch and bound instead
+    /// of the coordinate descent (see
+    /// [`AlignedTestConfig::exact_alignment`]): an ablation and oracle that
+    /// takes seconds per ac97_ctrl chip.
     pub exact_alignment: bool,
     /// Run the aligned test's slot-array loop (see
     /// [`AlignedTestConfig::incremental`]); `false` selects the
@@ -117,9 +121,10 @@ impl Default for FlowConfig {
 pub struct PlanStageTimes {
     /// Procedure 1: correlation grouping + representative selection.
     pub select: Duration,
-    /// Conflict-oracle construction (ATPG exclusions + endpoint CSR).
+    /// Conflict-oracle construction (the ATPG exclusions' CSR).
     pub oracle: Duration,
-    /// Batch building: Welsh–Powell coloring, predicted sigmas, slot fill.
+    /// Batch building: width-ordered first-fit coloring, predicted sigmas,
+    /// slot fill.
     pub batch: Duration,
     /// Hold-bound Monte-Carlo sampling + greedy discard.
     pub hold: Duration,
@@ -132,7 +137,7 @@ pub struct PlanStageTimes {
 /// per-chip flow reads.
 ///
 /// The plan bundles Procedure 1's correlation groups and representative
-/// selection, the Welsh–Powell test batches with their slot fills, the
+/// selection, the test batches with their slot fills, the
 /// hold-time tuning bounds, the dense buffer indexing, the prediction
 /// engine and the convergence threshold. The sensitization
 /// [`ConflictOracle`] and the predicted sigmas that drive slot filling
@@ -305,8 +310,11 @@ impl EffiTestFlow {
     /// # Errors
     ///
     /// Returns [`FlowError::InvalidConfig`] when the selection config
-    /// fails [`SelectConfig::validate`], and [`FlowError::EmptyPaths`] /
-    /// [`FlowError::ModelMismatch`] on malformed inputs.
+    /// fails [`SelectConfig::validate`], `bound_sigma` or
+    /// `epsilon_divisor` is not positive and finite, or
+    /// `hold.yield_target` lies outside `[0, 1]`; and
+    /// [`FlowError::EmptyPaths`] / [`FlowError::ModelMismatch`] on
+    /// malformed inputs.
     pub fn plan_threaded<'a>(
         &self,
         bench: &'a GeneratedBenchmark,
@@ -314,6 +322,23 @@ impl EffiTestFlow {
         threads: usize,
     ) -> Result<FlowPlan<'a>, FlowError> {
         self.config.select.validate().map_err(FlowError::InvalidConfig)?;
+        // A negative or NaN sigma count inverts the initial ranges, a zero
+        // or NaN divisor makes epsilon infinite or NaN, and a yield target
+        // below 0 lets the hold stage discard all samples but one.
+        let config = &self.config;
+        for (name, value) in
+            [("bound_sigma", config.bound_sigma), ("epsilon_divisor", config.epsilon_divisor)]
+        {
+            if !(value.is_finite() && value > 0.0) {
+                let msg = format!("{name} must be positive and finite, got {value}");
+                return Err(FlowError::InvalidConfig(msg));
+            }
+        }
+        let target = config.hold.yield_target;
+        if !(0.0..=1.0).contains(&target) {
+            let msg = format!("hold.yield_target must lie in [0, 1], got {target}");
+            return Err(FlowError::InvalidConfig(msg));
+        }
         if bench.paths.is_empty() {
             return Err(FlowError::EmptyPaths);
         }
@@ -331,8 +356,7 @@ impl EffiTestFlow {
         stage_times.select = stage.elapsed();
 
         let stage = Instant::now();
-        let all_paths: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(bench, &all_paths, threads);
+        let oracle = ConflictOracle::new(bench, threads);
         stage_times.oracle = stage.elapsed();
 
         let stage = Instant::now();
@@ -346,8 +370,7 @@ impl EffiTestFlow {
         // flip-flop, so 2 * nb is the structural slot count for
         // buffer-incident paths (which required paths all are).
         let capacity = (2 * buffers.len()).max(raw_batches.iter().map(Vec::len).max().unwrap_or(1));
-        let slot_filled =
-            fill_slots(&oracle, &mut raw_batches, &candidates, Some(capacity), &width_of);
+        let slot_filled = fill_slots(&oracle, &mut raw_batches, &candidates, capacity, &width_of);
         let batches = Batches { batches: raw_batches, slot_filled };
         stage_times.batch = stage.elapsed();
 
@@ -398,8 +421,8 @@ impl EffiTestFlow {
     ///
     /// # Panics
     ///
-    /// Panics if a path is listed twice or was not registered with
-    /// `oracle`.
+    /// Panics if a path is listed twice or is out of range for the
+    /// oracle's benchmark.
     pub fn batch_paths(
         &self,
         oracle: &ConflictOracle<'_>,
@@ -407,7 +430,7 @@ impl EffiTestFlow {
         paths: &[usize],
     ) -> Vec<Vec<usize>> {
         let widths: Vec<f64> = paths.iter().map(|&p| self.range_width(model, p)).collect();
-        build_batches(oracle, paths, Some(&widths))
+        build_batches(oracle, paths, &widths)
     }
 
     /// Phase 1+2 on a chip: aligned test of all batches, then statistical
@@ -603,7 +626,6 @@ impl EffiTestFlow {
             kd: self.config.kd,
             use_alignment: self.config.use_alignment,
             exact_alignment: self.config.exact_alignment,
-            exact_node_limit: effitest_solver::DEFAULT_NODE_LIMIT,
             incremental: self.config.incremental,
             tolerate_contradictions: self.config.tolerate_contradictions,
         }
@@ -864,7 +886,7 @@ mod tests {
         let prepared = flow.plan(&bench, &model).unwrap();
         let chip = model.sample_chip(77);
         let paths: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &paths, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let batches = flow.batch_paths(&oracle, &model, &paths);
         let (iters_plain, bounds_plain) =
             flow.test_paths_multiplexed(&prepared, &chip, &batches, false);
@@ -886,12 +908,16 @@ mod tests {
         // Regression: the first three used to hang `plan()` (every seed
         // deferred as a singleton while the threshold never moved or was
         // never finite), the next three used to panic inside selection,
-        // and the last two were clamped or retained every component.
+        // and the two after were clamped or retained every component. Of
+        // the flow-level fields, a negative or NaN `bound_sigma` panicked
+        // with inverted delay bounds in `Predictor::new`, a zero or NaN
+        // `epsilon_divisor` planned with an infinite or NaN epsilon, and a
+        // negative hold yield target kept a single hold sample.
         // Each runs on its own thread so a hang fails the test instead of
         // stalling the suite (a hung thread cannot be joined; it is left
         // behind when the test fails).
         let base = SelectConfig::default();
-        let cases = [
+        let selects = [
             SelectConfig { threshold_start: f64::NAN, ..base.clone() },
             SelectConfig { threshold_start: f64::INFINITY, ..base.clone() },
             SelectConfig { threshold_step: 1e-300, ..base.clone() },
@@ -901,12 +927,22 @@ mod tests {
             SelectConfig { pca_energy: f64::NAN, ..base.clone() },
             SelectConfig { pca_energy: 1.5, ..base },
         ];
-        for select in cases {
-            let label = format!("{select:?}");
+        let flow = FlowConfig::default();
+        let hold = HoldConfig { yield_target: -0.5, ..HoldConfig::default() };
+        let cases =
+            selects.into_iter().map(|select| FlowConfig { select, ..flow.clone() }).chain([
+                FlowConfig { bound_sigma: -1.0, ..flow.clone() },
+                FlowConfig { bound_sigma: f64::NAN, ..flow.clone() },
+                FlowConfig { epsilon_divisor: 0.0, ..flow.clone() },
+                FlowConfig { epsilon_divisor: f64::NAN, ..flow.clone() },
+                FlowConfig { hold, ..flow.clone() },
+            ]);
+        for config in cases {
+            let label = format!("{config:?}");
             let (tx, rx) = std::sync::mpsc::channel();
             let planner = std::thread::spawn(move || {
                 let (bench, model) = fixture();
-                let flow = EffiTestFlow::new(FlowConfig { select, ..FlowConfig::default() });
+                let flow = EffiTestFlow::new(config);
                 let _ = tx.send(flow.plan(&bench, &model).map(|_| ()));
             });
             let outcome = rx.recv_timeout(Duration::from_secs(60));

@@ -226,6 +226,14 @@ mod tests {
     use effitest_circuit::{BenchmarkSpec, GeneratedBenchmark};
     use effitest_ssta::VariationConfig;
 
+    impl HoldBounds {
+        /// Bounds from a per-path list, for tests that need bounds the
+        /// sampler does not produce.
+        pub(crate) fn from_lambdas(lambda: Vec<Option<f64>>) -> Self {
+            HoldBounds { lambda }
+        }
+    }
+
     fn model() -> TimingModel {
         let bench =
             GeneratedBenchmark::generate(&BenchmarkSpec::iscas89_s9234().scaled_down(10), 1);

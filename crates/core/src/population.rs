@@ -2,9 +2,9 @@
 //!
 //! The paper's evaluation (§4, Table 1) runs the EffiTest flow over a
 //! **10 000-chip Monte-Carlo population per circuit**. Everything the flow
-//! needs besides the chip itself — path grouping, Welsh–Powell batches,
-//! the sensitization conflict graph, predicted sigmas, hold bounds — is
-//! chip-independent and lives in a [`FlowPlan`] built once per circuit.
+//! needs besides the chip itself — path grouping, test batches, hold
+//! bounds, the prediction engine — is chip-independent and lives in a
+//! [`FlowPlan`] built once per circuit.
 //! This module supplies the other half: a deterministic engine that fans
 //! the *per-chip* step out across worker threads. Each chip runs the whole
 //! per-chip flow — aligned test, prediction through the plan's

@@ -24,8 +24,8 @@
 //!   the exact optimum on practical instances.
 //! * [`AlignmentProblem::solve_exact`] — the exact MILP (standard
 //!   `eta >= +-(...)` linearization, no big-M needed under minimization)
-//!   on the crate's branch-and-bound solver; used as the oracle in tests
-//!   and for the ablation bench.
+//!   on the crate's branch-and-bound solver, solved cold on every call;
+//!   the oracle of the tests and the aligned test's exact-mode ablation.
 //!
 //! Weights follow the paper's sorted-center rule
 //! ([`sorted_center_weights`]): the middle range gets `k0`, neighbors lose
@@ -40,10 +40,10 @@
 //! only the range centers (and the retired-path set) changing between
 //! solves, so the hot path goes through an [`AlignmentEngine`] instead:
 //! built once per batch, it mutates the path list in place between
-//! iterations, reuses every scratch buffer, and warm-starts each solve —
-//! the coordinate descent from the previous iteration's buffer values and
-//! the exact MILP from the previous solution as its branch-and-bound
-//! incumbent.
+//! iterations, reuses every scratch buffer, and warm-starts each
+//! coordinate descent from the previous iteration's buffer values. Its
+//! exact solve is the cold MILP; a successful one only sets the warm start
+//! the next descent begins from.
 //!
 //! # Incremental candidate scan
 //!
@@ -142,10 +142,7 @@
 //! and one that overflows further out scores `inf` or NaN, which is never
 //! accepted either.
 
-use crate::milp::DEFAULT_NODE_LIMIT;
-use crate::{
-    weighted_median_in_place, ConstraintOp, LinearProgram, MilpWorkspace, MixedIntegerProgram,
-};
+use crate::{ConstraintOp, LinearProgram, MixedIntegerProgram};
 
 /// A discrete tunable-buffer variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -377,12 +374,7 @@ impl AlignmentProblem {
                 objective: 0.0,
             });
         }
-        let mut lp = LinearProgram::new(0);
-        let mut int_vars = Vec::new();
-        if !build_exact_milp(self, &mut lp, &mut int_vars) {
-            return None;
-        }
-        let sol = MixedIntegerProgram::new(lp, int_vars).solve();
+        let sol = exact_milp(self)?.solve();
         if !sol.is_optimal() {
             return None;
         }
@@ -425,25 +417,18 @@ impl AlignmentProblem {
     }
 }
 
-/// Builds the exact-MILP formulation of `problem` into `lp` (reset in
-/// place, existing allocations reused) with the integer variables listed
-/// in `int_vars`.
+/// The exact-MILP formulation of `problem`.
 ///
 /// Variables: `0 = T` (free), `1..=nb` = integer buffer steps `k_b`,
 /// `nb+1..nb+np` = path residuals `eta_p >= 0`.
 ///
-/// Returns `false` when a hold bound on a bufferless path is
+/// Returns `None` when a hold bound on a bufferless path is
 /// unsatisfiable (`0 >= lambda > 0`), i.e. the problem is infeasible
 /// before any solving.
-fn build_exact_milp(
-    problem: &AlignmentProblem,
-    lp: &mut LinearProgram,
-    int_vars: &mut Vec<usize>,
-) -> bool {
+fn exact_milp(problem: &AlignmentProblem) -> Option<MixedIntegerProgram> {
     let nb = problem.buffers.len();
     let np = problem.paths.len();
-    let n_vars = 1 + nb + np;
-    lp.reset(n_vars);
+    let mut lp = LinearProgram::new(1 + nb + np);
     lp.set_free(0);
     for (b, buf) in problem.buffers.iter().enumerate() {
         lp.set_bounds(1 + b, 0.0, (buf.steps - 1) as f64);
@@ -497,24 +482,14 @@ fn build_exact_milp(
             }
             if ht == 0 {
                 if rhs > 1e-9 {
-                    return false; // 0 >= lambda > 0: infeasible
+                    return None; // 0 >= lambda > 0: infeasible
                 }
             } else {
                 lp.add_constraint(&terms[..ht], ConstraintOp::Ge, rhs);
             }
         }
     }
-    int_vars.clear();
-    int_vars.extend(1..=nb);
-    true
-}
-
-/// Optimal period for fixed buffers: the weighted median of the shifted
-/// centers, computed in the caller's scratch buffer.
-fn best_period_in(problem: &AlignmentProblem, x: &[f64], pts: &mut Vec<(f64, f64)>) -> f64 {
-    pts.clear();
-    pts.extend(problem.paths.iter().map(|p| (p.center + p.shift(x), p.weight)));
-    weighted_median_in_place(pts).unwrap_or(0.0)
+    Some(MixedIntegerProgram::new(lp, (1..=nb).collect()))
 }
 
 /// A median point of the incremental descent: `(shifted center,
@@ -920,17 +895,15 @@ fn place(
 /// 2. per iteration, rebuild the active-path list in place through
 ///    [`paths_mut`](Self::paths_mut) (capacity is retained) and call
 ///    [`solve`](Self::solve) or [`solve_exact`](Self::solve_exact);
-/// 3. both solvers warm-start from the previous iteration's buffer values
-///    — the descent as its first multi-start seed, the MILP as its
-///    initial branch-and-bound incumbent — and update the warm state from
-///    the solution they return.
+/// 3. the descent starts from the previous iteration's buffer values (its
+///    first multi-start seed), and both solvers record the solution they
+///    return as the next warm start.
 ///
-/// All scratch (the descent's per-buffer path index and sorted centers,
-/// the MILP working program and its simplex workspace) lives in the
-/// engine: steady-state [`solve`](Self::solve) calls allocate nothing, and
-/// [`solve_exact`](Self::solve_exact) reuses the branch-and-bound
-/// workspace but still rebuilds its constraint rows (a handful of small
-/// vectors per path) each call.
+/// The descent's scratch (its per-buffer path index and sorted centers)
+/// lives in the engine, so steady-state [`solve`](Self::solve) calls
+/// allocate nothing. [`solve_exact`](Self::solve_exact) is the cold
+/// [`AlignmentProblem::solve_exact`], which builds and branches its MILP
+/// afresh each call.
 #[derive(Debug)]
 pub struct AlignmentEngine {
     problem: AlignmentProblem,
@@ -941,17 +914,11 @@ pub struct AlignmentEngine {
     x: Vec<f64>,
     best_x: Vec<f64>,
     descent: Descent,
-    pts: Vec<(f64, f64)>,
     /// `true` until the first solve after `begin_batch` / `seed`: the
     /// first solve runs the full multi-start, later solves descend from
     /// the warm seed alone (see [`solve`](Self::solve)).
     multistart: bool,
     solution: AlignmentSolution,
-    lp: LinearProgram,
-    int_vars: Vec<usize>,
-    milp_ws: MilpWorkspace,
-    exact_seed: Vec<f64>,
-    node_limit: usize,
 }
 
 impl Default for AlignmentEngine {
@@ -970,29 +937,9 @@ impl AlignmentEngine {
             x: Vec::new(),
             best_x: Vec::new(),
             descent: Descent::default(),
-            pts: Vec::new(),
             multistart: true,
             solution: AlignmentSolution { period: 0.0, buffer_values: Vec::new(), objective: 0.0 },
-            lp: LinearProgram::new(0),
-            int_vars: Vec::new(),
-            milp_ws: MilpWorkspace::new(),
-            exact_seed: Vec::new(),
-            node_limit: DEFAULT_NODE_LIMIT,
         }
-    }
-
-    /// Caps the branch-and-bound nodes of [`solve_exact`](Self::solve_exact)
-    /// (default [`crate::DEFAULT_NODE_LIMIT`]). A solve that exhausts the
-    /// cap returns `None` — the caller's cue to fall back to the
-    /// coordinate-descent heuristic — never a silently suboptimal
-    /// "exact" solution.
-    pub fn set_node_limit(&mut self, limit: usize) {
-        self.node_limit = limit;
-    }
-
-    /// The current branch-and-bound node cap for exact solves.
-    pub fn node_limit(&self) -> usize {
-        self.node_limit
     }
 
     /// Starts a new batch: installs its buffers, clears the path list, and
@@ -1052,11 +999,6 @@ impl AlignmentEngine {
     /// The warm-start buffer values the next solve will start from.
     pub fn warm_values(&self) -> &[f64] {
         &self.warm
-    }
-
-    /// The most recent solution (untouched until the next solve).
-    pub fn last_solution(&self) -> &AlignmentSolution {
-        &self.solution
     }
 
     /// Coordinate-descent solve with the engine's warm-start rule:
@@ -1136,73 +1078,15 @@ impl AlignmentEngine {
         &self.solution
     }
 
-    /// Exact MILP solve, warm-started with the previous solution as the
-    /// branch-and-bound incumbent. Returns `None` (leaving the last
-    /// solution untouched) if the hold bounds make the problem infeasible
-    /// or the node limit is hit; the objective is always the true optimum
-    /// otherwise.
+    /// Exact solve: the cold MILP of [`AlignmentProblem::solve_exact`]
+    /// over the current paths. A solution becomes the warm start. `None`
+    /// (hold bounds no setting satisfies, or the node limit reached)
+    /// leaves the warm start untouched, so a fallback
+    /// [`solve`](Self::solve) runs exactly as it would have without the
+    /// exact attempt.
     pub fn solve_exact(&mut self) -> Option<&AlignmentSolution> {
-        if self.problem.paths.is_empty() {
-            self.solution.period = 0.0;
-            self.solution.objective = 0.0;
-            self.solution.buffer_values.clear();
-            self.solution.buffer_values.extend(self.problem.buffers.iter().map(|b| b.value(0)));
-            self.warm.clear();
-            self.warm.extend_from_slice(&self.solution.buffer_values);
-            return Some(&self.solution);
-        }
-        if !build_exact_milp(&self.problem, &mut self.lp, &mut self.int_vars) {
-            return None;
-        }
-        // Incumbent from the warm start: snap to the grid, repair holds,
-        // and bail out of seeding (not solving) if holds stay violated.
-        let seeded = {
-            let AlignmentEngine { problem, warm, x, pts, exact_seed, .. } = self;
-            x.clear();
-            x.extend(problem.buffers.iter().zip(warm.iter()).map(|(b, &w)| b.value(b.nearest(w))));
-            problem.repair_hold(x);
-            if problem.paths.iter().all(|p| p.hold_ok(x)) {
-                let t = best_period_in(problem, x, pts);
-                exact_seed.clear();
-                exact_seed.push(t);
-                exact_seed.extend(
-                    problem.buffers.iter().zip(x.iter()).map(|(b, &v)| b.nearest(v) as f64),
-                );
-                exact_seed
-                    .extend(problem.paths.iter().map(|p| (t - (p.center + p.shift(x))).abs()));
-                true
-            } else {
-                false
-            }
-        };
-        let AlignmentEngine {
-            problem,
-            lp,
-            int_vars,
-            milp_ws,
-            exact_seed,
-            solution,
-            warm,
-            node_limit,
-            ..
-        } = self;
-        let incumbent = seeded.then_some(&exact_seed[..]);
-        let sol = crate::milp::solve_milp(lp, int_vars, *node_limit, milp_ws, incumbent);
-        if !sol.is_optimal() {
-            return None;
-        }
-        solution.period = sol.values[0];
-        solution.objective = sol.objective;
-        solution.buffer_values.clear();
-        solution.buffer_values.extend(
-            problem
-                .buffers
-                .iter()
-                .enumerate()
-                .map(|(b, buf)| buf.value(sol.values[1 + b].round() as u32)),
-        );
-        warm.clear();
-        warm.extend_from_slice(&solution.buffer_values);
+        self.solution = self.problem.solve_exact()?;
+        self.warm.clone_from(&self.solution.buffer_values);
         Some(&self.solution)
     }
 }
@@ -1210,6 +1094,7 @@ impl AlignmentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weighted_median_in_place;
 
     fn buf(min: f64, max: f64, steps: u32) -> BufferVar {
         BufferVar { min, max, steps }
@@ -1223,6 +1108,14 @@ mod tests {
             sink_buffer: snk,
             hold_lower_bound: None,
         }
+    }
+
+    /// Optimal period for fixed buffers: the weighted median of the
+    /// shifted centers, computed in the caller's scratch buffer.
+    fn best_period_in(problem: &AlignmentProblem, x: &[f64], pts: &mut Vec<(f64, f64)>) -> f64 {
+        pts.clear();
+        pts.extend(problem.paths.iter().map(|p| (p.center + p.shift(x), p.weight)));
+        weighted_median_in_place(pts).unwrap_or(0.0)
     }
 
     /// Oracle: the full-rescan buffer scan the incremental descent
@@ -1878,13 +1771,11 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_node_limit_returns_none_and_preserves_the_last_solution() {
-        // A problem whose root relaxation is fractional (the buffer grid
-        // forces branching): with a one-node cap the exact solve must
-        // report failure instead of a silently suboptimal "optimum", and
-        // the engine's last solution must stay what the heuristic left
-        // there — that pair is exactly the fallback contract the aligned
-        // test relies on.
+    fn failed_exact_solve_leaves_the_warm_start_untouched() {
+        // A hold bound that no buffer setting reaches makes the exact
+        // solve fail. It must say so instead of returning a solution, and
+        // leave the warm start where the descent put it: that pair is the
+        // fallback contract the aligned test relies on.
         let problem = AlignmentProblem {
             paths: vec![path(0.0, None, None), path(3.3, Some(0), None), path(7.1, Some(1), None)],
             buffers: vec![buf(-2.0, 2.0, 9), buf(-2.0, 2.0, 9)],
@@ -1893,22 +1784,22 @@ mod tests {
         engine.begin_batch(&problem.buffers).unwrap();
         engine.paths_mut().extend_from_slice(&problem.paths);
         let heuristic = engine.solve().clone();
+        assert_eq!(engine.warm_values(), &heuristic.buffer_values[..]);
 
-        engine.set_node_limit(0);
-        assert_eq!(engine.node_limit(), 0);
-        assert!(engine.solve_exact().is_none(), "a 0-node budget cannot prove optimality");
-        assert_eq!(
-            engine.last_solution(),
-            &heuristic,
-            "a failed exact solve must leave the previous solution untouched"
-        );
+        // The largest reachable shift x_0 - x_1 is 2 - (-2) = 4.
+        let unreachable = AlignPath { hold_lower_bound: Some(5.0), ..path(1.0, Some(0), Some(1)) };
+        engine.paths_mut().push(unreachable);
+        assert!(engine.solve_exact().is_none(), "no setting satisfies the hold bound");
+        assert_eq!(engine.warm_values(), &heuristic.buffer_values[..]);
 
-        // With the default budget the same engine closes the tree and can
-        // only match or improve the heuristic objective.
-        engine.set_node_limit(crate::DEFAULT_NODE_LIMIT);
+        // Without that path the exact solve is the cold one, can only
+        // match or improve the heuristic, and becomes the warm start.
+        engine.paths_mut().pop();
         let exact = engine.solve_exact().expect("feasible problem").clone();
+        assert_eq!(Some(&exact), problem.solve_exact().as_ref());
         assert!(exact.objective <= heuristic.objective + 1e-9);
         assert!(problem.is_feasible(&exact.buffer_values, 1e-9));
+        assert_eq!(engine.warm_values(), &exact.buffer_values[..]);
     }
 
     #[test]

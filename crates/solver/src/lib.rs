@@ -7,8 +7,9 @@
 //!
 //! * [`LinearProgram`] — a dense two-phase primal simplex with Bland's
 //!   rule, supporting `<=`/`>=`/`=` rows and per-variable bounds.
-//! * [`MixedIntegerProgram`] — branch-and-bound over the simplex for the
-//!   integer buffer-step variables.
+//! * [`MixedIntegerProgram`] — depth-first branch and bound over the
+//!   simplex for the integer buffer-step variables. Every solve starts
+//!   cold; it is the exactness oracle of the fast solvers below.
 //! * [`DifferenceSystem`] — systems of difference constraints
 //!   `x_u - x_v <= w` solved by Bellman–Ford; with integer weights the
 //!   solution is integral, which makes discrete buffer configuration exact
@@ -17,8 +18,9 @@
 //!   alignment heuristic.
 //! * [`align`] — the paper's test-alignment problem: choose a clock period
 //!   `T` and temporary buffer values aligning the delay-range centers
-//!   (exact MILP formulation and a weighted-median coordinate-descent
-//!   heuristic that matches it on practical instances).
+//!   (a warm-started weighted-median coordinate descent, which matches
+//!   the optimum on practical instances, and the exact MILP formulation,
+//!   solved cold as its oracle).
 //! * [`config`] — the paper's buffer-configuration problem: binary search
 //!   on the slack `xi` over integerized difference constraints.
 //!
@@ -52,4 +54,4 @@ mod milp;
 pub use diffcon::DifferenceSystem;
 pub use lp::{ConstraintOp, LinearProgram, LpSolution, LpStatus, SimplexWorkspace};
 pub use median::{weighted_l1, weighted_median, weighted_median_in_place};
-pub use milp::{MilpSolution, MilpStatus, MilpWorkspace, MixedIntegerProgram, DEFAULT_NODE_LIMIT};
+pub use milp::{MilpSolution, MilpStatus, MixedIntegerProgram};

@@ -159,25 +159,6 @@ impl LinearProgram {
         SimplexWorkspace::new().solve(self).clone()
     }
 
-    /// Resets this program in place to `n` fresh variables (all bounded to
-    /// `[0, +inf)`, zero minimization objective, no constraints), keeping
-    /// the existing allocations.
-    ///
-    /// This is the rebuild entry point for long-lived problem instances
-    /// that change shape between solves (e.g. the alignment MILP as paths
-    /// retire from a batch).
-    pub fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.objective.clear();
-        self.objective.resize(n, 0.0);
-        self.maximize = false;
-        self.rows.clear();
-        self.lower.clear();
-        self.lower.resize(n, 0.0);
-        self.upper.clear();
-        self.upper.resize(n, f64::INFINITY);
-    }
-
     /// Checks a candidate point for feasibility within `tol`.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.n {

@@ -39,32 +39,6 @@ impl MilpSolution {
     }
 }
 
-/// Reusable branch-and-bound state: the working copy of the relaxation,
-/// the delta stack, the shared [`SimplexWorkspace`], and the incumbent
-/// buffer.
-///
-/// Branching pushes **bound deltas** onto one working LP instead of
-/// cloning the whole program per node (the pre-workspace implementation
-/// cloned every row of every node), and every node relaxation is solved
-/// through the one simplex workspace. A solve sequence through a shared
-/// workspace returns bitwise-identical solutions to fresh-workspace
-/// solves; `tests/proptests.rs` pins this equivalence.
-#[derive(Debug)]
-pub struct MilpWorkspace {
-    simplex: SimplexWorkspace,
-    working: LinearProgram,
-    ops: Vec<NodeOp>,
-    best_values: Vec<f64>,
-    solution_values: Vec<f64>,
-    milp_solution: MilpSolution,
-}
-
-impl Default for MilpWorkspace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// One entry of the depth-first delta stack.
 #[derive(Debug, Clone, Copy)]
 enum NodeOp {
@@ -74,25 +48,6 @@ enum NodeOp {
     Solve { var: usize, lo: f64, hi: f64 },
     /// Restore `var`'s bounds to `[lo, hi]` after both children finished.
     Restore { var: usize, lo: f64, hi: f64 },
-}
-
-impl MilpWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        MilpWorkspace {
-            working: LinearProgram::new(0),
-            simplex: SimplexWorkspace::new(),
-            ops: Vec::new(),
-            best_values: Vec::new(),
-            solution_values: Vec::new(),
-            milp_solution: MilpSolution {
-                status: MilpStatus::Infeasible,
-                values: Vec::new(),
-                objective: 0.0,
-                nodes: 0,
-            },
-        }
-    }
 }
 
 /// A mixed-integer linear program: a [`LinearProgram`] plus a set of
@@ -130,12 +85,6 @@ pub struct MixedIntegerProgram {
 
 const INT_TOL: f64 = 1e-6;
 
-/// Default branch-and-bound node cap, shared with the alignment engine's
-/// warm exact solve. A solve that exhausts it reports
-/// [`MilpStatus::NodeLimitReached`] instead of claiming optimality or
-/// infeasibility.
-pub const DEFAULT_NODE_LIMIT: usize = 200_000;
-
 impl MixedIntegerProgram {
     /// Wraps an LP with integrality requirements on `integer_vars`.
     ///
@@ -146,10 +95,12 @@ impl MixedIntegerProgram {
         for &v in &integer_vars {
             assert!(v < lp.num_vars(), "integer variable {v} out of range");
         }
-        MixedIntegerProgram { lp, integer_vars, node_limit: DEFAULT_NODE_LIMIT }
+        MixedIntegerProgram { lp, integer_vars, node_limit: 200_000 }
     }
 
-    /// Caps the number of branch-and-bound nodes (default 200 000).
+    /// Caps the number of branch-and-bound nodes (default 200 000). A
+    /// solve that exhausts it reports [`MilpStatus::NodeLimitReached`]
+    /// instead of claiming optimality or infeasibility.
     pub fn set_node_limit(&mut self, limit: usize) {
         self.node_limit = limit;
     }
@@ -159,186 +110,110 @@ impl MixedIntegerProgram {
         &self.lp
     }
 
-    /// Solves the MILP with a throwaway workspace.
+    /// Solves the MILP.
+    ///
+    /// Branching pushes **bound deltas** onto one working copy of the
+    /// relaxation instead of cloning the program per node, and every node
+    /// relaxation is solved through one [`SimplexWorkspace`]; the copy, the
+    /// delta stack and the workspace live for this solve only.
     pub fn solve(&self) -> MilpSolution {
-        self.solve_with(&mut MilpWorkspace::new())
-    }
-
-    /// Solves the MILP reusing `ws` across calls; bitwise identical to
-    /// [`solve`](Self::solve).
-    pub fn solve_with(&self, ws: &mut MilpWorkspace) -> MilpSolution {
-        solve_milp(&self.lp, &self.integer_vars, self.node_limit, ws, None).clone()
-    }
-
-    /// Solves the MILP with a known-feasible starting point (warm start).
-    ///
-    /// `incumbent` seeds the branch-and-bound incumbent: it is snapped to
-    /// integrality at the integer variables, checked for feasibility, and
-    /// (when it survives both) used as the initial pruning bound, which
-    /// can cut the search tree dramatically when the seed is near-optimal
-    /// (e.g. the previous frequency-stepping iteration's alignment). An
-    /// infeasible or non-integral seed is silently ignored.
-    ///
-    /// The returned objective is always the true optimum; the returned
-    /// *point* may be the seed itself when the seed ties the optimum
-    /// (pruning discards equally-good subtrees), so seeded solves are not
-    /// guaranteed bitwise-identical to unseeded ones.
-    pub fn solve_seeded(&self, ws: &mut MilpWorkspace, incumbent: &[f64]) -> MilpSolution {
-        solve_milp(&self.lp, &self.integer_vars, self.node_limit, ws, Some(incumbent)).clone()
-    }
-}
-
-/// Branch-and-bound core over borrowed problem parts, writing the solution
-/// into the workspace (callers clone if they need ownership).
-pub(crate) fn solve_milp<'w>(
-    lp: &LinearProgram,
-    integer_vars: &[usize],
-    node_limit: usize,
-    ws: &'w mut MilpWorkspace,
-    incumbent: Option<&[f64]>,
-) -> &'w MilpSolution {
-    let maximize = lp.is_maximize();
-    ws.working.clone_from(lp);
-    ws.ops.clear();
-    ws.ops.push(NodeOp::Root);
-
-    // Incumbent objective; the values live in ws.best_values.
-    let mut best: Option<f64> = None;
-    if let Some(seed) = incumbent {
-        if seed.len() == lp.num_vars() {
-            ws.solution_values.clear();
-            ws.solution_values.extend_from_slice(seed);
-            for &v in integer_vars {
-                ws.solution_values[v] = ws.solution_values[v].round();
-            }
-            let integral = seed
-                .iter()
-                .zip(&ws.solution_values)
-                .all(|(&raw, &snapped)| (raw - snapped).abs() < INT_TOL);
-            if integral && lp.is_feasible(&ws.solution_values, 1e-9) {
-                best = Some(lp.objective_at(&ws.solution_values));
-                ws.best_values.clear();
-                ws.best_values.extend_from_slice(&ws.solution_values);
-            }
-        }
-    }
-
-    let mut nodes = 0_usize;
-    let mut limit_hit = false;
-    while let Some(op) = ws.ops.pop() {
-        match op {
-            NodeOp::Restore { var, lo, hi } => {
-                ws.working.set_bounds(var, lo, hi);
-                continue;
-            }
-            NodeOp::Solve { var, lo, hi } => ws.working.set_bounds(var, lo, hi),
-            NodeOp::Root => {}
-        }
-        if nodes >= node_limit {
-            limit_hit = true;
-            break;
-        }
-        nodes += 1;
-        let relax = ws.simplex.solve(&ws.working);
-        match relax.status {
-            LpStatus::Infeasible => continue,
-            LpStatus::Unbounded => {
-                // An unbounded relaxation at the root means the MILP is
-                // unbounded (or the bounding box is missing); deeper
-                // nodes inherit the issue. Give up on this branch.
-                continue;
-            }
-            LpStatus::Optimal => {}
-        }
-        // Prune by bound.
-        if let Some(inc) = best {
-            let worse = if maximize {
-                relax.objective <= inc + 1e-12
-            } else {
-                relax.objective >= inc - 1e-12
-            };
-            if worse {
-                continue;
-            }
-        }
-        // Find the most fractional integer variable.
-        let mut branch_var = None;
-        let mut worst_frac = INT_TOL;
-        for &v in integer_vars {
-            let val = relax.values[v];
-            let frac = (val - val.round()).abs();
-            if frac > worst_frac {
-                worst_frac = frac;
-                branch_var = Some(v);
-            }
-        }
-        match branch_var {
-            None => {
-                // Integer feasible: round the integer vars exactly.
-                ws.solution_values.clear();
-                ws.solution_values.extend_from_slice(&relax.values);
-                for &v in integer_vars {
-                    ws.solution_values[v] = ws.solution_values[v].round();
+        let lp = &self.lp;
+        let maximize = lp.is_maximize();
+        let mut working = lp.clone();
+        let mut simplex = SimplexWorkspace::new();
+        let mut ops = vec![NodeOp::Root];
+        // The incumbent's objective and values.
+        let mut best: Option<(f64, Vec<f64>)> = None;
+        let mut nodes = 0_usize;
+        let mut limit_hit = false;
+        while let Some(op) = ops.pop() {
+            match op {
+                NodeOp::Restore { var, lo, hi } => {
+                    working.set_bounds(var, lo, hi);
+                    continue;
                 }
-                let obj = lp.objective_at(&ws.solution_values);
-                let better = match best {
-                    None => true,
-                    Some(inc) => {
-                        if maximize {
-                            obj > inc + 1e-12
-                        } else {
-                            obj < inc - 1e-12
-                        }
-                    }
+                NodeOp::Solve { var, lo, hi } => working.set_bounds(var, lo, hi),
+                NodeOp::Root => {}
+            }
+            if nodes >= self.node_limit {
+                limit_hit = true;
+                break;
+            }
+            nodes += 1;
+            let relax = simplex.solve(&working);
+            // An infeasible relaxation closes its subtree. An unbounded one
+            // means the MILP is unbounded (or the bounding box is missing);
+            // deeper nodes inherit the issue, so the branch is given up.
+            if relax.status != LpStatus::Optimal {
+                continue;
+            }
+            // Prune by bound.
+            if let Some((inc, _)) = &best {
+                let worse = if maximize {
+                    relax.objective <= inc + 1e-12
+                } else {
+                    relax.objective >= inc - 1e-12
                 };
-                if better {
-                    best = Some(obj);
-                    std::mem::swap(&mut ws.best_values, &mut ws.solution_values);
+                if worse {
+                    continue;
                 }
             }
-            Some(v) => {
+            // Find the most fractional integer variable.
+            let mut branch_var = None;
+            let mut worst_frac = INT_TOL;
+            for &v in &self.integer_vars {
                 let val = relax.values[v];
-                let floor = val.floor();
-                let (lo, hi) = ws.working.bounds(v);
-                // The parent's bounds come back after both subtrees (LIFO:
-                // popped last).
-                ws.ops.push(NodeOp::Restore { var: v, lo, hi });
-                // Down branch: v <= floor (explored second).
-                if floor >= lo - 1e-9 {
-                    ws.ops.push(NodeOp::Solve { var: v, lo, hi: floor.min(hi) });
+                let frac = (val - val.round()).abs();
+                if frac > worst_frac {
+                    worst_frac = frac;
+                    branch_var = Some(v);
                 }
-                // Up branch: v >= floor + 1 (explored first, matching the
-                // clone-per-node implementation this replaced).
-                if floor + 1.0 <= hi + 1e-9 {
-                    ws.ops.push(NodeOp::Solve { var: v, lo: (floor + 1.0).max(lo), hi });
+            }
+            match branch_var {
+                None => {
+                    // Integer feasible: round the integer vars exactly.
+                    let mut values = relax.values.clone();
+                    for &v in &self.integer_vars {
+                        values[v] = values[v].round();
+                    }
+                    let obj = lp.objective_at(&values);
+                    let better = match &best {
+                        None => true,
+                        Some((inc, _)) if maximize => obj > inc + 1e-12,
+                        Some((inc, _)) => obj < inc - 1e-12,
+                    };
+                    if better {
+                        best = Some((obj, values));
+                    }
+                }
+                Some(v) => {
+                    let floor = relax.values[v].floor();
+                    let (lo, hi) = working.bounds(v);
+                    // The parent's bounds come back after both subtrees
+                    // (LIFO: popped last).
+                    ops.push(NodeOp::Restore { var: v, lo, hi });
+                    // Down branch: v <= floor (explored second).
+                    if floor >= lo - 1e-9 {
+                        ops.push(NodeOp::Solve { var: v, lo, hi: floor.min(hi) });
+                    }
+                    // Up branch: v >= floor + 1 (explored first).
+                    if floor + 1.0 <= hi + 1e-9 {
+                        ops.push(NodeOp::Solve { var: v, lo: (floor + 1.0).max(lo), hi });
+                    }
                 }
             }
         }
-    }
 
-    let status = if limit_hit {
-        MilpStatus::NodeLimitReached
-    } else if best.is_some() {
-        MilpStatus::Optimal
-    } else {
-        MilpStatus::Infeasible
-    };
-    ws.solution_values.clear();
-    match best {
-        Some(objective) => {
-            ws.solution_values.extend_from_slice(&ws.best_values);
-            ws.milp_solution.status = status;
-            ws.milp_solution.objective = objective;
-        }
-        None => {
-            ws.solution_values.resize(lp.num_vars(), 0.0);
-            ws.milp_solution.status = status;
-            ws.milp_solution.objective = 0.0;
-        }
+        let status = if limit_hit {
+            MilpStatus::NodeLimitReached
+        } else if best.is_some() {
+            MilpStatus::Optimal
+        } else {
+            MilpStatus::Infeasible
+        };
+        let (objective, values) = best.unwrap_or_else(|| (0.0, vec![0.0; lp.num_vars()]));
+        MilpSolution { status, values, objective, nodes }
     }
-    std::mem::swap(&mut ws.milp_solution.values, &mut ws.solution_values);
-    ws.milp_solution.nodes = nodes;
-    &ws.milp_solution
 }
 
 #[cfg(test)]
@@ -428,14 +303,12 @@ mod tests {
     #[test]
     fn matches_brute_force_on_random_instances() {
         // Deterministic pseudo-random 2-var integer programs, brute force
-        // over the grid as oracle; one workspace shared across all cases
-        // exercises the delta-branching reuse path.
+        // over the grid as oracle.
         let mut state = 0xABCDEF_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) * 2.0 - 1.0
         };
-        let mut ws = MilpWorkspace::new();
         for _case in 0..30 {
             let c0 = (next() * 5.0).round();
             let c1 = (next() * 5.0).round();
@@ -449,7 +322,7 @@ mod tests {
             lp.set_bounds(0, 0.0, 6.0);
             lp.set_bounds(1, 0.0, 6.0);
             lp.add_constraint(&[(0, a0), (1, a1)], ConstraintOp::Le, b);
-            let sol = MixedIntegerProgram::new(lp.clone(), vec![0, 1]).solve_with(&mut ws);
+            let sol = MixedIntegerProgram::new(lp, vec![0, 1]).solve();
 
             // Brute force.
             let mut best = f64::NEG_INFINITY;
@@ -470,31 +343,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn seeded_solve_keeps_the_true_optimum() {
-        // Seed with a feasible but suboptimal point; the optimum must
-        // still be found. Then seed with the optimum itself; the objective
-        // must not degrade.
-        let mut lp = LinearProgram::new(2);
-        lp.set_objective(&[5.0, 4.0]);
-        lp.set_maximize(true);
-        lp.set_bounds(0, 0.0, 3.0);
-        lp.set_bounds(1, 0.0, 3.0);
-        lp.add_constraint(&[(0, 2.0), (1, 3.0)], ConstraintOp::Le, 9.0);
-        let milp = MixedIntegerProgram::new(lp, vec![0, 1]);
-        let mut ws = MilpWorkspace::new();
-        let cold = milp.solve_with(&mut ws);
-        assert_eq!(cold.status, MilpStatus::Optimal);
-        let seeded = milp.solve_seeded(&mut ws, &[1.0, 1.0]);
-        assert_eq!(seeded.status, MilpStatus::Optimal);
-        assert!((seeded.objective - cold.objective).abs() < 1e-9);
-        let reseeded = milp.solve_seeded(&mut ws, &cold.values);
-        assert!((reseeded.objective - cold.objective).abs() < 1e-9);
-        // An infeasible seed is ignored, not trusted.
-        let bogus = milp.solve_seeded(&mut ws, &[9.0, 9.0]);
-        assert!((bogus.objective - cold.objective).abs() < 1e-9);
     }
 
     #[test]

@@ -85,9 +85,9 @@ proptest! {
         let bench = GeneratedBenchmark::generate(&spec, seed);
         let model = TimingModel::build(&bench, &VariationConfig::paper());
         let all: Vec<usize> = (0..model.path_count()).collect();
-        let oracle = ConflictOracle::new(&bench, &all, 1);
+        let oracle = ConflictOracle::new(&bench, 1);
         let widths: Vec<f64> = all.iter().map(|&p| model.path_sigma(p)).collect();
-        let batches = build_batches(&oracle, &all, Some(&widths));
+        let batches = build_batches(&oracle, &all, &widths);
         let mut seen = vec![false; all.len()];
         for batch in &batches {
             for (i, &a) in batch.iter().enumerate() {
